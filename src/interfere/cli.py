@@ -271,8 +271,9 @@ def cmd_probcheck(args) -> int:
     if config.p_method == "mc":
         seed = args.seed if args.seed is not None else config.mc_seed
         mc = monte_carlo_profile(nbhd, mapping, config.rho, config.mc_samples, seed)
-        diff = np.abs(mc.joint - exact.joint)
-        se = np.sqrt(exact.joint * (1.0 - exact.joint) / config.mc_samples)
+        exact_joint = exact.joint
+        diff = np.abs(mc.joint - exact_joint)
+        se = np.sqrt(exact_joint * (1.0 - exact_joint) / config.mc_samples)
         positive = se > 0
         payload["mc"] = {
             "samples": config.mc_samples,

@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import ValidationError
 
+# Entries of the (rows, n, dim) difference block built per k-NN chunk.
+_KNN_CHUNK = 1 << 20
+
 
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -82,16 +85,18 @@ class Population:
         treatment = np.asarray(self.treatment)
         if treatment.shape != (n,) or not np.isin(treatment, (0, 1)).all():
             raise ValidationError("treatment must be a length-n vector of 0/1 values")
+        if not np.isfinite(coords).all():
+            raise ValidationError("coordinates must be finite")
         outcome = np.asarray(self.outcome, dtype=float)
-        if outcome.shape != (n,) or not np.all(outcome >= 0):
-            raise ValidationError("outcome must be a length-n vector of nonnegative values")
+        if outcome.shape != (n,) or not (np.isfinite(outcome) & (outcome >= 0)).all():
+            raise ValidationError("outcome must be a length-n vector of finite nonnegative values")
         if not 0.0 < self.rho < 1.0:
             raise ValidationError(f"treatment probability must lie in (0, 1), got {self.rho}")
         enrollment = self.enrollment
         if enrollment is not None:
             enrollment = np.asarray(enrollment, dtype=float)
-            if enrollment.shape != (n,):
-                raise ValidationError("enrollment must be a length-n vector")
+            if enrollment.shape != (n,) or not np.isfinite(enrollment).all():
+                raise ValidationError("enrollment must be a length-n vector of finite values")
             bad = np.flatnonzero(outcome > enrollment)
             if bad.size:
                 i = int(bad[0])
@@ -153,7 +158,7 @@ class NeighborhoodSet:
         if members.min(initial=0) < 0 or members.max(initial=0) >= n:
             raise ValidationError("neighborhood indices out of range")
         members = np.sort(members, axis=1)
-        if any(np.unique(row).size != k for row in members):
+        if (members[:, 1:] == members[:, :-1]).any():
             raise ValidationError("neighborhood sets must not contain repeated indices")
         rows = np.arange(n)
         self_in = (members == rows[:, None]).any(axis=1)
@@ -232,7 +237,7 @@ class EffectiveTreatment:
 
     def __post_init__(self):
         indicator = np.asarray(self.indicator, dtype=np.int8)
-        if indicator.ndim != 1 or not np.isin(indicator, (0, 1)).all():
+        if indicator.ndim != 1 or not ((indicator == 0) | (indicator == 1)).all():
             raise ValidationError("indicator must be a vector of 0/1 values")
         if int(indicator.sum()) != self.count:
             raise ValidationError("count does not match the indicator sum")
@@ -243,7 +248,9 @@ def build_knn_neighborhoods(pop_or_coords, d: int) -> NeighborhoodSet:
     """Each unit's set is itself plus its d-1 nearest units (Euclidean).
 
     Distance ties are broken by ascending unit index, so the result is
-    deterministic across platforms.
+    deterministic across platforms. Distances are computed in row chunks
+    whose difference block holds about ``_KNN_CHUNK`` entries, so no (n, n)
+    array is ever built.
     """
     coords = np.asarray(getattr(pop_or_coords, "coords", pop_or_coords), dtype=float)
     if coords.ndim == 1:
@@ -256,16 +263,22 @@ def build_knn_neighborhoods(pop_or_coords, d: int) -> NeighborhoodSet:
     d = int(d)
     if not 1 <= d <= n:
         raise ValidationError(f"neighborhood size d must satisfy 1 <= d <= {n}, got {d}")
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     members = np.empty((n, d), dtype=np.int64)
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, dist[i]))
-        others = order[order != i][: d - 1]
-        members[i, 0] = i
-        members[i, 1:] = others
-    return NeighborhoodSet(members=np.sort(members, axis=1))
+    step = max(1, _KNN_CHUNK // (n * max(coords.shape[1], 1)))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        diff = coords[lo:hi, None, :] - coords[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist[np.arange(hi - lo), np.arange(lo, hi)] = -1.0  # the unit itself comes first
+        # Everything strictly below the d-th smallest distance is in; the
+        # remaining places go to the lowest indices tied at that distance.
+        kth = np.partition(dist, d - 1, axis=1)[:, d - 1 : d]
+        chosen = dist < kth
+        short = d - chosen.sum(axis=1, keepdims=True)
+        tied = dist == kth
+        chosen |= tied & (np.cumsum(tied, axis=1) <= short)
+        members[lo:hi] = np.nonzero(chosen)[1].reshape(hi - lo, d)
+    return NeighborhoodSet(members=members)
 
 
 def _check_mapping(nbhd: NeighborhoodSet, mapping: ExposureMapping) -> None:
@@ -283,12 +296,14 @@ def evaluate_exposure_many(x, nbhd: NeighborhoodSet, mapping: ExposureMapping) -
         raise ValidationError(f"assignment batch must have shape (s, {nbhd.n})")
     if not (((x == 0) | (x == 1)).all()):
         raise ValidationError("treatment assignments must be 0/1")
-    xf = x.astype(float)
-    treated_in_set = xf @ nbhd.incidence().T  # (s, n), exact small integers
+    x = x.astype(np.min_scalar_type(nbhd.k), copy=False)
+    treated_in_set = x[:, nbhd.members[:, 0]]
+    for column in nbhd.members.T[1:]:
+        treated_in_set += x[:, column]
     if mapping.kind == "product":
-        z = treated_in_set > nbhd.k - 0.5
+        z = treated_in_set == nbhd.k
     else:
-        z = (xf > 0.5) & (treated_in_set > mapping.d_min - 0.5)
+        z = (x == 1) & (treated_in_set >= mapping.d_min)
     return z.astype(np.int8)
 
 

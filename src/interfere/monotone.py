@@ -41,6 +41,9 @@ from .errors import (
 from .exposure import ExposureProfile, exact_profile
 from .normal import norm_ppf
 
+# Entries of the (rows, |A|) block of rank-one centered values per step.
+_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class MonotoneCiReport:
@@ -75,18 +78,48 @@ def point_estimate(values, exposure: EffectiveTreatment) -> float:
 
 
 def _pair_term(values, exposure, profile: ExposureProfile, clip: bool) -> float:
-    idx = np.flatnonzero(exposure.indicator)
-    joint = profile.joint[np.ix_(idx, idx)]
-    if np.any(joint <= 0.0):
+    """sum over exposed i, j of v_i v_j c_ij / J_ij, c the centered excess
+    (clipped at 0 when ``clip``), evaluated from the sparse profile.
+
+    Every centered entry is the rank-one part g_ij = t - u_i - u_j (u = r/n,
+    t = s/n^2) plus the excess, which is 0 off the pattern, where also
+    J_ij = p^2. So the rank-one part is summed over all of A x A in row
+    blocks of about ``_BLOCK`` entries, and the diagonal and pattern entries
+    then swap their rank-one value for their actual one. Clipping applies to
+    each entry, as in ``max(centered, 0)``, so the clipped result is the sum
+    of the same nonnegative terms, up to rounding.
+    """
+    mask = exposure.indicator > 0
+    idx = np.flatnonzero(mask)
+    on = mask[profile.rows] & mask[profile.cols]
+    rows, cols, joint = profile.rows[on], profile.cols[on], profile.values[on]
+    diag = profile.diag[idx]
+    n, p = profile.n, profile.p
+    pp = p * p
+    off_pattern = idx.size * (idx.size - 1) // 2 > rows.size
+    if diag.min() <= 0.0 or joint.min(initial=1.0) <= 0.0 or (off_pattern and not pp > 0.0):
         raise ZeroJointProbabilityError(
             "a jointly exposed pair has zero joint probability; "
             "the exposure profile is inconsistent with the realized assignment"
         )
-    centered = profile.centered[np.ix_(idx, idx)]
-    if clip:
-        centered = np.maximum(centered, 0.0)
-    v = np.asarray(values, dtype=float)[idx]
-    return float(v @ (centered / joint) @ v)
+    h = (lambda c: np.maximum(c, 0.0)) if clip else (lambda c: c)
+    u = profile.row_excess / n
+    t = profile.excess_total / (n * n)
+    v_all = np.asarray(values, dtype=float)
+    v, vi, vj, ua = v_all[idx], v_all[rows], v_all[cols], u[idx]
+    g_diag = t - ua - ua
+    g_pair = t - u[rows] - u[cols]
+    w_diag = h(g_diag + ((diag - p * (1.0 - p)) - pp)) / diag
+    w_pair = h(g_pair + (joint - pp)) / joint
+    total = 0.0
+    if off_pattern:
+        w_diag -= h(g_diag) / pp
+        w_pair -= h(g_pair) / pp
+        step = max(1, _BLOCK // idx.size)
+        for lo in range(0, idx.size, step):
+            block = h((t - ua[lo : lo + step, None]) - ua)
+            total += float(v[lo : lo + step] @ block @ v) / pp
+    return total + float(v @ (v * w_diag)) + 2.0 * float(vi @ (vj * w_pair))
 
 
 def _leading_term(values, exposure, profile: ExposureProfile) -> float:
@@ -259,8 +292,11 @@ def bonferroni_scan(
     _check_alpha(alpha)
     adjusted = alpha / len(configs)
     reports = []
+    neighborhoods = {}
     for d_min, d in configs:
-        nbhd = build_knn_neighborhoods(pop, d)
+        if d not in neighborhoods:
+            neighborhoods[d] = build_knn_neighborhoods(pop, d)
+        nbhd = neighborhoods[d]
         if mapping_kind == "threshold":
             mapping = ExposureMapping.threshold(d_min)
         elif mapping_kind == "product":

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import interfere as itf
+from interfere import design
 from interfere.design import evaluate_exposure_many
 from interfere.errors import ValidationError
 
@@ -19,6 +20,23 @@ def brute_force_knn(coords, d):
         dist.sort()
         out.append(frozenset([i] + [j for _, j in dist[: d - 1]]))
     return out
+
+
+def lexsort_knn(coords, d):
+    """The all-pairs k-NN: one (n, n, dim) distance tensor and a lexsort per row."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim == 1:
+        coords = coords[:, None]
+    n = coords.shape[0]
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    members = np.empty((n, d), dtype=np.int64)
+    idx = np.arange(n)
+    for i in range(n):
+        order = np.lexsort((idx, dist[i]))
+        members[i, 0] = i
+        members[i, 1:] = order[order != i][: d - 1]
+    return np.sort(members, axis=1)
 
 
 class TestKnnNeighborhoods:
@@ -67,6 +85,24 @@ class TestKnnNeighborhoods:
         with pytest.raises(ValidationError):
             itf.build_knn_neighborhoods(coords, 0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_lexsort_reference(self, data):
+        # Integer coordinates on a small grid force duplicate points and
+        # exact distance ties; a tiny chunk size forces many row chunks.
+        n = data.draw(st.integers(min_value=1, max_value=30))
+        dim = data.draw(st.integers(min_value=1, max_value=3))
+        span = data.draw(st.sampled_from([1, 2, 3, 1000]))
+        point = st.lists(st.integers(0, span), min_size=dim, max_size=dim)
+        coords = np.array(data.draw(st.lists(point, min_size=n, max_size=n)), dtype=float)
+        if dim == 1 and data.draw(st.booleans()):
+            coords = coords[:, 0]
+        d = data.draw(st.sampled_from(sorted({1, n, max(1, n // 2), min(n, 3)})))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(design, "_KNN_CHUNK", data.draw(st.sampled_from([1, 17, 1 << 20])))
+            got = itf.build_knn_neighborhoods(coords, d).members
+        assert np.array_equal(got, lexsort_knn(coords, d))
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_permutation_equivariance(self, data):
@@ -93,6 +129,10 @@ class TestNeighborhoodSet:
     def test_uniform_size_enforced(self):
         with pytest.raises(ValidationError, match="same size"):
             itf.NeighborhoodSet.from_sets([{0, 1}, {1}, {2, 1}])
+
+    def test_repeated_indices_rejected(self):
+        with pytest.raises(ValidationError, match="repeated indices"):
+            itf.NeighborhoodSet(members=np.array([[0, 1], [1, 1], [2, 0]]))
 
     def test_self_membership_enforced(self):
         with pytest.raises(ValidationError, match="own neighborhood"):
@@ -201,6 +241,22 @@ class TestDomainTypes:
             itf.Population(**{**good, "ids": (0, 0, 1, 2)})
         with pytest.raises(ValidationError):
             itf.Population(**{**good, "enrollment": np.array([1.0, 0.5, 1.0, 1.0])})
+
+    @pytest.mark.parametrize("field", ["coords", "outcome", "enrollment"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_population_rejects_non_finite(self, rng, field, bad):
+        fields = dict(
+            ids=tuple(range(4)),
+            coords=rng.random((4, 2)),
+            treatment=np.array([0, 1, 0, 1]),
+            outcome=np.ones(4),
+            rho=0.5,
+            enrollment=np.full(4, 2.0),
+        )
+        fields[field] = np.array(fields[field], dtype=float)
+        fields[field].flat[1] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            itf.Population(**fields)
 
     def test_population_from_units_dimension_mismatch(self):
         units = [

@@ -247,6 +247,21 @@ class TestCliEstimate:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column,value", [("outcome", "inf"), ("outcome", "nan"), ("x", "-inf")])
+    def test_non_finite_value_is_error(self, tmp_path, config_file, capsys, column, value):
+        rows = UNITS_CSV.splitlines()
+        header = rows[0].split(",")
+        fields = rows[2].split(",")
+        fields[header.index(column)] = value
+        rows[2] = ",".join(fields)
+        data = tmp_path / "units.csv"
+        data.write_text("\n".join(rows) + "\n")
+        code = main(["estimate", "--config", str(config_file), "--data", str(data)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and "finite" in captured.err
+        assert captured.out == ""
+
     def test_empty_effective_set_is_error(self, tmp_path, capsys):
         rows = ["id,x,treatment,outcome"] + [f"u{i},{i}.0,0,1.0" for i in range(6)]
         data = tmp_path / "all_control.csv"

@@ -12,6 +12,7 @@ from interfere.errors import (
     ValidationError,
     ZeroJointProbabilityError,
 )
+from interfere import monotone
 from interfere.monotone import _bound_from_values
 from interfere.normal import norm_ppf
 
@@ -405,6 +406,22 @@ class TestBonferroniScan:
         assert report.upper_bound == direct.upper_bound
         assert report.alpha == 0.05
         assert (report.d_min, report.d) == (2, 3)
+
+    def test_builds_neighborhoods_once_per_size(self, rng, monkeypatch):
+        pop = self._population(rng)
+        sizes = []
+
+        def counting_knn(pop_or_coords, d):
+            sizes.append(d)
+            return itf.build_knn_neighborhoods(pop_or_coords, d)
+
+        monkeypatch.setattr(monotone, "build_knn_neighborhoods", counting_knn)
+        reports = itf.bonferroni_scan(pop, [(2, 3), (3, 6), (4, 6), (1, 3)], 0.05)
+        assert sorted(sizes) == [3, 6]
+        monkeypatch.undo()
+        for report in reports:
+            [single] = itf.bonferroni_scan(pop, [(report.d_min, report.d)], 0.05 / 4)
+            assert report.upper_bound == single.upper_bound
 
     def test_three_configs_use_adjusted_level(self, rng):
         pop = self._population(rng)
