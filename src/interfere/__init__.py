@@ -27,7 +27,6 @@ from .design import (
     ExposureMapping,
     NeighborhoodSet,
     Population,
-    Unit,
     build_knn_neighborhoods,
     evaluate_exposure,
     evaluate_exposure_many,
@@ -41,7 +40,6 @@ from .errors import (
     ZeroJointProbabilityError,
 )
 from .exposure import (
-    DiagnosticsConfig,
     ExposureProfile,
     center_excess,
     enumerated_profile,

@@ -14,7 +14,6 @@ import argparse
 import csv
 import dataclasses
 import io as _stringio
-import json
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import io as pkgio
 from .contrast import attributable_contrast, attributable_contrast_from_counts, exposure_attributable_contrast
-from .design import ExposureMapping, build_knn_neighborhoods, evaluate_exposure
+from .design import build_knn_neighborhoods, evaluate_exposure
 from .errors import InterfereError, ValidationError
 from .exposure import enumerated_profile, exact_profile, monte_carlo_profile
 from .monotone import bonferroni_scan, upper_confidence_bound
@@ -40,18 +39,11 @@ def _write_or_print(text: str, out_dir, filename: str) -> None:
         (path / filename).write_text(text)
 
 
-def _mapping_from_config(config: pkgio.RunConfig) -> ExposureMapping:
-    if config.mapping_kind == "product":
-        return ExposureMapping.product()
-    return ExposureMapping.threshold(config.d_min)
-
-
 def _profile_for(config: pkgio.RunConfig, nbhd, seed_override=None):
-    mapping = _mapping_from_config(config)
     if config.p_method == "mc":
         seed = config.mc_seed if seed_override is None else seed_override
-        return mapping, monte_carlo_profile(nbhd, mapping, config.rho, config.mc_samples, seed)
-    return mapping, exact_profile(nbhd, mapping, config.rho)
+        return monte_carlo_profile(nbhd, config.mapping, config.rho, config.mc_samples, seed)
+    return exact_profile(nbhd, config.mapping, config.rho)
 
 
 def _dump_matrices(profile, out_dir) -> None:
@@ -124,8 +116,8 @@ def cmd_estimate(args) -> int:
             nbhd = build_knn_neighborhoods(pop, config.d)
         else:
             raise ValidationError("estimate needs config.neighborhood or --neighborhoods")
-        mapping, profile = _profile_for(config, nbhd, args.seed)
-        exposure = evaluate_exposure(pop, nbhd, mapping)
+        profile = _profile_for(config, nbhd, args.seed)
+        exposure = evaluate_exposure(pop, nbhd, config.mapping)
         report = upper_confidence_bound(pop, exposure, profile, config.alpha, config.variance_floor)
         reports = [dataclasses.replace(report, d_min=config.d_min, d=config.d)]
         if args.dump_matrices and args.out:
@@ -185,8 +177,8 @@ def cmd_contrast(args) -> int:
         payload["treatment_split"] = pkgio.contrast_report_dict(report)
         if config is not None and config.d is not None and config.mapping_kind is not None:
             nbhd = build_knn_neighborhoods(pop, config.d)
-            mapping, profile = _profile_for(config, nbhd, args.seed)
-            exposure = evaluate_exposure(pop, nbhd, mapping)
+            profile = _profile_for(config, nbhd, args.seed)
+            exposure = evaluate_exposure(pop, nbhd, config.mapping)
             zreport = exposure_attributable_contrast(pop.outcome, exposure, profile, alpha)
             payload["exposure_split"] = pkgio.contrast_report_dict(zreport)
     if args.format == "csv":
@@ -208,8 +200,14 @@ def cmd_contrast(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command-line usage error found after parsing; exits with code 2."""
+
+
 def cmd_simulate(args) -> int:
     config = pkgio.load_sim_config(args.config)
+    if config.replicates < 1:
+        raise _UsageError("simulate: replicates must be at least 1")
     seed = args.seed if args.seed is not None else config.seed
     layout = synthetic_layout(config.layout_kind, config.n, config.layout_seed)
     scenario = Scenario(
@@ -249,8 +247,7 @@ def cmd_probcheck(args) -> int:
     if config.d is None or config.mapping_kind is None:
         raise ValidationError("probcheck needs config.mapping and config.neighborhood")
     nbhd = build_knn_neighborhoods(pop, config.d)
-    mapping = _mapping_from_config(config)
-    exact = exact_profile(nbhd, mapping, config.rho)
+    exact = exact_profile(nbhd, config.mapping, config.rho)
     payload = {
         "command": "probcheck",
         "n_units": pop.n,
@@ -261,16 +258,14 @@ def cmd_probcheck(args) -> int:
         "mc": None,
     }
     if args.oracle:
-        if pop.n > 20:
-            raise ValidationError(f"full-enumeration oracle supports at most 20 units, got {pop.n}")
-        oracle = enumerated_profile(nbhd, mapping, config.rho)
+        oracle = enumerated_profile(nbhd, config.mapping, config.rho)
         payload["oracle"] = {
             "max_abs_diff_joint": float(np.abs(exact.joint - oracle.joint).max()),
             "abs_diff_p": abs(exact.p - oracle.p),
         }
     if config.p_method == "mc":
         seed = args.seed if args.seed is not None else config.mc_seed
-        mc = monte_carlo_profile(nbhd, mapping, config.rho, config.mc_samples, seed)
+        mc = monte_carlo_profile(nbhd, config.mapping, config.rho, config.mc_samples, seed)
         exact_joint = exact.joint
         diff = np.abs(mc.joint - exact_joint)
         se = np.sqrt(exact_joint * (1.0 - exact_joint) / config.mc_samples)
@@ -356,17 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        try:
-            config = pkgio.load_sim_config(args.config)
-        except (OSError, ValueError, InterfereError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if config.replicates < 1:
-            parser.error("simulate: replicates must be at least 1")
     try:
         return args.func(args)
-    except (InterfereError, OSError, json.JSONDecodeError) as exc:
+    except _UsageError as exc:
+        parser.error(str(exc))
+    except (InterfereError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,36 +30,23 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Unit:
-    """A single experimental unit.
-
-    ``enrollment``, when present, is a known upper bound on the outcome
-    (e.g. the number of individuals at a site) and enables lower bounds on
-    the full-control counterfactual.
-    """
-
-    id: object
-    coords: tuple
-    treatment: int
-    outcome: float
-    enrollment: Optional[float] = None
-
-    def __post_init__(self):
-        if self.treatment not in (0, 1):
-            raise ValidationError(f"unit {self.id!r}: treatment must be 0 or 1, got {self.treatment!r}")
-        if not self.outcome >= 0:
-            raise ValidationError(f"unit {self.id!r}: outcome must be nonnegative, got {self.outcome!r}")
-        if self.enrollment is not None and self.outcome > self.enrollment:
-            raise ValidationError(
-                f"unit {self.id!r}: outcome {self.outcome!r} exceeds enrollment "
-                f"{self.enrollment!r} (enrollment is an upper bound on the outcome)"
-            )
+def _check_units(ids: tuple, ok: np.ndarray, message: str, *values) -> None:
+    """Raise for the first unit where ``ok`` fails, with ``message`` formatted
+    by that unit's entries of ``values`` and its index recorded."""
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        raise ValidationError(f"unit {ids[i]!r}: " + message.format(*(v[i] for v in values)), unit=i)
 
 
 @dataclass(frozen=True)
 class Population:
-    """An ordered collection of units with a common treatment probability."""
+    """An ordered collection of units with a common treatment probability.
+
+    ``enrollment``, when present, is a known per-unit upper bound on the
+    outcome (e.g. the number of individuals at a site) and enables lower
+    bounds on the full-control counterfactual. A rule broken by one unit is
+    reported with that unit's index in ``ValidationError.unit``.
+    """
 
     ids: tuple
     coords: np.ndarray        # (n, dim) float
@@ -80,31 +67,34 @@ class Population:
         ids = tuple(self.ids)
         if len(ids) != n:
             raise ValidationError(f"{len(ids)} ids for {n} coordinate rows")
-        if len(set(ids)) != n:
-            raise ValidationError("unit ids must be unique")
         treatment = np.asarray(self.treatment)
-        if treatment.shape != (n,) or not np.isin(treatment, (0, 1)).all():
-            raise ValidationError("treatment must be a length-n vector of 0/1 values")
-        if not np.isfinite(coords).all():
-            raise ValidationError("coordinates must be finite")
         outcome = np.asarray(self.outcome, dtype=float)
-        if outcome.shape != (n,) or not (np.isfinite(outcome) & (outcome >= 0)).all():
-            raise ValidationError("outcome must be a length-n vector of finite nonnegative values")
+        enrollment = None if self.enrollment is None else np.asarray(self.enrollment, dtype=float)
+        for name, values in (("treatment", treatment), ("outcome", outcome), ("enrollment", enrollment)):
+            if values is not None and values.shape != (n,):
+                raise ValidationError(f"{name} must be a length-{n} vector, got shape {values.shape}")
         if not 0.0 < self.rho < 1.0:
             raise ValidationError(f"treatment probability must lie in (0, 1), got {self.rho}")
-        enrollment = self.enrollment
+        _check_units(ids, np.isfinite(coords).all(axis=1), "coordinates must be finite")
+        _check_units(ids, (treatment == 0) | (treatment == 1), "treatment must be 0 or 1, got {}", treatment)
+        _check_units(
+            ids, np.isfinite(outcome) & (outcome >= 0), "outcome must be finite and nonnegative, got {}", outcome
+        )
         if enrollment is not None:
-            enrollment = np.asarray(enrollment, dtype=float)
-            if enrollment.shape != (n,) or not np.isfinite(enrollment).all():
-                raise ValidationError("enrollment must be a length-n vector of finite values")
-            bad = np.flatnonzero(outcome > enrollment)
-            if bad.size:
-                i = int(bad[0])
-                raise ValidationError(
-                    f"unit {ids[i]!r}: outcome {outcome[i]} exceeds enrollment "
-                    f"{enrollment[i]} (enrollment is an upper bound on the outcome)"
-                )
+            _check_units(ids, np.isfinite(enrollment), "enrollment must be finite, got {}", enrollment)
+            _check_units(
+                ids,
+                outcome <= enrollment,
+                "outcome {} exceeds enrollment {} (enrollment is an upper bound on the outcome)",
+                outcome,
+                enrollment,
+            )
             object.__setattr__(self, "enrollment", _frozen_array(enrollment, float))
+        seen = set()
+        for i, unit_id in enumerate(ids):
+            if unit_id in seen:
+                raise ValidationError(f"unit {unit_id!r}: unit ids must be unique", unit=i)
+            seen.add(unit_id)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "coords", _frozen_array(coords, float))
         object.__setattr__(self, "treatment", _frozen_array(treatment, np.int8))
@@ -113,28 +103,6 @@ class Population:
     @property
     def n(self) -> int:
         return self.coords.shape[0]
-
-    @classmethod
-    def from_units(cls, units: Sequence[Unit], rho: float) -> "Population":
-        if not units:
-            raise ValidationError("empty unit list")
-        dims = {len(u.coords) for u in units}
-        if len(dims) != 1:
-            raise ValidationError(f"all coordinate vectors must share one dimension, got dimensions {sorted(dims)}")
-        enrollment = None
-        have = [u.enrollment is not None for u in units]
-        if any(have):
-            if not all(have):
-                raise ValidationError("enrollment must be present for all units or none")
-            enrollment = [u.enrollment for u in units]
-        return cls(
-            ids=tuple(u.id for u in units),
-            coords=np.array([u.coords for u in units], dtype=float),
-            treatment=np.array([u.treatment for u in units]),
-            outcome=np.array([u.outcome for u in units], dtype=float),
-            rho=rho,
-            enrollment=enrollment,
-        )
 
 
 @dataclass(frozen=True)
@@ -184,7 +152,11 @@ class NeighborhoodSet:
                 f"all neighborhoods must have the same size so that exposure "
                 f"probabilities are uniform; got sizes {sorted(sizes)}"
             )
-        return cls(members=np.array(rows, dtype=np.int64))
+        try:
+            members = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            raise ValidationError("neighborhood indices out of range") from None
+        return cls(members=members)
 
     def as_sets(self) -> list:
         return [frozenset(int(j) for j in row) for row in self.members]

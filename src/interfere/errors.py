@@ -1,12 +1,22 @@
 """Exception types shared across the package."""
 
+from typing import Optional
+
 
 class InterfereError(Exception):
     """Base class for all errors raised by this package."""
 
 
 class ValidationError(InterfereError, ValueError):
-    """Invalid input data, configuration, or precondition violation."""
+    """Invalid input data, configuration, or precondition violation.
+
+    ``unit`` is the index of the offending unit when a single unit is at
+    fault, so that a loader can name the input row it came from.
+    """
+
+    def __init__(self, message: str, unit: Optional[int] = None):
+        super().__init__(message)
+        self.unit = unit
 
 
 class NoEffectiveUnitsError(InterfereError):

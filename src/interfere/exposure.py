@@ -23,8 +23,6 @@ full-enumeration oracle (n <= 20) is provided for testing and diagnostics.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,16 +32,6 @@ from .design import ExposureMapping, NeighborhoodSet, evaluate_exposure_many, _c
 from .errors import ValidationError
 
 _MC_SHARD = 1 << 16
-
-
-def worker_count() -> int:
-    """Worker cap from the INTERFERE_THREADS environment variable (default 1)."""
-    raw = os.environ.get("INTERFERE_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"INTERFERE_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
 
 
 @dataclass(frozen=True)
@@ -94,26 +82,6 @@ class ExposureProfile:
     def centered(self) -> np.ndarray:
         """Dense doubly centered excess matrix, built on each access."""
         return center_excess(self.joint, self.p)[1]
-
-
-@dataclass(frozen=True)
-class DiagnosticsConfig:
-    """Constants behind the asymptotic guarantees, supplied by the analyst.
-
-    ``outcome_bound`` bounds the counterfactual outcomes, ``overlap_cap`` the
-    allowed neighborhood overlap degree, and ``variance_floor`` the assumed
-    lower bound on Var(T)/n.
-    """
-
-    outcome_bound: float
-    overlap_cap: int
-    variance_floor: float
-
-    def __post_init__(self):
-        if not self.outcome_bound > 0:
-            raise ValidationError("outcome_bound must be positive")
-        if not self.variance_floor > 0:
-            raise ValidationError("variance_floor must be positive")
 
 
 def _binom_pmf_table(k: int, rho: float) -> list:
@@ -316,8 +284,7 @@ def monte_carlo_profile(
     """Empirical joint exposure frequencies over independent assignment draws.
 
     Sampling uses a counter-based generator keyed by (seed, shard index), so
-    results are bit-identical for a given seed regardless of how many worker
-    threads run the shards.
+    results are bit-identical for a given seed.
     """
     _check_mapping(nbhd, mapping)
     num_samples = int(num_samples)
@@ -325,29 +292,12 @@ def monte_carlo_profile(
         raise ValidationError("num_samples must be at least 1")
     if not 0.0 < rho < 1.0:
         raise ValidationError(f"treatment probability must lie in (0, 1), got {rho}")
-    shard_sizes = []
-    remaining = num_samples
-    while remaining > 0:
-        take = min(_MC_SHARD, remaining)
-        shard_sizes.append(take)
-        remaining -= take
-    workers = worker_count()
-    if workers > 1 and len(shard_sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda args: _mc_shard_counts(nbhd, mapping, rho, seed, *args),
-                    enumerate(shard_sizes),
-                )
-            )
-    else:
-        parts = [
-            _mc_shard_counts(nbhd, mapping, rho, seed, shard, shard_n)
-            for shard, shard_n in enumerate(shard_sizes)
-        ]
-    counts = parts[0]
-    for part in parts[1:]:
-        counts = counts + part
+    if not -(2**63) <= seed < 2**64:  # the range a Philox key word accepts
+        raise ValidationError(f"seed must fit in 64 bits, got {seed}")
+    counts = sum(
+        _mc_shard_counts(nbhd, mapping, rho, seed, shard, min(_MC_SHARD, num_samples - start))
+        for shard, start in enumerate(range(0, num_samples, _MC_SHARD))
+    )
     joint = counts / num_samples
     p = float(np.diagonal(joint).mean())
     return _dense_finalize(joint, p, nbhd, "monte_carlo", num_samples=num_samples)

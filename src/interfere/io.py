@@ -1,9 +1,18 @@
 """Data ingestion and configuration parsing for the command-line surface.
 
-Unit tables are CSV with header columns ``id``, coordinates (``x``/``y``, or
-``x1..xk``, or a single ``x``), ``treatment``, ``outcome``, and optionally
-``enrollment``. Run configurations are JSON documents validated strictly:
-unknown keys are rejected so typos fail loudly instead of being ignored.
+A unit table is a CSV file with header columns ``id``, coordinates
+(``x``/``y``, or ``x1..xk``, or a single ``x``), ``treatment``, ``outcome``,
+and optionally ``enrollment``. Run configurations are JSON documents read
+strictly: unknown keys are rejected so typos fail loudly instead of being
+ignored.
+
+This module only turns text into typed values, through a few field readers
+that name the CSV row and column or the JSON key path of a bad field. An
+integer is a JSON integer or an integral float; a number is a finite JSON
+integer or float; strings, booleans and null are neither. Value rules
+(ranges, cross-field checks, uniqueness) belong to the types built from the
+values: ``Population``, ``RunConfig``, ``NeighborhoodSet``, and the
+simulation's ``synthetic_layout`` and ``Scenario``.
 """
 
 from __future__ import annotations
@@ -12,18 +21,111 @@ import csv
 import dataclasses
 import json
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .contrast import ContrastReport
-from .design import NeighborhoodSet, Population
+from .design import ExposureMapping, NeighborhoodSet, Population
 from .errors import ValidationError
 from .monotone import MonotoneCiReport
 from .simulate import LAYOUT_KINDS, SCENARIO_KINDS
 from .simulate import CoverageTable
+
+
+def _path(where: tuple) -> str:
+    """JSON key path: a root name, then keys and list indices."""
+    root, *keys = where
+    return str(root) + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in keys)
+
+
+def _mismatch(where: tuple, expected: str, value) -> ValidationError:
+    return ValidationError(f"{_path(where)}: expected {expected}, got {value!r}")
+
+
+def _object(value, allowed: set, *where, required: tuple = ()) -> dict:
+    if not isinstance(value, dict):
+        raise _mismatch(where, "an object", value)
+    unknown = set(value) - allowed
+    if unknown:
+        raise ValidationError(f"{_path(where)}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
+    for key in required:
+        if key not in value:
+            raise ValidationError(f"{_path(where)}: {key} is required")
+    return value
+
+
+def _int(value, *where) -> int:
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise _mismatch(where, "an integer", value)
+
+
+def _float(value, *where) -> float:
+    # Comparing first keeps huge JSON integers from overflowing float().
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise _mismatch(where, "a finite number", value)
+
+
+def _choice(value, options: tuple, *where) -> str:
+    if isinstance(value, str) and value in options:
+        return value
+    raise _mismatch(where, f"one of {list(options)}", value)
+
+
+def _pairs(value, *where) -> tuple:
+    """A nonempty list of [d_min, d] integer pairs."""
+    if not isinstance(value, list) or not value:
+        raise _mismatch(where, "a nonempty list of [d_min, d] pairs", value)
+    pairs = []
+    for i, entry in enumerate(value):
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise _mismatch(where + (i,), "a [d_min, d] pair", entry)
+        pairs.append((_int(entry[0], *where, i, 0), _int(entry[1], *where, i, 1)))
+    return tuple(pairs)
+
+
+def _load_json(path):
+    try:
+        with Path(path).open() as handle:
+            return json.load(handle)
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise ValidationError(f"{path}: not a valid JSON file: {exc}") from None
+
+
+def _read_csv(path: Path, required: tuple) -> tuple:
+    """Stripped header names and the records of a CSV file with the ``required`` columns."""
+    try:
+        with path.open(newline="") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None:
+                raise ValidationError(f"{path}: empty file")
+            reader.fieldnames = fields = [name.strip() for name in reader.fieldnames]
+            records = list(reader)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: not a readable CSV file: {exc}") from None
+    for name in required:
+        if name not in fields:
+            raise ValidationError(f"{path}: missing required column {name!r}")
+    return fields, records
+
+
+def _cell(record: dict, column: str, row: int, integer: bool = False) -> float:
+    """A numeric CSV cell; with ``integer`` it must also be integral (so finite)."""
+    raw = record[column]
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ValidationError(f"row {row}: column {column!r} is not a number: {raw!r}") from None
+    if integer and not value.is_integer():
+        raise ValidationError(f"row {row}: column {column!r} must be an integer, got {raw!r}")
+    return value
 
 
 def _coordinate_columns(fieldnames) -> list:
@@ -47,66 +149,52 @@ def _coordinate_columns(fieldnames) -> list:
     raise ValidationError("no coordinate columns found (expected x/y, x1..xk, or x)")
 
 
-def _parse_float(raw: str, row: int, column: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ValidationError(f"row {row}: column {column!r} is not a number: {raw!r}")
-
-
 def load_units(path, rho: float) -> Population:
-    """Read a unit table; row order becomes unit index order."""
+    """Read a unit table; row order becomes unit index order.
+
+    A unit that breaks one of ``Population``'s rules is reported by its row.
+    """
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{path}: empty file")
-        fields = [name.strip() for name in reader.fieldnames]
-        for required in ("id", "treatment", "outcome"):
-            if required not in fields:
-                raise ValidationError(f"{path}: missing required column {required!r}")
-        coord_cols = _coordinate_columns(fields)
-        has_enrollment = "enrollment" in fields
-        ids, coords, treatment, outcome, enrollment = [], [], [], [], []
-        for row_number, record in enumerate(reader, start=2):
-            ids.append(record["id"])
-            coords.append([_parse_float(record[c], row_number, c) for c in coord_cols])
-            raw_treatment = (record["treatment"] or "").strip()
-            if raw_treatment not in ("0", "1"):
-                raise ValidationError(
-                    f"row {row_number}: column 'treatment' must be 0 or 1, got {raw_treatment!r}"
-                )
-            treatment.append(int(raw_treatment))
-            outcome.append(_parse_float(record["outcome"], row_number, "outcome"))
-            if outcome[-1] < 0:
-                raise ValidationError(f"row {row_number}: column 'outcome' must be nonnegative")
-            if has_enrollment:
-                enrollment.append(_parse_float(record["enrollment"], row_number, "enrollment"))
-                if outcome[-1] > enrollment[-1]:
-                    raise ValidationError(
-                        f"row {row_number}: outcome {outcome[-1]} exceeds enrollment "
-                        f"{enrollment[-1]} (enrollment must upper-bound the outcome)"
-                    )
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"{path}: unit ids must be unique")
-    return Population(
-        ids=tuple(ids),
-        coords=np.array(coords, dtype=float),
-        treatment=np.array(treatment),
-        outcome=np.array(outcome, dtype=float),
-        rho=rho,
-        enrollment=np.array(enrollment, dtype=float) if has_enrollment else None,
-    )
+    fields, records = _read_csv(path, ("id", "treatment", "outcome"))
+    coord_cols = _coordinate_columns(fields)
+    has_enrollment = "enrollment" in fields
+    ids, coords, treatment, outcome, enrollment = [], [], [], [], []
+    for row, record in enumerate(records, start=2):
+        ids.append(record["id"])
+        coords.append([_cell(record, c, row) for c in coord_cols])
+        raw_treatment = (record["treatment"] or "").strip()
+        if raw_treatment not in ("0", "1"):
+            raise ValidationError(f"row {row}: column 'treatment' must be 0 or 1, got {raw_treatment!r}")
+        treatment.append(int(raw_treatment))
+        outcome.append(_cell(record, "outcome", row))
+        if has_enrollment:
+            enrollment.append(_cell(record, "enrollment", row))
+    try:
+        return Population(
+            ids=tuple(ids),
+            coords=np.array(coords, dtype=float),
+            treatment=np.array(treatment),
+            outcome=np.array(outcome, dtype=float),
+            rho=rho,
+            enrollment=np.array(enrollment, dtype=float) if has_enrollment else None,
+        )
+    except ValidationError as exc:
+        if exc.unit is None:
+            raise
+        raise ValidationError(f"row {exc.unit + 2}: {exc}") from None
 
 
 def load_neighborhoods(path) -> NeighborhoodSet:
     """Explicit adjacency-list loader: a JSON list of per-unit index lists."""
-    path = Path(path)
-    with path.open() as handle:
-        data = json.load(handle)
-    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
-        raise ValidationError(f"{path}: expected a JSON list of index lists")
-    return NeighborhoodSet.from_sets(data)
+    data = _load_json(path)
+    if not isinstance(data, list):
+        raise _mismatch((path,), "a list of index lists", data)
+    sets = []
+    for i, members in enumerate(data):
+        if not isinstance(members, list):
+            raise _mismatch((path, i), "a list of unit indices", members)
+        sets.append([_int(j, path, i, t) for t, j in enumerate(members)])
+    return NeighborhoodSet.from_sets(sets)
 
 
 def load_count_table(path) -> dict:
@@ -115,20 +203,15 @@ def load_count_table(path) -> dict:
     ``arm`` must be exactly 'control' and 'treated', one row each.
     """
     path = Path(path)
+    _, records = _read_csv(path, ("arm", "total", "positive"))
     rows = {}
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"arm", "total", "positive"} <= set(reader.fieldnames):
-            raise ValidationError(f"{path}: count table needs columns arm, total, positive")
-        for row_number, record in enumerate(reader, start=2):
-            arm = (record["arm"] or "").strip()
-            if arm not in ("control", "treated"):
-                raise ValidationError(f"row {row_number}: arm must be 'control' or 'treated', got {arm!r}")
-            if arm in rows:
-                raise ValidationError(f"row {row_number}: duplicate arm {arm!r}")
-            total = int(_parse_float(record["total"], row_number, "total"))
-            positive = int(_parse_float(record["positive"], row_number, "positive"))
-            rows[arm] = (total, positive)
+    for row, record in enumerate(records, start=2):
+        arm = (record["arm"] or "").strip()
+        if arm not in ("control", "treated"):
+            raise ValidationError(f"row {row}: arm must be 'control' or 'treated', got {arm!r}")
+        if arm in rows:
+            raise ValidationError(f"row {row}: duplicate arm {arm!r}")
+        rows[arm] = tuple(int(_cell(record, c, row, integer=True)) for c in ("total", "positive"))
     if set(rows) != {"control", "treated"}:
         raise ValidationError(f"{path}: count table needs exactly one control and one treated row")
     return {
@@ -139,15 +222,9 @@ def load_count_table(path) -> dict:
     }
 
 
-def _require_keys(mapping: dict, allowed: set, context: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValidationError(f"{context}: unknown keys {sorted(unknown)} (allowed: {sorted(allowed)})")
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated analysis configuration."""
+    """Analysis configuration; construction enforces its value rules."""
 
     rho: float
     alpha: float = 0.05
@@ -159,6 +236,7 @@ class RunConfig:
     mc_samples: Optional[int] = None
     mc_seed: int = 0
     variance_floor: Optional[float] = None
+    mapping: Optional[ExposureMapping] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
@@ -169,160 +247,97 @@ class RunConfig:
             raise ValidationError(f"config: p_method must be 'exact' or 'mc', got {self.p_method!r}")
         if self.p_method == "mc" and (self.mc_samples is None or self.mc_samples < 1):
             raise ValidationError("config: Monte Carlo p_method needs samples >= 1")
+        if self.variance_floor is not None and not self.variance_floor > 0:
+            raise ValidationError(f"config: diagnostics.c must be positive, got {self.variance_floor}")
+        if self.mapping_kind is not None:
+            object.__setattr__(self, "mapping", ExposureMapping(self.mapping_kind, self.d_min))
 
 
 def parse_run_config(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ValidationError("config: top level must be a JSON object")
-    _require_keys(
+    _object(
         data,
         {"rho", "alpha", "mapping", "neighborhood", "bonferroni", "p_method", "diagnostics"},
         "config",
+        required=("rho",),
     )
-    if "rho" not in data:
-        raise ValidationError("config: rho is required")
-    mapping_kind = None
-    d_min = None
+    fields = {"rho": _float(data["rho"], "config", "rho")}
+    if "alpha" in data:
+        fields["alpha"] = _float(data["alpha"], "config", "alpha")
     if "mapping" in data:
-        mapping = data["mapping"]
-        _require_keys(mapping, {"kind", "d_min"}, "config.mapping")
-        mapping_kind = mapping.get("kind")
-        if mapping_kind not in ("product", "threshold"):
-            raise ValidationError(f"config.mapping: kind must be 'product' or 'threshold', got {mapping_kind!r}")
-        if mapping_kind == "threshold":
-            if "d_min" not in mapping:
-                raise ValidationError("config.mapping: threshold mapping needs d_min")
-            d_min = int(mapping["d_min"])
-        elif "d_min" in mapping:
-            raise ValidationError("config.mapping: product mapping takes no d_min")
-    d = None
+        mapping = _object(data["mapping"], {"kind", "d_min"}, "config", "mapping")
+        kinds = ("product", "threshold")
+        fields["mapping_kind"] = _choice(mapping.get("kind"), kinds, "config", "mapping", "kind")
+        if "d_min" in mapping:
+            fields["d_min"] = _int(mapping["d_min"], "config", "mapping", "d_min")
     if "neighborhood" in data:
-        nbhd = data["neighborhood"]
-        _require_keys(nbhd, {"d"}, "config.neighborhood")
-        if "d" not in nbhd:
-            raise ValidationError("config.neighborhood: d is required")
-        d = int(nbhd["d"])
-    bonferroni = None
+        nbhd = _object(data["neighborhood"], {"d"}, "config", "neighborhood", required=("d",))
+        fields["d"] = _int(nbhd["d"], "config", "neighborhood", "d")
     if "bonferroni" in data:
-        pairs = data["bonferroni"]
-        if not isinstance(pairs, list) or not pairs:
-            raise ValidationError("config.bonferroni: expected a nonempty list of [d_min, d] pairs")
-        parsed = []
-        for entry in pairs:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ValidationError(f"config.bonferroni: entries must be [d_min, d] pairs, got {entry!r}")
-            parsed.append((int(entry[0]), int(entry[1])))
-        bonferroni = tuple(parsed)
-    p_method = "exact"
-    mc_samples = None
-    mc_seed = 0
-    if "p_method" in data:
-        method = data["p_method"]
-        if method == "exact":
-            pass
-        elif isinstance(method, dict):
-            _require_keys(method, {"kind", "samples", "seed"}, "config.p_method")
-            if method.get("kind") != "mc":
-                raise ValidationError(f"config.p_method: kind must be 'mc', got {method.get('kind')!r}")
-            p_method = "mc"
-            mc_samples = int(method.get("samples", 0))
-            mc_seed = int(method.get("seed", 0))
-        else:
-            raise ValidationError("config.p_method: expected 'exact' or an mc object")
-    variance_floor = None
+        fields["bonferroni"] = _pairs(data["bonferroni"], "config", "bonferroni")
+    if "p_method" in data and data["p_method"] != "exact":
+        method = _object(data["p_method"], {"kind", "samples", "seed"}, "config", "p_method")
+        _choice(method.get("kind"), ("mc",), "config", "p_method", "kind")
+        fields["p_method"] = "mc"
+        fields["mc_samples"] = _int(method.get("samples", 0), "config", "p_method", "samples")
+        fields["mc_seed"] = _int(method.get("seed", 0), "config", "p_method", "seed")
     if "diagnostics" in data:
-        diag = data["diagnostics"]
-        _require_keys(diag, {"c"}, "config.diagnostics")
-        if "c" in diag:
-            variance_floor = float(diag["c"])
-            if not variance_floor > 0:
-                raise ValidationError("config.diagnostics: c must be positive")
-    return RunConfig(
-        rho=float(data["rho"]),
-        alpha=float(data.get("alpha", 0.05)),
-        mapping_kind=mapping_kind,
-        d_min=d_min,
-        d=d,
-        bonferroni=bonferroni,
-        p_method=p_method,
-        mc_samples=mc_samples,
-        mc_seed=mc_seed,
-        variance_floor=variance_floor,
-    )
+        diagnostics = _object(data["diagnostics"], {"c"}, "config", "diagnostics")
+        if "c" in diagnostics:
+            fields["variance_floor"] = _float(diagnostics["c"], "config", "diagnostics", "c")
+    return RunConfig(**fields)
 
 
 def load_run_config(path) -> RunConfig:
-    with Path(path).open() as handle:
-        return parse_run_config(json.load(handle))
+    return parse_run_config(_load_json(path))
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Validated simulation configuration."""
+    """Typed simulation configuration; its values are checked by the
+    layout, scenario and experiment built from it."""
 
     scenario: str
     layout_kind: str
     n: int
-    layout_seed: int
-    rho: float
-    alpha: float
     configs: tuple
     replicates: int
-    seed: int
+    layout_seed: int = 0
+    rho: float = 0.5
+    alpha: float = 0.05
+    seed: int = 0
     count_mean: float = 10.0
     count_dispersion: float = 3.0
     spillover_max: float = 10.0
 
 
 def parse_sim_config(data: dict) -> SimConfig:
-    if not isinstance(data, dict):
-        raise ValidationError("sim config: top level must be a JSON object")
-    _require_keys(
+    where = "sim config"
+    _object(
         data,
         {"scenario", "layout", "rho", "alpha", "configs", "replicates", "seed", "params"},
-        "sim config",
+        where,
+        required=("scenario", "layout", "configs", "replicates"),
     )
-    for required in ("scenario", "layout", "configs", "replicates"):
-        if required not in data:
-            raise ValidationError(f"sim config: {required} is required")
-    if data["scenario"] not in SCENARIO_KINDS:
-        raise ValidationError(
-            f"sim config: scenario must be one of {list(SCENARIO_KINDS)}, got {data['scenario']!r}"
-        )
-    layout = data["layout"]
-    _require_keys(layout, {"kind", "n", "seed"}, "sim config.layout")
-    if layout.get("kind") not in LAYOUT_KINDS:
-        raise ValidationError(f"sim config.layout: kind must be one of {list(LAYOUT_KINDS)}")
-    if "n" not in layout:
-        raise ValidationError("sim config.layout: n is required")
-    configs = []
-    for entry in data["configs"]:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ValidationError(f"sim config: configs entries must be [d_min, d] pairs, got {entry!r}")
-        configs.append((int(entry[0]), int(entry[1])))
-    if not configs:
-        raise ValidationError("sim config: at least one [d_min, d] configuration is required")
-    params = data.get("params", {})
-    _require_keys(params, {"count_mean", "count_dispersion", "spillover_max"}, "sim config.params")
+    layout = _object(data["layout"], {"kind", "n", "seed"}, where, "layout", required=("n",))
+    params = _object(data.get("params", {}), {"count_mean", "count_dispersion", "spillover_max"}, where, "params")
+    fields = {key: _float(value, where, "params", key) for key, value in params.items()}
+    for key, read in (("rho", _float), ("alpha", _float), ("seed", _int)):
+        if key in data:
+            fields[key] = read(data[key], where, key)
+    if "seed" in layout:
+        fields["layout_seed"] = _int(layout["seed"], where, "layout", "seed")
     return SimConfig(
-        scenario=data["scenario"],
-        layout_kind=layout["kind"],
-        n=int(layout["n"]),
-        layout_seed=int(layout.get("seed", 0)),
-        rho=float(data.get("rho", 0.5)),
-        alpha=float(data.get("alpha", 0.05)),
-        configs=tuple(configs),
-        replicates=int(data["replicates"]),
-        seed=int(data.get("seed", 0)),
-        count_mean=float(params.get("count_mean", 10.0)),
-        count_dispersion=float(params.get("count_dispersion", 3.0)),
-        spillover_max=float(params.get("spillover_max", 10.0)),
+        scenario=_choice(data["scenario"], SCENARIO_KINDS, where, "scenario"),
+        layout_kind=_choice(layout.get("kind"), LAYOUT_KINDS, where, "layout", "kind"),
+        n=_int(layout["n"], where, "layout", "n"),
+        configs=_pairs(data["configs"], where, "configs"),
+        replicates=_int(data["replicates"], where, "replicates"),
+        **fields,
     )
 
 
 def load_sim_config(path) -> SimConfig:
-    with Path(path).open() as handle:
-        return parse_sim_config(json.load(handle))
+    return parse_sim_config(_load_json(path))
 
 
 def monotone_report_dict(report: MonotoneCiReport) -> dict:

@@ -193,10 +193,17 @@ def _check_alpha(alpha: float) -> None:
         raise ValidationError(f"alpha must lie in (0, 0.5] for a one-sided upper bound, got {alpha}")
 
 
-def _bound_from_values(values, exposure, profile, alpha):
+def _bound_from_values(values, exposure, profile, alpha, strict=True):
+    """(estimate, variance, condition_ok, upper) of the conservative bound.
+
+    A zero variance is degenerate: with ``strict`` it raises, otherwise the
+    bound is the estimate itself and the condition counts as failed.
+    """
     estimate = point_estimate(values, exposure)
     variance = conservative_variance(values, exposure, profile)
     if variance == 0.0:
+        if not strict:
+            return estimate, variance, False, estimate
         raise DegenerateVarianceError(
             "conservative variance is zero (all effectively treated outcomes "
             "identical and no positive centered-excess mass); no bound can be formed"

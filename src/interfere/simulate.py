@@ -25,8 +25,8 @@ Scenario 4 and everything with singleton neighborhoods is pool-exact.
 
 Monotonicity (theta <= Y elementwise) holds by construction in all scenarios.
 Replicate r derives its generator from (seed, r), so tables are bit-stable
-regardless of worker count; replicates with no effectively treated unit or a
-zero conservative variance are tallied in a degenerate column, never dropped.
+for a given seed; replicates with no effectively treated unit or a zero
+conservative variance are tallied in a degenerate column, never dropped.
 """
 
 from __future__ import annotations
@@ -35,21 +35,15 @@ import csv
 import io
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .design import ExposureMapping, Population, build_knn_neighborhoods, evaluate_exposure
+from .design import ExposureMapping, NeighborhoodSet, Population, build_knn_neighborhoods, evaluate_exposure
 from .errors import ValidationError
-from .exposure import exact_profile, worker_count
-from .monotone import (
-    conservative_variance,
-    point_estimate,
-    validity_condition,
-)
-from .normal import norm_ppf
+from .exposure import exact_profile
+from .monotone import _bound_from_values
 
 SCENARIO_KINDS = (
     "no_effect_no_clustering",
@@ -68,6 +62,8 @@ def synthetic_layout(kind: str, n: int, seed: int = 0) -> np.ndarray:
     n = int(n)
     if n < 2:
         raise ValidationError(f"a layout needs at least 2 points, got {n}")
+    if seed < 0:
+        raise ValidationError(f"layout seed must be nonnegative, got {seed}")
     if kind == "line":
         return np.arange(n, dtype=float)[:, None]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -82,7 +78,11 @@ def synthetic_layout(kind: str, n: int, seed: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A generative model for replicated experiments on a fixed layout."""
+    """A generative model for replicated experiments on a fixed layout.
+
+    ``nearest`` holds the layout's 6-NN neighborhoods (each unit and its 5
+    nearest) that the ``exposure_model`` outcome rule uses; it is built once.
+    """
 
     kind: str
     layout: np.ndarray
@@ -91,6 +91,7 @@ class Scenario:
     count_mean: float = 10.0
     count_dispersion: float = 3.0
     spillover_max: float = 10.0
+    nearest: Optional[NeighborhoodSet] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -102,16 +103,19 @@ class Scenario:
             raise ValidationError("layout must be an (n, dim) array with n >= 2")
         if not 0.0 < self.rho < 1.0:
             raise ValidationError(f"treatment probability must lie in (0, 1), got {self.rho}")
-        if self.kind == "exposure_model":
-            if layout.shape[0] < 6:
-                raise ValidationError("the exposure_model scenario needs at least 6 units")
-            if not self.spillover_max > 0:
-                raise ValidationError("spillover_max must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if not (self.count_mean > 0 and self.count_dispersion > 0):
             raise ValidationError("count_mean and count_dispersion must be positive")
         layout = layout.copy()
         layout.setflags(write=False)
         object.__setattr__(self, "layout", layout)
+        if self.kind == "exposure_model":
+            if layout.shape[0] < 6:
+                raise ValidationError("the exposure_model scenario needs at least 6 units")
+            if not self.spillover_max > 0:
+                raise ValidationError("spillover_max must be positive")
+            object.__setattr__(self, "nearest", build_knn_neighborhoods(layout, 6))
 
     @property
     def n(self) -> int:
@@ -177,9 +181,8 @@ def generate_scenario(scenario: Scenario, replicate_index: int):
     elif scenario.kind == "exposure_model":
         theta = rng.permutation(_count_pool(scenario))
         spill = scenario.spillover_max * (1.0 - rng.random(n))  # uniform on (0, max]
-        nearest5 = build_knn_neighborhoods(scenario.layout, 6)
-        treated_neighbors = nearest5.incidence() @ x.astype(float) - x
-        qualified = (x > 0) & (treated_neighbors >= 2)
+        # treated, with at least 2 of the 5 nearest treated
+        qualified = evaluate_exposure(x, scenario.nearest, ExposureMapping.threshold(3)).indicator > 0
         y = np.where(qualified, theta, theta + spill)
     else:  # adversarial
         theta = rng.permutation(_adversarial_pool(n))
@@ -278,35 +281,6 @@ class CoverageTable:
         return "\n".join(lines) + "\n"
 
 
-def _accumulate(scenario, configs, prepared, alpha, z, replicate_range):
-    counters = [dict(skipped=0, degenerate=0, met=0, covered_met=0, covered_all=0) for _ in configs]
-    estimand = None
-    for r in replicate_range:
-        pop, theta = generate_scenario(scenario, r)
-        estimand = float(theta.mean())
-        for slot, (nbhd, mapping, profile) in enumerate(prepared):
-            tally = counters[slot]
-            exposure = evaluate_exposure(pop, nbhd, mapping)
-            if exposure.count == 0:
-                tally["skipped"] += 1
-                continue
-            estimate = point_estimate(pop.outcome, exposure)
-            variance = conservative_variance(pop.outcome, exposure, profile)
-            if variance == 0.0:
-                tally["degenerate"] += 1
-                condition = False
-                upper = estimate
-            else:
-                condition = validity_condition(estimate, variance, profile, alpha, exposure.count)
-                upper = estimate + z * math.sqrt(variance) / exposure.count
-            covered = estimand <= upper
-            if condition:
-                tally["met"] += 1
-                tally["covered_met"] += covered
-            tally["covered_all"] += covered
-    return counters, estimand
-
-
 def run_coverage_experiment(
     scenario: Scenario,
     configs: Sequence[tuple],
@@ -333,26 +307,22 @@ def run_coverage_experiment(
         nbhd = build_knn_neighborhoods(scenario.layout, d)
         mapping = ExposureMapping.threshold(d_min)
         prepared.append((nbhd, mapping, exact_profile(nbhd, mapping, scenario.rho)))
-    z = norm_ppf(1.0 - alpha)
-
-    workers = worker_count()
-    if workers > 1 and replicates > 1:
-        blocks = np.array_split(np.arange(replicates), min(workers * 4, replicates))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda block: _accumulate(scenario, configs, prepared, alpha, z, block),
-                    blocks,
-                )
-            )
-        counters = [dict(skipped=0, degenerate=0, met=0, covered_met=0, covered_all=0) for _ in configs]
-        estimand = results[-1][1]
-        for partial, _ in results:
-            for total, part in zip(counters, partial):
-                for key in total:
-                    total[key] += part[key]
-    else:
-        counters, estimand = _accumulate(scenario, configs, prepared, alpha, z, range(replicates))
+    counters = [dict(skipped=0, degenerate=0, met=0, covered_met=0, covered_all=0) for _ in configs]
+    for r in range(replicates):
+        pop, theta = generate_scenario(scenario, r)
+        estimand = float(theta.mean())
+        for (nbhd, mapping, profile), tally in zip(prepared, counters):
+            exposure = evaluate_exposure(pop, nbhd, mapping)
+            if exposure.count == 0:
+                tally["skipped"] += 1
+                continue
+            _, variance, condition, upper = _bound_from_values(pop.outcome, exposure, profile, alpha, strict=False)
+            tally["degenerate"] += variance == 0.0
+            covered = estimand <= upper
+            if condition:
+                tally["met"] += 1
+                tally["covered_met"] += covered
+            tally["covered_all"] += covered
 
     rows = []
     for (d_min, d), (nbhd, mapping, profile), tally in zip(configs, prepared, counters):

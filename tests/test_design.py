@@ -213,14 +213,6 @@ class TestExposureEvaluation:
 
 
 class TestDomainTypes:
-    def test_unit_validation(self):
-        with pytest.raises(ValidationError):
-            itf.Unit(id=1, coords=(0.0,), treatment=2, outcome=1.0)
-        with pytest.raises(ValidationError):
-            itf.Unit(id=1, coords=(0.0,), treatment=1, outcome=-1.0)
-        with pytest.raises(ValidationError):
-            itf.Unit(id=1, coords=(0.0,), treatment=1, outcome=5.0, enrollment=3.0)
-
     def test_population_validation(self, rng):
         coords = rng.random((4, 2))
         good = dict(
@@ -257,14 +249,6 @@ class TestDomainTypes:
         fields[field].flat[1] = bad
         with pytest.raises(ValidationError, match="finite"):
             itf.Population(**fields)
-
-    def test_population_from_units_dimension_mismatch(self):
-        units = [
-            itf.Unit(id=0, coords=(0.0, 1.0), treatment=0, outcome=1.0),
-            itf.Unit(id=1, coords=(0.0,), treatment=1, outcome=1.0),
-        ]
-        with pytest.raises(ValidationError, match="dimension"):
-            itf.Population.from_units(units, rho=0.5)
 
     def test_effective_treatment_count_consistency(self):
         with pytest.raises(ValidationError):

@@ -162,16 +162,6 @@ class TestMonteCarloProfile:
         gap = np.abs(mc.joint - exact.joint)
         assert np.all(gap <= 3.0 * np.maximum(se, 1e-12))
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        nbhd = itf.build_knn_neighborhoods(np.arange(6.0)[:, None], 2)
-        mapping = itf.ExposureMapping.threshold(1)
-        samples = (1 << 16) + 1234  # force several shards
-        monkeypatch.setenv("INTERFERE_THREADS", "1")
-        serial = itf.monte_carlo_profile(nbhd, mapping, 0.5, samples, seed=3)
-        monkeypatch.setenv("INTERFERE_THREADS", "4")
-        threaded = itf.monte_carlo_profile(nbhd, mapping, 0.5, samples, seed=3)
-        assert np.array_equal(serial.joint, threaded.joint)
-
     def test_records_method_and_samples(self):
         nbhd = itf.build_knn_neighborhoods(np.arange(4.0)[:, None], 1)
         profile = itf.monte_carlo_profile(nbhd, itf.ExposureMapping.product(), 0.5, 10, seed=0)
@@ -195,11 +185,3 @@ class TestVarianceIdentity:
             lead = 6 * profile.p * (1 - profile.p) * (centered_theta**2).mean()
             assert quad == pytest.approx(lead, rel=1e-10, abs=1e-12)
 
-
-class TestDiagnosticsConfig:
-    def test_validation(self):
-        itf.DiagnosticsConfig(outcome_bound=10.0, overlap_cap=4, variance_floor=1.0)
-        with pytest.raises(ValidationError):
-            itf.DiagnosticsConfig(outcome_bound=0.0, overlap_cap=4, variance_floor=1.0)
-        with pytest.raises(ValidationError):
-            itf.DiagnosticsConfig(outcome_bound=1.0, overlap_cap=4, variance_floor=0.0)

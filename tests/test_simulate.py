@@ -117,14 +117,6 @@ class TestCoverageExperiment:
         b = itf.run_coverage_experiment(scenario, [(1, 1)], 0.05, 60)
         assert a == b
 
-    def test_thread_count_does_not_change_table(self, square49, monkeypatch):
-        scenario = itf.Scenario(kind="adversarial", layout=square49, seed=21)
-        monkeypatch.setenv("INTERFERE_THREADS", "1")
-        serial = itf.run_coverage_experiment(scenario, [(1, 1), (2, 3)], 0.05, 80)
-        monkeypatch.setenv("INTERFERE_THREADS", "4")
-        threaded = itf.run_coverage_experiment(scenario, [(1, 1), (2, 3)], 0.05, 80)
-        assert serial == threaded
-
     def test_adversarial_1_1_identical_across_layouts(self):
         # at singleton neighborhoods geometry is unused, so tables agree cell
         # by cell for equal seeds
