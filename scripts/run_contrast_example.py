@@ -46,7 +46,10 @@ def main():
     zreport = itf.exposure_attributable_contrast(y, exposure, profile, args.alpha)
     print()
     print(f"synthetic exposure split (n={n}, threshold d_min=2, d=3):")
-    print(f"  delta = {zreport.delta:.4f}, lambda_1 = {zreport.lambda_1:.4f}")
+    print(
+        f"  delta = {zreport.delta:.4f}, lambda_1 = {zreport.lambda_1:.4f} "
+        f"({zreport.lambda_1_certificate} bound, {zreport.lambda_1_steps} Lanczos steps)"
+    )
     print(f"  two-sided: [{zreport.two_sided[0]:.4f}, {zreport.two_sided[1]:.4f}]")
 
     xi = (gen.random(n) < 0.5).astype(int)

@@ -16,6 +16,7 @@ that verifies the coverage claims.
 from .contrast import (
     ConcentrationSummary,
     ContrastReport,
+    EigenvalueBound,
     attributable_contrast,
     attributable_contrast_from_counts,
     concentration_check,
@@ -35,7 +36,6 @@ from .errors import (
     DegenerateVarianceError,
     InterfereError,
     NoEffectiveUnitsError,
-    PowerIterationError,
     ValidationError,
     ZeroJointProbabilityError,
 )

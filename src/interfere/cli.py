@@ -154,7 +154,10 @@ def _contrast_text(payload) -> str:
         lines.append(f"  two-sided:        [{block['two_sided'][0]:.6g}, {block['two_sided'][1]:.6g}]")
         lines.append(f"  group sizes:      {block['n_exposed']} exposed / {block['n_unexposed']} unexposed")
         if block.get("lambda_1") is not None:
-            lines.append(f"  lambda_1:         {block['lambda_1']:.6g}")
+            lines.append(
+                f"  lambda_1:         {block['lambda_1']:.6g} ({block['lambda_1_certificate']} bound; "
+                f"Ritz value {block['lambda_1_ritz']:.6g} after {block['lambda_1_steps']} Lanczos steps)"
+            )
         lines.append(f"  assumptions:      {block['assumptions']}")
     return "\n".join(lines) + "\n"
 

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .design import EffectiveTreatment, evaluate_exposure_many
-from .errors import PowerIterationError, ValidationError
+from .errors import ValidationError, check_integer
 from .exposure import ExposureProfile, exact_profile
 from .normal import norm_ppf
 
@@ -38,6 +38,11 @@ _EXPOSURE_ASSUMPTIONS = (
     "randomization variance of the full-control contrast statistic (the last "
     "three are not checkable from observed data)"
 )
+# The top centered eigenvalue is returned as an upper bound; see
+# largest_centered_eigenvalue for how each constant enters it.
+_DELTA = 1e-12     # failure probability of the random-start certificate
+_SLACK = 0.005     # relative slack the Lanczos step count is chosen for
+_ROUNDING = 1e-12  # rounding allowance, relative to the row-sum bound
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,27 @@ class ContrastReport:
     alpha: float
     n_exposed: int
     n_unexposed: int
-    lambda_1: Optional[float] = None
+    lambda_1: Optional[float] = None      # exposure split: upper bound on the eigenvalue
+    lambda_1_certificate: Optional[str] = None
+    lambda_1_ritz: Optional[float] = None
+    lambda_1_steps: Optional[int] = None
     assumptions: str = ""
+
+
+@dataclass(frozen=True)
+class EigenvalueBound:
+    """Upper bound on the top eigenvalue of a doubly centered matrix.
+
+    ``value`` is the bound, certified as ``certificate`` says: ``exact``,
+    ``random_start`` or ``row_sum`` (see :func:`largest_centered_eigenvalue`).
+    ``ritz`` is the top Ritz value, never above the eigenvalue but for
+    rounding, and ``steps`` the number of Lanczos steps behind it.
+    """
+
+    value: float
+    ritz: float
+    steps: int
+    certificate: str
 
 
 @dataclass(frozen=True)
@@ -96,17 +120,20 @@ def attributable_contrast_from_counts(
     so aggregate counts are fully equivalent to unit-level rows.
     """
     _check_two_sided_alpha(alpha)
-    for total, pos, name in (
-        (n_treated, pos_treated, "treated"),
-        (n_control, pos_control, "control"),
-    ):
-        if int(total) < 1:
+    n1, pos1, n0, pos0 = (
+        check_integer(value, name)
+        for value, name in (
+            (n_treated, "n_treated"), (pos_treated, "pos_treated"),
+            (n_control, "n_control"), (pos_control, "pos_control"),
+        )
+    )
+    for total, pos, name in ((n1, pos1, "treated"), (n0, pos0, "control")):
+        if total < 1:
             raise ValidationError(f"{name} arm is empty; both arms are required")
-        if not 0 <= int(pos) <= int(total):
+        if not 0 <= pos <= total:
             raise ValidationError(f"{name} positives must lie in [0, {total}], got {pos}")
-    n1, n0 = int(n_treated), int(n_control)
     n = n1 + n0
-    delta = pos_treated / n1 - pos_control / n0
+    delta = pos1 / n1 - pos0 / n0
     scale = 0.5 * math.sqrt(n / (n0 * n1))
     one_sided = delta - norm_ppf(1.0 - alpha) * scale
     half = norm_ppf(1.0 - alpha / 2.0) * scale
@@ -136,79 +163,143 @@ def attributable_contrast(x, y, alpha: float) -> ContrastReport:
     return attributable_contrast_from_counts(n1, int(y[x > 0].sum()), n0, int(y[x == 0].sum()), alpha)
 
 
-def largest_centered_eigenvalue(
-    joint,
-    tol: float = 1e-8,
-    max_iter: Optional[int] = None,
-    seed: int = 0,
-) -> float:
-    """Largest eigenvalue of (I - 11'/n) J (I - 11'/n) for symmetric PSD J.
+def _log_ratio(n: int) -> float:
+    return math.log(1.648 * math.sqrt(n) / _DELTA)
 
-    Block power iteration (block size 2, closed-form Ritz values) with the
-    centering applied implicitly to matrix-block products, so the centered
-    matrix is never materialized; the two-dimensional block keeps convergence
-    fast even when the top two eigenvalues nearly coincide, which is the
-    normal situation for joint-probability matrices of local designs. The
-    start block is seeded and mean-zero, iterations are capped, and the
-    accepted value always carries a residual certificate
-    |result - eigenvalue| <= tol * result.
+
+def _lanczos_steps(n: int) -> int:
+    """Krylov dimension k at which the random-start slack reaches ``_SLACK``."""
+    return math.ceil((_log_ratio(n) / math.sqrt(_SLACK) + 1.0) / 2.0)
+
+
+def _random_start_slack(n: int, k: int) -> float:
+    """The eps solving 1.648 sqrt(n) exp(-sqrt(eps) (2k - 1)) = ``_DELTA``."""
+    return (_log_ratio(n) / (2 * k - 1)) ** 2
+
+
+def _centered(product):
+    """v -> P product(P v), P = I - 11'/n."""
+
+    def matvec(v):
+        w = product(v - v.mean())
+        return w - w.mean()
+
+    return matvec
+
+
+def _centered_operator(matrix) -> tuple:
+    """``(matvec, n, row_sum)`` for P M P with P = I - 11'/n.
+
+    M is the joint matrix J less a constant c, so P M P = P J P, and
+    ``row_sum`` is the largest absolute row sum of M. A profile takes
+    c = p^2, which makes M zero off its pattern: the product costs
+    O(n + pairs) and J is never built. A profile whose pattern is every pair
+    (Monte Carlo, enumeration) already holds O(n^2) values and takes the
+    dense product, as does a dense J (with c = 0).
     """
-    joint = np.asarray(joint, dtype=float)
-    n = joint.shape[0]
-    if joint.ndim != 2 or joint.shape[1] != n:
-        raise ValidationError("matrix must be square")
-    if not np.allclose(joint, joint.T, rtol=0.0, atol=1e-12):
-        raise ValidationError("matrix must be symmetric")
-    if n == 1:
-        return 0.0
-    if max_iter is None:
-        max_iter = max(10 * n, 1000)
-    width = min(2, n - 1)
-    rng = np.random.default_rng(seed)
-    block = rng.standard_normal((n, width))
-    block -= block.mean(axis=0)
-    block, _ = np.linalg.qr(block)
-    residual = math.inf
-    value = 0.0
-    for _ in range(max_iter):
-        image = joint @ block
-        image -= image.mean(axis=0)
-        projected = block.T @ image
-        projected = (projected + projected.T) / 2.0
-        if width == 1:
-            value = float(projected[0, 0])
-            coef = np.array([1.0])
-        else:
-            a, b, c = projected[0, 0], projected[0, 1], projected[1, 1]
-            half_gap = math.hypot((a - c) / 2.0, b)
-            value = (a + c) / 2.0 + half_gap
-            coef = np.array([b, value - a])
-            norm_coef = float(np.linalg.norm(coef))
-            coef = np.array([1.0, 0.0]) if norm_coef == 0.0 else coef / norm_coef
-        top = block @ coef
-        residual = float(np.linalg.norm(image @ coef - value * top))
-        if residual <= tol * max(abs(value), 1e-30):
-            break
-        next_block, diag = np.linalg.qr(image)
-        if not np.abs(np.diagonal(diag)).max() > 0.0:
-            value = 0.0
-            residual = 0.0
-            break
-        # QR may complete a rank-deficient block with an uncentered column;
-        # restore exact centering so Ritz values never leave the centered
-        # subspace (where they could overestimate).
-        next_block -= next_block.mean(axis=0)
-        block, _ = np.linalg.qr(next_block)
+    if isinstance(matrix, ExposureProfile) and matrix.rows.size < matrix.n * (matrix.n - 1) // 2:
+        n, shift = matrix.n, matrix.p * matrix.p
+        diag, pair = matrix.diag - shift, matrix.values - shift
+        rows, cols = matrix.rows, matrix.cols
+        row_sum = np.abs(diag) + np.bincount(rows, np.abs(pair), n) + np.bincount(cols, np.abs(pair), n)
+
+        def product(u):
+            return diag * u + np.bincount(rows, pair * u[cols], n) + np.bincount(cols, pair * u[rows], n)
+
+        return _centered(product), n, float(row_sum.max())
+    if isinstance(matrix, ExposureProfile):
+        dense = matrix.joint
+        dense -= matrix.p * matrix.p
     else:
-        raise PowerIterationError(
-            f"power iteration did not reach tolerance {tol} in {max_iter} "
-            f"iterations (residual {residual:.3e})",
-            residual=residual,
-            iterations=max_iter,
-        )
-    if value < -tol * max(1.0, float(np.abs(joint).max())):
+        dense = np.asarray(matrix, dtype=float)
+        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
+            raise ValidationError("matrix must be square")
+        if not np.allclose(dense, dense.T, rtol=0.0, atol=1e-12):
+            raise ValidationError("matrix must be symmetric")
+    return _centered(dense.__matmul__), dense.shape[0], float(np.abs(dense).sum(axis=1).max(initial=0.0))
+
+
+def _lanczos(matvec, n: int, steps: int, seed: int, tiny: float) -> tuple:
+    """Top Ritz value of at most ``steps`` Lanczos steps, the steps taken, and
+    whether the Krylov space ran out (a residual norm of ``tiny`` or less).
+
+    The start vector is a seeded Gaussian made mean-zero and normalized, so
+    it is uniform on the unit sphere of the centered subspace. Every new
+    vector is reorthogonalized against the whole basis.
+    """
+    start = np.random.default_rng(seed).standard_normal(n)
+    start -= start.mean()
+    basis = np.empty((steps, n))
+    basis[0] = start / np.linalg.norm(start)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    k, exhausted = 0, False
+    while True:
+        w = matvec(basis[k])
+        alpha[k] = basis[k] @ w
+        k += 1
+        if k == steps:
+            break
+        w -= alpha[k - 1] * basis[k - 1]
+        if k > 1:
+            w -= beta[k - 2] * basis[k - 2]
+        w -= (basis[:k] @ w) @ basis[:k]
+        beta[k - 1] = np.linalg.norm(w)
+        if beta[k - 1] <= tiny:
+            exhausted = True
+            break
+        basis[k] = w / beta[k - 1]
+    off = beta[: k - 1]
+    tridiagonal = np.diag(alpha[:k]) + np.diag(off, 1) + np.diag(off, -1)
+    return float(np.linalg.eigvalsh(tridiagonal)[-1]), k, exhausted
+
+
+def largest_centered_eigenvalue(matrix, seed: int = 0) -> EigenvalueBound:
+    """Certified upper bound on the largest eigenvalue of P J P, P = I - 11'/n.
+
+    ``matrix`` is an :class:`ExposureProfile` or a dense symmetric positive
+    semidefinite matrix J. Lanczos with full reorthogonalization runs on the
+    implicit centered operator from a random start drawn from ``seed`` (see
+    :func:`_centered_operator` and :func:`_lanczos`) for
+    k = min(n - 1, ``_lanczos_steps(n)``) steps, and the top Ritz value
+    theta, which never exceeds lambda_1, becomes an upper bound:
+
+    * ``exact``: the Krylov space ran out, either by breakdown or because k
+      reached n - 1, the dimension of the centered subspace. theta is then
+      lambda_1 itself (for every start vector with a component along the top
+      eigenvector, which a random start has with probability 1).
+    * ``random_start``: otherwise the bound is theta / (1 - eps), where eps
+      solves 1.648 sqrt(n) exp(-sqrt(eps) (2k - 1)) = delta (Kuczynski and
+      Wozniakowski 1992, *SIAM J. Matrix Anal. Appl.*, for the Lanczos
+      algorithm on a PSD matrix from a start uniform on the sphere).
+      It fails with probability at most delta = ``_DELTA`` = 1e-12 over the
+      start vector. The n in the formula over-counts the n - 1 dimensions
+      of the centered subspace, which only makes eps larger. k is the least
+      step count with eps <= ``_SLACK`` = 0.005, so the bound is at most
+      theta / 0.995 (about 227 steps at n = 2000, 235 at n = 20 000).
+    * ``row_sum``: the largest absolute row sum of M = J - c11' caps either
+      bound, deterministically: lambda_1(P M P) <= max(lambda_max(M), 0),
+      and lambda_max(M) is at most that row sum. It is taken when smaller.
+
+    Rounding: ``_ROUNDING`` = 1e-12 times the row sum, a bound on the norm of
+    the centered operator, is added to the result. That is over 4 000 units
+    in the last place of the norm, far above the O(k eps) relative error of
+    a fully reorthogonalized Lanczos run of a few hundred steps. Breakdown
+    is declared at a residual no larger than the same allowance.
+    """
+    matvec, n, row_sum = _centered_operator(matrix)
+    if n <= 1:
+        return EigenvalueBound(value=0.0, ritz=0.0, steps=0, certificate="exact")
+    allowance = _ROUNDING * row_sum
+    ritz, steps, exhausted = _lanczos(matvec, n, min(n - 1, _lanczos_steps(n)), seed, allowance)
+    if ritz < -allowance:
         raise ValidationError("matrix is not positive semidefinite; dominant eigenvalue is negative")
-    return max(value, 0.0)
+    if exhausted or steps == n - 1:
+        value, certificate = ritz, "exact"
+    else:
+        value, certificate = ritz / (1.0 - _random_start_slack(n, steps)), "random_start"
+    if row_sum < value:
+        value, certificate = row_sum, "row_sum"
+    return EigenvalueBound(value=max(value, 0.0) + allowance, ritz=ritz, steps=steps, certificate=certificate)
 
 
 def exposure_attributable_contrast(
@@ -230,8 +321,8 @@ def exposure_attributable_contrast(
         )
     active = exposure.indicator > 0
     delta = float(y[active].mean() - y[~active].mean())
-    lam = largest_centered_eigenvalue(profile.joint)
-    scale = math.sqrt(lam / n) / (2.0 * profile.p * (1.0 - profile.p))
+    lam = largest_centered_eigenvalue(profile)
+    scale = math.sqrt(lam.value / n) / (2.0 * profile.p * (1.0 - profile.p))
     one_sided = delta - norm_ppf(1.0 - alpha) * scale
     half = norm_ppf(1.0 - alpha / 2.0) * scale
     return ContrastReport(
@@ -242,7 +333,10 @@ def exposure_attributable_contrast(
         alpha=alpha,
         n_exposed=count,
         n_unexposed=n - count,
-        lambda_1=lam,
+        lambda_1=lam.value,
+        lambda_1_certificate=lam.certificate,
+        lambda_1_ritz=lam.ritz,
+        lambda_1_steps=lam.steps,
         assumptions=_EXPOSURE_ASSUMPTIONS,
     )
 
@@ -263,15 +357,15 @@ def concentration_check(
     in simulations.
     """
     xi = _check_binary(xi, "full-control outcomes")
-    num_draws = int(num_draws)
+    num_draws = check_integer(num_draws, "num_draws")
     if num_draws < 1:
         raise ValidationError("num_draws must be at least 1")
     _check_two_sided_alpha(alpha)
     n = xi.size
     z = norm_ppf(1.0 - alpha)
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    if isinstance(design, (int, np.integer)):
-        n1 = int(design)
+    if isinstance(design, (int, float, np.number)):
+        n1 = check_integer(design, "treated-group size")
         if not 1 <= n1 <= n - 1:
             raise ValidationError(f"treated-group size must lie in [1, {n - 1}], got {n1}")
         n0 = n - n1
@@ -296,7 +390,7 @@ def concentration_check(
         deltas[valid] = exposed_sum[valid] / counts[valid] - (total - exposed_sum[valid]) / (
             n - counts[valid]
         )
-        lam = largest_centered_eigenvalue(profile.joint)
+        lam = largest_centered_eigenvalue(profile).value
         bound = z * math.sqrt(lam / n) / (2.0 * profile.p * (1.0 - profile.p))
         kind = "exposure"
     exceed = int(np.sum(deltas[valid] > bound))

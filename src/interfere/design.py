@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 
 # Entries of the (rows, n, dim) difference block built per k-NN chunk.
 _KNN_CHUNK = 1 << 20
@@ -145,7 +145,13 @@ class NeighborhoodSet:
 
     @classmethod
     def from_sets(cls, sets: Sequence[Iterable[int]]) -> "NeighborhoodSet":
-        rows = [sorted(set(int(j) for j in s)) for s in sets]
+        rows = []
+        for i, s in enumerate(sets):
+            row = sorted(check_integer(j, f"neighborhood {i} index") for j in s)
+            for a, b in zip(row, row[1:]):
+                if a == b:
+                    raise ValidationError(f"neighborhood {i} repeats index {a}")
+            rows.append(row)
         sizes = {len(r) for r in rows}
         if len(sizes) != 1:
             raise ValidationError(
@@ -185,7 +191,7 @@ class ExposureMapping:
         if self.kind not in ("product", "threshold"):
             raise ValidationError(f"unknown exposure mapping kind {self.kind!r}")
         if self.kind == "threshold":
-            if self.d_min is None or int(self.d_min) < 1:
+            if self.d_min is None or check_integer(self.d_min, "d_min") < 1:
                 raise ValidationError("threshold mapping needs d_min >= 1")
             object.__setattr__(self, "d_min", int(self.d_min))
         elif self.d_min is not None:
@@ -232,7 +238,7 @@ def build_knn_neighborhoods(pop_or_coords, d: int) -> NeighborhoodSet:
     if not np.isfinite(coords).all():
         raise ValidationError("coordinates must be finite")
     n = coords.shape[0]
-    d = int(d)
+    d = check_integer(d, "neighborhood size d")
     if not 1 <= d <= n:
         raise ValidationError(f"neighborhood size d must satisfy 1 <= d <= {n}, got {d}")
     members = np.empty((n, d), dtype=np.int64)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule of inputs."""
 
 from typing import Optional
+
+import numpy as np
 
 
 class InterfereError(Exception):
@@ -33,10 +35,15 @@ class ZeroJointProbabilityError(InterfereError):
     probability is zero; the exposure profile is inconsistent with the data."""
 
 
-class PowerIterationError(InterfereError):
-    """Power iteration failed to reach the requested accuracy."""
+def check_integer(value, name: str) -> int:
+    """``value`` as an int, or a ValidationError naming ``name``.
 
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+    An integer is an int or an integral float: ``3.0`` is read as 3, while
+    ``3.7``, non-finite floats, booleans and strings are rejected rather
+    than truncated.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValidationError(f"{name} must be an integer, got {value!r}")

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .design import ExposureMapping, NeighborhoodSet, evaluate_exposure_many, _check_mapping
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 
 _MC_SHARD = 1 << 16
 
@@ -287,7 +287,7 @@ def monte_carlo_profile(
     results are bit-identical for a given seed.
     """
     _check_mapping(nbhd, mapping)
-    num_samples = int(num_samples)
+    num_samples = check_integer(num_samples, "num_samples")
     if num_samples < 1:
         raise ValidationError("num_samples must be at least 1")
     if not 0.0 < rho < 1.0:

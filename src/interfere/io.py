@@ -30,7 +30,7 @@ import numpy as np
 
 from .contrast import ContrastReport
 from .design import ExposureMapping, NeighborhoodSet, Population
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .monotone import MonotoneCiReport
 from .simulate import LAYOUT_KINDS, SCENARIO_KINDS
 from .simulate import CoverageTable
@@ -59,11 +59,10 @@ def _object(value, allowed: set, *where, required: tuple = ()) -> dict:
 
 
 def _int(value, *where) -> int:
-    if type(value) is int:
-        return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise _mismatch(where, "an integer", value)
+    try:
+        return check_integer(value, _path(where))
+    except ValidationError:
+        raise _mismatch(where, "an integer", value) from None
 
 
 def _float(value, *where) -> float:
@@ -349,6 +348,9 @@ def monotone_report_dict(report: MonotoneCiReport) -> dict:
 def contrast_report_dict(report: ContrastReport) -> dict:
     data = dataclasses.asdict(report)
     data["two_sided"] = list(report.two_sided)
+    if report.lambda_1 is None:  # the treatment split has no eigenvalue
+        for key in ("lambda_1_certificate", "lambda_1_ritz", "lambda_1_steps"):
+            del data[key]
     return data
 
 

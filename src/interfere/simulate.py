@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .design import ExposureMapping, NeighborhoodSet, Population, build_knn_neighborhoods, evaluate_exposure
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .exposure import exact_profile
 from .monotone import _bound_from_values
 
@@ -59,7 +59,7 @@ _ADVERSARIAL_BASE = ((0.0, 2), (10.0, 44), (20.0, 3))  # value, count at n = 49
 
 def synthetic_layout(kind: str, n: int, seed: int = 0) -> np.ndarray:
     """Deterministic synthetic coordinates standing in for a real unit map."""
-    n = int(n)
+    n = check_integer(n, "layout size n")
     if n < 2:
         raise ValidationError(f"a layout needs at least 2 points, got {n}")
     if seed < 0:
@@ -294,12 +294,12 @@ def run_coverage_experiment(
     exactly what ignoring the condition costs. Exposure profiles depend only
     on the design, so they are computed once per configuration.
     """
-    if int(replicates) < 1:
+    replicates = check_integer(replicates, "replicates")
+    if replicates < 1:
         raise ValidationError("replicates must be at least 1")
     if not 0.0 < alpha <= 0.5:
         raise ValidationError(f"alpha must lie in (0, 0.5], got {alpha}")
-    replicates = int(replicates)
-    configs = [(int(d_min), int(d)) for d_min, d in configs]
+    configs = [(check_integer(d_min, "d_min"), check_integer(d, "d")) for d_min, d in configs]
     if not configs:
         raise ValidationError("at least one (d_min, d) configuration is required")
     prepared = []

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigsh
 
 import interfere as itf
-from interfere.errors import PowerIterationError, ValidationError
+from interfere.contrast import _ROUNDING, _SLACK, _centered_operator, _lanczos_steps, _random_start_slack
+from interfere.errors import ValidationError
 from interfere.normal import norm_ppf
 
 
@@ -66,20 +68,50 @@ class TestTreatmentSplitContrast:
             itf.attributable_contrast(np.array([1, 0, 1]), np.array([0.0, 2.0, 1.0]), 0.05)
 
 
+def centered_top(joint):
+    """numpy.linalg.eigvalsh's largest eigenvalue of (I - 11'/n) J (I - 11'/n)."""
+    n = joint.shape[0]
+    proj = np.eye(n) - np.ones((n, n)) / n
+    return float(np.linalg.eigvalsh(proj @ joint @ proj)[-1])
+
+
+def check_bound(result, reference, row_sum, n):
+    """The bound is at least lambda_1 and at most the documented slack above it."""
+    assert result.value >= reference
+    assert result.value <= reference / (1.0 - _SLACK) + _ROUNDING * row_sum
+    assert result.ritz <= reference * (1 + 1e-12) + 1e-15
+    if result.certificate == "random_start":
+        widened = result.ritz / (1.0 - _random_start_slack(n, result.steps))
+        assert result.value == pytest.approx(widened + _ROUNDING * row_sum, rel=1e-15)
+
+
+def knn_profile(n, d, mapping, method, seed):
+    layout = itf.synthetic_layout("uniform_square", n, seed=seed)
+    nbhd = itf.build_knn_neighborhoods(layout, d)
+    if method == "exact":
+        return itf.exact_profile(nbhd, mapping, 0.5)
+    return itf.monte_carlo_profile(nbhd, mapping, 0.5, 2000, seed=seed)
+
+
 class TestLargestCenteredEigenvalue:
     def test_singleton_design_closed_form(self):
         # joint = p(1-p) I + p^2 11': centering kills the rank-one part,
         # leaving p(1-p) on the mean-zero subspace.
         nbhd = itf.build_knn_neighborhoods(np.arange(7.0)[:, None], 1)
         profile = itf.exact_profile(nbhd, itf.ExposureMapping.threshold(1), 0.3)
-        lam = itf.largest_centered_eigenvalue(profile.joint)
-        assert lam == pytest.approx(0.3 * 0.7, rel=1e-10)
+        for matrix in (profile, profile.joint):
+            lam = itf.largest_centered_eigenvalue(matrix)
+            assert lam.value == pytest.approx(0.3 * 0.7, rel=1e-10)
+            assert lam.certificate == "exact"
 
     def test_identity_matrix(self):
-        assert itf.largest_centered_eigenvalue(np.eye(4)) == pytest.approx(1.0, rel=1e-10)
+        assert itf.largest_centered_eigenvalue(np.eye(4)).value == pytest.approx(1.0, rel=1e-10)
 
     def test_two_units(self):
-        assert itf.largest_centered_eigenvalue(np.eye(2)) == pytest.approx(1.0, rel=1e-10)
+        assert itf.largest_centered_eigenvalue(np.eye(2)).value == pytest.approx(1.0, rel=1e-10)
+
+    def test_single_unit_is_zero(self):
+        assert itf.largest_centered_eigenvalue(np.eye(1)) == itf.EigenvalueBound(0.0, 0.0, 0, "exact")
 
     def test_matches_dense_eigensolver_on_random_psd(self, rng):
         for _ in range(30):
@@ -87,17 +119,67 @@ class TestLargestCenteredEigenvalue:
             a = rng.standard_normal((n, n))
             psd = a @ a.T
             lam = itf.largest_centered_eigenvalue(psd, seed=3)
-            proj = np.eye(n) - np.ones((n, n)) / n
-            reference = float(np.linalg.eigvalsh(proj @ psd @ proj).max())
-            assert lam == pytest.approx(reference, rel=1e-8, abs=1e-12)
+            reference = centered_top(psd)
+            assert lam.value == pytest.approx(reference, rel=1e-8, abs=1e-12)
+            assert lam.value >= reference
+            assert lam.certificate == "exact"
 
-    def test_nonconvergence_reports_residual(self, rng):
-        a = rng.standard_normal((12, 12))
-        psd = a @ a.T
-        with pytest.raises(PowerIterationError) as info:
-            itf.largest_centered_eigenvalue(psd, tol=1e-14, max_iter=1, seed=0)
-        assert info.value.residual > 0
-        assert info.value.iterations == 1
+    def test_bound_on_random_psd_up_to_400_units(self, rng):
+        for n in (2, 5, 30, 150, 240, 400):
+            a = rng.standard_normal((n, n + 5))
+            psd = a @ a.T / n
+            result = itf.largest_centered_eigenvalue(psd, seed=n)
+            reference = centered_top(psd)
+            proj = np.eye(n) - np.ones((n, n)) / n
+            if n > 2:
+                assert eigsh(proj @ psd @ proj, k=1, which="LA")[0][0] == pytest.approx(reference, rel=1e-10)
+            check_bound(result, reference, np.abs(psd).sum(axis=1).max(), n)
+            exact = n - 1 <= _lanczos_steps(n)
+            assert result.certificate == ("exact" if exact else "random_start")
+            assert result.steps == min(n - 1, _lanczos_steps(n))
+
+    @pytest.mark.parametrize("method", ["exact", "monte_carlo"])
+    @pytest.mark.parametrize("mapping", [itf.ExposureMapping.product(), itf.ExposureMapping.threshold(2)])
+    def test_bound_on_knn_designs(self, method, mapping):
+        for n, d in ((2, 2), (9, 3), (60, 3), (250, 4), (400, 3)):
+            profile = knn_profile(n, d, mapping, method, seed=n)
+            joint = profile.joint
+            reference = centered_top(joint)
+            if n > 2:
+                proj = np.eye(n) - np.ones((n, n)) / n
+                assert eigsh(proj @ joint @ proj, k=1, which="LA")[0][0] == pytest.approx(reference, rel=1e-10)
+            _, _, row_sum = _centered_operator(profile)
+            assert row_sum >= reference
+            result = itf.largest_centered_eigenvalue(profile)
+            check_bound(result, reference, row_sum, n)
+            if result.certificate == "exact":
+                assert result.value == pytest.approx(reference, rel=1e-8)
+
+    def test_sparse_and_dense_operators_agree(self):
+        profile = knn_profile(120, 5, itf.ExposureMapping.threshold(3), "exact", seed=2)
+        matvec, n, row_sum = _centered_operator(profile)
+        dense_matvec, _, _ = _centered_operator(profile.joint)
+        shifted = profile.joint - profile.p**2
+        assert row_sum == pytest.approx(np.abs(shifted).sum(axis=1).max(), rel=1e-12)
+        v = np.random.default_rng(0).standard_normal(n)
+        proj = np.eye(n) - np.ones((n, n)) / n
+        assert np.allclose(matvec(v), proj @ profile.joint @ proj @ v, rtol=0, atol=1e-14)
+        assert np.allclose(dense_matvec(v), matvec(v), rtol=0, atol=1e-14)
+
+    def test_row_sum_caps_the_random_start_bound(self):
+        # lambda_1(P D P) lies between the top two entries of D, both 1, which
+        # is also D's largest row sum; the random-start bound would exceed it.
+        n = 400
+        diag = np.linspace(0.5, 1.0, n)
+        diag[-2] = 1.0
+        result = itf.largest_centered_eigenvalue(np.diag(diag))
+        assert result.certificate == "row_sum"
+        assert result.value == pytest.approx(1.0, rel=1e-11)
+        assert result.value >= centered_top(np.diag(diag))
+
+    def test_not_positive_semidefinite_rejected(self):
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            itf.largest_centered_eigenvalue(-np.eye(5))
 
     def test_asymmetric_rejected(self, rng):
         bad = rng.random((3, 3))

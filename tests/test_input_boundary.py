@@ -13,10 +13,13 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import interfere as itf
 from interfere.cli import main
+from interfere.errors import ValidationError
 
 UNITS_CSV = """id,x,y,treatment,outcome,enrollment
 a,0.0,0.0,1,4,9
@@ -130,8 +133,8 @@ def _counts(tmp_path, total):
     return ["contrast", "--count-mode", "--data", path]
 
 
-def _neighborhoods(tmp_path, value):
-    nbhd = write_json(tmp_path / "nbhd.json", with_field(NEIGHBORHOODS, (1, 1), value))
+def _neighborhoods(tmp_path, value, path=(1, 1)):
+    nbhd = write_json(tmp_path / "nbhd.json", with_field(NEIGHBORHOODS, path, value))
     config = write_json(tmp_path / "p.json", PRODUCT_CONFIG)
     return ["estimate", "--config", config, "--data", _units(tmp_path), "--neighborhoods", nbhd]
 
@@ -153,6 +156,7 @@ REGRESSIONS = {
     "neighborhood index is a string": lambda t: _neighborhoods(t, "a"),
     "neighborhood index exceeds 64 bits": lambda t: _neighborhoods(t, 2**70),
     "neighborhood index is not integral": lambda t: _neighborhoods(t, 1.5),
+    "neighborhood row repeats an index": lambda t: _neighborhoods(t, [0, 1, 1], (0,)),
     "count total is nan": lambda t: _counts(t, "nan"),
     "count total is inf": lambda t: _counts(t, "inf"),
     "count total is not integral": lambda t: _counts(t, "10.7"),
@@ -173,6 +177,46 @@ def test_malformed_input_is_an_error(tmp_path, case):
     assert code == 1
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_repeated_neighborhood_index_names_the_row(tmp_path):
+    _, _, err = run(_neighborhoods(tmp_path, [0, 1, 1], (0,)))
+    assert err == "error: neighborhood 0 repeats index 1\n"
+
+
+def _ring(n=8, d=3):
+    return itf.NeighborhoodSet(members=(np.arange(n)[:, None] + np.arange(d)) % n)
+
+
+# Library entry points that take an integer, each called with the value under test.
+LIBRARY_INTEGERS = {
+    "ExposureMapping.threshold d_min": lambda v: itf.ExposureMapping.threshold(v),
+    "build_knn_neighborhoods d": lambda v: itf.build_knn_neighborhoods(np.arange(6.0), v),
+    "monte_carlo_profile num_samples": lambda v: itf.monte_carlo_profile(
+        _ring(), itf.ExposureMapping.threshold(2), 0.5, v
+    ),
+    "synthetic_layout n": lambda v: itf.synthetic_layout("uniform_square", v),
+    "run_coverage_experiment replicates": lambda v: itf.run_coverage_experiment(
+        itf.Scenario(kind="no_effect_no_clustering", layout=np.arange(10.0)), [(1, 2)], 0.05, v
+    ),
+    "run_coverage_experiment configs": lambda v: itf.run_coverage_experiment(
+        itf.Scenario(kind="no_effect_no_clustering", layout=np.arange(10.0)), [(1, v)], 0.05, 1
+    ),
+    "concentration_check num_draws": lambda v: itf.concentration_check(np.array([0, 1, 1, 0]), v, 2),
+    "concentration_check treated-group size": lambda v: itf.concentration_check(np.array([0, 1, 1, 0]), 5, v),
+    "attributable_contrast_from_counts n_treated": lambda v: itf.attributable_contrast_from_counts(
+        v, 1, 4, 2, 0.05
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_INTEGERS))
+def test_library_integers_are_not_truncated(case):
+    call = LIBRARY_INTEGERS[case]
+    call(2.0)
+    for bad in (2.5, True, math.nan):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call(bad)
 
 
 def test_error_names_the_key_path(tmp_path):

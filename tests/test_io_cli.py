@@ -306,6 +306,27 @@ class TestCliContrast:
         assert payload["exposure_split"]["lambda_1"] > 0
         assert code == 0
 
+    def test_exposure_split_reports_the_eigenvalue_certificate(self, tmp_path, capsys):
+        data = tmp_path / "binary.csv"
+        data.write_text(BINARY_CSV)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(CONFIG))
+        main(["contrast", "--config", str(config), "--data", str(data)])
+        block = json.loads(capsys.readouterr().out)["exposure_split"]
+        assert block["lambda_1_certificate"] == "exact"
+        assert block["lambda_1_ritz"] <= block["lambda_1"]
+        assert block["lambda_1_steps"] >= 1
+        main(["contrast", "--config", str(config), "--data", str(data), "--format", "text"])
+        assert f"({block['lambda_1_certificate']} bound; Ritz value" in capsys.readouterr().out
+
+    def test_treatment_split_has_no_eigenvalue_fields(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(COUNTS_CSV)
+        main(["contrast", "--data", str(counts), "--count-mode"])
+        block = json.loads(capsys.readouterr().out)["treatment_split"]
+        assert block["lambda_1"] is None
+        assert not any(key.startswith("lambda_1_") for key in block)
+
     def test_single_arm_is_error(self, tmp_path, capsys):
         data = tmp_path / "one_arm.csv"
         data.write_text("id,x,treatment,outcome\n1,0,1,1\n2,1,1,0\n")

@@ -198,3 +198,23 @@ def test_estimate_path_memory_is_linear_in_n():
     assert variance > 0
     assert profile.rows.size == n * (d - 1)
     assert peak < 64 * 2**20
+
+
+def test_exposure_split_contrast_memory_is_linear_in_n():
+    # The top centered eigenvalue runs on the sparse profile; one dense
+    # (n, n) float matrix at n = 20 000 would be 3.2 GB.
+    n, d = 20_000, 6
+    nbhd = itf.NeighborhoodSet(members=(np.arange(n)[:, None] + np.arange(d)) % n)
+    mapping = itf.ExposureMapping.threshold(3)
+    gen = np.random.default_rng(4)
+    exposure = itf.evaluate_exposure((gen.random(n) < 0.5).astype(np.int8), nbhd, mapping)
+    y = (gen.random(n) < 0.3).astype(int)
+    profile = itf.exact_profile(nbhd, mapping, 0.5)
+    tracemalloc.start()
+    try:
+        report = itf.exposure_attributable_contrast(y, exposure, profile, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.lambda_1 > 0
+    assert peak < 64 * 2**20
