@@ -30,6 +30,10 @@ from .simulate import Scenario, run_coverage_experiment, synthetic_layout
 CONDITION_FAILED_EXIT = 4
 
 
+class _UsageError(Exception):
+    """A command-line usage error found after parsing; exits with code 2."""
+
+
 def _write_or_print(text: str, out_dir, filename: str) -> None:
     if out_dir is None:
         sys.stdout.write(text)
@@ -49,9 +53,8 @@ def _profile_for(config: pkgio.RunConfig, nbhd, seed_override=None):
 def _dump_matrices(profile, out_dir) -> None:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path / "joint.csv", profile.joint, delimiter=",")
-    np.savetxt(path / "excess.csv", profile.excess, delimiter=",")
-    np.savetxt(path / "centered.csv", profile.centered, delimiter=",")
+    for name in ("joint", "excess", "centered"):
+        np.savetxt(path / f"{name}.csv", getattr(profile, name), delimiter=",")
 
 
 def _estimate_text(reports, bonferroni, alpha) -> str:
@@ -94,6 +97,8 @@ def _reports_csv(reports) -> str:
 
 
 def cmd_estimate(args) -> int:
+    if args.dump_matrices and args.out is None:
+        raise _UsageError("estimate: --dump-matrices needs --out")
     config = pkgio.load_run_config(args.config)
     if args.alpha is not None:
         config = dataclasses.replace(config, alpha=args.alpha)
@@ -102,6 +107,8 @@ def cmd_estimate(args) -> int:
     if bonferroni:
         if args.neighborhoods is not None:
             raise ValidationError("--neighborhoods cannot be combined with a bonferroni scan")
+        if args.dump_matrices:
+            raise ValidationError("--dump-matrices cannot be combined with a bonferroni scan")
         if config.p_method == "mc":
             raise ValidationError("Monte Carlo p_method is not supported in bonferroni scans")
         reports = bonferroni_scan(pop, config.bonferroni, config.alpha, config.variance_floor)
@@ -120,7 +127,7 @@ def cmd_estimate(args) -> int:
         exposure = evaluate_exposure(pop, nbhd, config.mapping)
         report = upper_confidence_bound(pop, exposure, profile, config.alpha, config.variance_floor)
         reports = [dataclasses.replace(report, d_min=config.d_min, d=config.d)]
-        if args.dump_matrices and args.out:
+        if args.dump_matrices:
             _dump_matrices(profile, args.out)
     payload = {
         "command": "estimate",
@@ -203,10 +210,6 @@ def cmd_contrast(args) -> int:
     return 0
 
 
-class _UsageError(Exception):
-    """A command-line usage error found after parsing; exits with code 2."""
-
-
 def cmd_simulate(args) -> int:
     config = pkgio.load_sim_config(args.config)
     if config.replicates < 1:
@@ -245,6 +248,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_probcheck(args) -> int:
+    if args.dump_matrices and args.out is None:
+        raise _UsageError("probcheck: --dump-matrices needs --out")
     config = pkgio.load_run_config(args.config)
     pop = pkgio.load_units(args.data, config.rho)
     if config.d is None or config.mapping_kind is None:
@@ -281,7 +286,7 @@ def cmd_probcheck(args) -> int:
             "n_entries": int(diff.size),
             "n_within_4se": int((diff[positive] <= 4.0 * se[positive]).sum() + (~positive).sum()),
         }
-    if args.dump_matrices and args.out:
+    if args.dump_matrices:
         _dump_matrices(exact, args.out)
     if args.format == "text":
         lines = [f"exposure probability check: n={pop.n}, p={exact.p!r}"]

@@ -107,6 +107,16 @@ def _check_two_sided_alpha(alpha: float) -> None:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def _treatment_scale(n1: int, n0: int) -> float:
+    """Half-width per unit of z of the treatment split: sqrt(n / (n0 n1)) / 2."""
+    return 0.5 * math.sqrt((n1 + n0) / (n0 * n1))
+
+
+def _exposure_scale(lam: float, n: int, p: float) -> float:
+    """Half-width per unit of z of the exposure split: sqrt(lambda_1 / n) / (2 p (1 - p))."""
+    return math.sqrt(lam / n) / (2.0 * p * (1.0 - p))
+
+
 def attributable_contrast_from_counts(
     n_treated: int,
     pos_treated: int,
@@ -132,9 +142,8 @@ def attributable_contrast_from_counts(
             raise ValidationError(f"{name} arm is empty; both arms are required")
         if not 0 <= pos <= total:
             raise ValidationError(f"{name} positives must lie in [0, {total}], got {pos}")
-    n = n1 + n0
     delta = pos1 / n1 - pos0 / n0
-    scale = 0.5 * math.sqrt(n / (n0 * n1))
+    scale = _treatment_scale(n1, n0)
     one_sided = delta - norm_ppf(1.0 - alpha) * scale
     half = norm_ppf(1.0 - alpha / 2.0) * scale
     return ContrastReport(
@@ -286,6 +295,7 @@ def largest_centered_eigenvalue(matrix, seed: int = 0) -> EigenvalueBound:
     a fully reorthogonalized Lanczos run of a few hundred steps. Breakdown
     is declared at a residual no larger than the same allowance.
     """
+    seed = check_integer(seed, "seed")
     matvec, n, row_sum = _centered_operator(matrix)
     if n <= 1:
         return EigenvalueBound(value=0.0, ritz=0.0, steps=0, certificate="exact")
@@ -322,7 +332,7 @@ def exposure_attributable_contrast(
     active = exposure.indicator > 0
     delta = float(y[active].mean() - y[~active].mean())
     lam = largest_centered_eigenvalue(profile)
-    scale = math.sqrt(lam.value / n) / (2.0 * profile.p * (1.0 - profile.p))
+    scale = _exposure_scale(lam.value, n, profile.p)
     one_sided = delta - norm_ppf(1.0 - alpha) * scale
     half = norm_ppf(1.0 - alpha / 2.0) * scale
     return ContrastReport(
@@ -361,6 +371,7 @@ def concentration_check(
     if num_draws < 1:
         raise ValidationError("num_draws must be at least 1")
     _check_two_sided_alpha(alpha)
+    seed = check_integer(seed, "seed")
     n = xi.size
     z = norm_ppf(1.0 - alpha)
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
@@ -374,7 +385,7 @@ def concentration_check(
         treated_idx = np.argpartition(uniforms, n1 - 1, axis=1)[:, :n1]
         treated_sum = xi[treated_idx].sum(axis=1)
         deltas = treated_sum / n1 - (total - treated_sum) / n0
-        bound = z * 0.5 * math.sqrt(n / (n0 * n1))
+        bound = z * _treatment_scale(n1, n0)
         valid = np.ones(num_draws, dtype=bool)
         kind = "treatment"
     else:
@@ -390,8 +401,7 @@ def concentration_check(
         deltas[valid] = exposed_sum[valid] / counts[valid] - (total - exposed_sum[valid]) / (
             n - counts[valid]
         )
-        lam = largest_centered_eigenvalue(profile).value
-        bound = z * math.sqrt(lam / n) / (2.0 * profile.p * (1.0 - profile.p))
+        bound = z * _exposure_scale(largest_centered_eigenvalue(profile).value, n, profile.p)
         kind = "exposure"
     exceed = int(np.sum(deltas[valid] > bound))
     num_valid = int(valid.sum())

@@ -292,6 +292,7 @@ def monte_carlo_profile(
         raise ValidationError("num_samples must be at least 1")
     if not 0.0 < rho < 1.0:
         raise ValidationError(f"treatment probability must lie in (0, 1), got {rho}")
+    seed = check_integer(seed, "seed")
     if not -(2**63) <= seed < 2**64:  # the range a Philox key word accepts
         raise ValidationError(f"seed must fit in 64 bits, got {seed}")
     counts = sum(

@@ -286,9 +286,8 @@ def bonferroni_scan(
     configs: Sequence[tuple],
     alpha: float,
     variance_floor: Optional[float] = None,
-    mapping_kind: str = "threshold",
 ) -> list:
-    """Evaluate several (d_min, d) designs, each at level alpha / #configs.
+    """Evaluate several threshold (d_min, d) designs, each at level alpha / #configs.
 
     Every report records its own effective level; exceptions from individual
     configurations propagate unchanged.
@@ -304,12 +303,7 @@ def bonferroni_scan(
         if d not in neighborhoods:
             neighborhoods[d] = build_knn_neighborhoods(pop, d)
         nbhd = neighborhoods[d]
-        if mapping_kind == "threshold":
-            mapping = ExposureMapping.threshold(d_min)
-        elif mapping_kind == "product":
-            mapping = ExposureMapping.product()
-        else:
-            raise ValidationError(f"unknown mapping kind {mapping_kind!r}")
+        mapping = ExposureMapping.threshold(d_min)
         profile = exact_profile(nbhd, mapping, pop.rho)
         exposure = evaluate_exposure(pop, nbhd, mapping)
         report = upper_confidence_bound(pop, exposure, profile, adjusted, variance_floor)

@@ -35,7 +35,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ import numpy as np
 from .design import ExposureMapping, NeighborhoodSet, Population, build_knn_neighborhoods, evaluate_exposure
 from .errors import ValidationError, check_integer
 from .exposure import exact_profile
-from .monotone import _bound_from_values
+from .monotone import _bound_from_values, _check_alpha
 
 SCENARIO_KINDS = (
     "no_effect_no_clustering",
@@ -62,6 +62,7 @@ def synthetic_layout(kind: str, n: int, seed: int = 0) -> np.ndarray:
     n = check_integer(n, "layout size n")
     if n < 2:
         raise ValidationError(f"a layout needs at least 2 points, got {n}")
+    seed = check_integer(seed, "layout seed")
     if seed < 0:
         raise ValidationError(f"layout seed must be nonnegative, got {seed}")
     if kind == "line":
@@ -103,6 +104,7 @@ class Scenario:
             raise ValidationError("layout must be an (n, dim) array with n >= 2")
         if not 0.0 < self.rho < 1.0:
             raise ValidationError(f"treatment probability must lie in (0, 1), got {self.rho}")
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if not (self.count_mean > 0 and self.count_dispersion > 0):
@@ -229,21 +231,7 @@ class CoverageTable:
     estimand: float             # mean counterfactual under full treatment
     rows: tuple
 
-    _CSV_FIELDS = (
-        "d_min",
-        "d",
-        "replicates",
-        "n_valid",
-        "n_skipped",
-        "n_degenerate",
-        "n_condition_met",
-        "condition_met_fraction",
-        "coverage_given_condition",
-        "coverage_ignoring_condition",
-        "p",
-        "min_joint",
-        "overlap_degree",
-    )
+    _CSV_FIELDS = tuple(f.name for f in fields(CoverageRow))
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
@@ -297,8 +285,7 @@ def run_coverage_experiment(
     replicates = check_integer(replicates, "replicates")
     if replicates < 1:
         raise ValidationError("replicates must be at least 1")
-    if not 0.0 < alpha <= 0.5:
-        raise ValidationError(f"alpha must lie in (0, 0.5], got {alpha}")
+    _check_alpha(alpha)
     configs = [(check_integer(d_min, "d_min"), check_integer(d, "d")) for d_min, d in configs]
     if not configs:
         raise ValidationError("at least one (d_min, d) configuration is required")

@@ -207,6 +207,15 @@ LIBRARY_INTEGERS = {
     "attributable_contrast_from_counts n_treated": lambda v: itf.attributable_contrast_from_counts(
         v, 1, 4, 2, 0.05
     ),
+    "monte_carlo_profile seed": lambda v: itf.monte_carlo_profile(
+        _ring(), itf.ExposureMapping.threshold(2), 0.5, 10, v
+    ),
+    "concentration_check seed": lambda v: itf.concentration_check(np.array([0, 1, 1, 0]), 5, 2, seed=v),
+    "synthetic_layout seed": lambda v: itf.synthetic_layout("uniform_square", 5, v),
+    "Scenario seed": lambda v: itf.run_coverage_experiment(
+        itf.Scenario(kind="no_effect_no_clustering", layout=np.arange(10.0), seed=v), [(1, 2)], 0.05, 1
+    ),
+    "largest_centered_eigenvalue seed": lambda v: itf.largest_centered_eigenvalue(np.eye(4), seed=v),
 }
 
 

@@ -272,6 +272,24 @@ class TestCliEstimate:
         assert code == 1
         assert "effectively treated" in capsys.readouterr().err
 
+    def test_matrix_dump(self, units_file, config_file, tmp_path, capsys):
+        out = tmp_path / "mats"
+        main(["estimate", "--config", str(config_file), "--data", str(units_file), "--out", str(out), "--dump-matrices"])
+        capsys.readouterr()
+        assert (out / "estimate.json").exists()
+        assert np.loadtxt(out / "centered.csv", delimiter=",").shape == (6, 6)
+
+    def test_matrix_dump_with_scan_is_error(self, units_file, tmp_path, capsys):
+        config = tmp_path / "scan.json"
+        config.write_text(json.dumps({"rho": 0.5, "bonferroni": [[1, 1], [2, 2]]}))
+        out = tmp_path / "mats"
+        code = main(
+            ["estimate", "--config", str(config), "--data", str(units_file), "--out", str(out), "--dump-matrices"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: --dump-matrices cannot be combined with a bonferroni scan\n"
+        assert not out.exists()
+
     def test_text_format_mentions_singleton_note(self, tmp_path, capsys):
         rows = ["id,x,treatment,outcome"] + [f"u{i},{i}.0,{i % 2},{i + 1}.0" for i in range(8)]
         data = tmp_path / "d.csv"
@@ -432,3 +450,13 @@ class TestCliProbcheck:
         joint = np.loadtxt(out / "joint.csv", delimiter=",")
         assert joint.shape == (6, 6)
         assert (out / "excess.csv").exists() and (out / "centered.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "probcheck"])
+def test_matrix_dump_without_out_is_usage_error(units_file, config_file, capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(config_file), "--data", str(units_file), "--dump-matrices"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{command}: --dump-matrices needs --out" in captured.err
