@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .design import EffectiveTreatment, evaluate_exposure_many
-from .errors import ValidationError, check_integer
+from .errors import ValidationError, check_integer, check_seed
 from .exposure import ExposureProfile, exact_profile
 from .normal import norm_ppf
 
@@ -295,7 +295,7 @@ def largest_centered_eigenvalue(matrix, seed: int = 0) -> EigenvalueBound:
     a fully reorthogonalized Lanczos run of a few hundred steps. Breakdown
     is declared at a residual no larger than the same allowance.
     """
-    seed = check_integer(seed, "seed")
+    seed = check_seed(seed)
     matvec, n, row_sum = _centered_operator(matrix)
     if n <= 1:
         return EigenvalueBound(value=0.0, ritz=0.0, steps=0, certificate="exact")
@@ -371,7 +371,7 @@ def concentration_check(
     if num_draws < 1:
         raise ValidationError("num_draws must be at least 1")
     _check_two_sided_alpha(alpha)
-    seed = check_integer(seed, "seed")
+    seed = check_seed(seed, philox=True)
     n = xi.size
     z = norm_ppf(1.0 - alpha)
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))

@@ -167,13 +167,6 @@ class NeighborhoodSet:
     def as_sets(self) -> list:
         return [frozenset(int(j) for j in row) for row in self.members]
 
-    def incidence(self) -> np.ndarray:
-        """Dense (n, n) 0/1 matrix M with M[i, u] = 1 iff u is in set i."""
-        n = self.n
-        m = np.zeros((n, n), dtype=float)
-        m[np.repeat(np.arange(n), self.k), self.members.ravel()] = 1.0
-        return m
-
 
 @dataclass(frozen=True)
 class ExposureMapping:

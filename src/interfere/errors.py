@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer rule of inputs."""
+"""Exception types shared across the package, and the integer and seed rules of inputs."""
 
 from typing import Optional
 
@@ -47,3 +47,19 @@ def check_integer(value, name: str) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(value, name: str = "seed", *, philox: bool = False) -> int:
+    """``value`` as an integer seed that its generator accepts, or a
+    ValidationError naming ``name``.
+
+    A ``default_rng`` seed is nonnegative; a Philox key word (``philox``)
+    lies in [-2**63, 2**64).
+    """
+    seed = check_integer(value, name)
+    if philox:
+        if not -(2**63) <= seed < 2**64:
+            raise ValidationError(f"{name} must fit in 64 bits, got {seed}")
+    elif seed < 0:
+        raise ValidationError(f"{name} must be nonnegative, got {seed}")
+    return seed

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .design import ExposureMapping, NeighborhoodSet, evaluate_exposure_many, _check_mapping
-from .errors import ValidationError, check_integer
+from .errors import ValidationError, check_integer, check_seed
 
 _MC_SHARD = 1 << 16
 
@@ -292,9 +292,7 @@ def monte_carlo_profile(
         raise ValidationError("num_samples must be at least 1")
     if not 0.0 < rho < 1.0:
         raise ValidationError(f"treatment probability must lie in (0, 1), got {rho}")
-    seed = check_integer(seed, "seed")
-    if not -(2**63) <= seed < 2**64:  # the range a Philox key word accepts
-        raise ValidationError(f"seed must fit in 64 bits, got {seed}")
+    seed = check_seed(seed, philox=True)
     counts = sum(
         _mc_shard_counts(nbhd, mapping, rho, seed, shard, min(_MC_SHARD, num_samples - start))
         for shard, start in enumerate(range(0, num_samples, _MC_SHARD))

@@ -41,7 +41,8 @@ from .errors import (
 from .exposure import ExposureProfile, exact_profile
 from .normal import norm_ppf
 
-# Entries of the (rows, |A|) block of rank-one centered values per step.
+# Entries of the (rows, |A|) block of rank-one centered values, or of the
+# (n, columns) slice of the dense weight matrix, built per step: 2 MB.
 _BLOCK = 1 << 18
 
 
@@ -102,24 +103,41 @@ def _pair_term(values, exposure, profile: ExposureProfile, clip: bool) -> float:
             "a jointly exposed pair has zero joint probability; "
             "the exposure profile is inconsistent with the realized assignment"
         )
-    h = (lambda c: np.maximum(c, 0.0)) if clip else (lambda c: c)
+    h = _clip if clip else (lambda c: c)
     u = profile.row_excess / n
     t = profile.excess_total / (n * n)
     v_all = np.asarray(values, dtype=float)
     v, vi, vj, ua = v_all[idx], v_all[rows], v_all[cols], u[idx]
-    g_diag = t - ua - ua
-    g_pair = t - u[rows] - u[cols]
-    w_diag = h(g_diag + ((diag - p * (1.0 - p)) - pp)) / diag
-    w_pair = h(g_pair + (joint - pp)) / joint
+    rank_diag, w_diag = _entry_weights(t, ua, ua, h, (diag - p * (1.0 - p)) - pp, diag)
+    rank_pair, w_pair = _entry_weights(t, u[rows], u[cols], h, joint - pp, joint)
     total = 0.0
     if off_pattern:
-        w_diag -= h(g_diag) / pp
-        w_pair -= h(g_pair) / pp
+        w_diag -= rank_diag / pp
+        w_pair -= rank_pair / pp
         step = max(1, _BLOCK // idx.size)
         for lo in range(0, idx.size, step):
-            block = h((t - ua[lo : lo + step, None]) - ua)
+            block = _entry_weights(t, ua[lo : lo + step, None], ua, h)
             total += float(v[lo : lo + step] @ block @ v) / pp
     return total + float(v @ (v * w_diag)) + 2.0 * float(vi @ (vj * w_pair))
+
+
+def _clip(c):
+    return np.maximum(c, 0.0)
+
+
+def _entry_weights(t, u_i, u_j, h, excess=None, joint=None):
+    """h(g) for the rank-one part g = t - u_i - u_j of centered entries
+    (i, j); with the entries' ``excess`` and ``joint`` probability, also
+    their pair-term weights h(g + excess) / joint.
+
+    Off the pattern an entry's weight is h(g) / p^2. ``_pair_term`` and
+    ``_batch_bounds`` both form their entries here, so they agree entry by
+    entry.
+    """
+    g = (t - u_i) - u_j
+    if excess is None:
+        return h(g)
+    return h(g), h(g + excess) / joint
 
 
 def _leading_term(values, exposure, profile: ExposureProfile) -> float:
@@ -211,6 +229,73 @@ def _bound_from_values(values, exposure, profile, alpha, strict=True):
     condition_ok = validity_condition(estimate, variance, profile, alpha, exposure.count)
     upper = estimate + norm_ppf(1.0 - alpha) * math.sqrt(variance) / exposure.count
     return estimate, variance, condition_ok, upper
+
+
+def _batch_bounds(values, indicator, profile: ExposureProfile, alpha: float) -> tuple:
+    """The conservative bound of many replicates in array operations: row r
+    of the nonnegative ``values`` and of the 0/1 ``indicator`` is one.
+
+    Returns arrays (count, estimate, variance, condition, upper, clear,
+    upper_error). The pair term is rowsum((V W) * V), V = values * indicator,
+    where W holds the clipped weights h(centered) / J of ``_entry_weights``,
+    built in column slices of ``_BLOCK`` entries.
+
+    These floats differ from ``_bound_from_values`` in the last bits, so each
+    row also gets a bound on that difference. A sum of k terms, added in any
+    order, is off by at most k * eps/2 times the sum of the terms'
+    magnitudes. Both variances sum nonnegative terms: the leading term's
+    (a - mean)^2, at most (a + mean)^2, and the weighted pair terms. The
+    scalar pair term also adds the clipped rank-one value h(g) / p^2 of every
+    entry of A x A and takes it back on the diagonal and the pattern, so
+    twice that share counts too; it is at most the largest such value times
+    (sum of v)^2. ``rel`` counts the terms of the longest sum either
+    computation forms, 6n + pairs + 13 roundings at most, five times over.
+    ``clear`` marks rows whose variance exceeds twice its error bound and
+    whose condition margin lies farther from 0 than its propagated error;
+    ``upper_error`` bounds |upper - the upper of _bound_from_values|.
+    """
+    n, p = profile.n, profile.p
+    pp = p * p
+    u = profile.row_excess / n
+    t = profile.excess_total / (n * n)
+    rows, cols = profile.rows, profile.cols
+    rank_diag, w_diag = _entry_weights(t, u, u, _clip, (profile.diag - p * (1.0 - p)) - pp, profile.diag)
+    rank_pair, w_pair = _entry_weights(t, u[rows], u[cols], _clip, profile.values - pp, profile.values)
+    count = indicator.sum(axis=1)
+    per = np.maximum(count, 1)
+    v = values * indicator
+    total = v.sum(axis=1)
+    estimate = total / per
+    npq = n * p * (1.0 - p)
+    leading = npq * ((((values - estimate[:, None]) * indicator) ** 2).sum(axis=1) / per)
+    pair = np.zeros(values.shape[0])
+    step = max(1, _BLOCK // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        w = _entry_weights(t, u[:, None], u[lo:hi], _clip)
+        w /= pp
+        w[np.arange(lo, hi), np.arange(hi - lo)] = w_diag[lo:hi]
+        upper_half = (lo <= cols) & (cols < hi)
+        w[rows[upper_half], cols[upper_half] - lo] = w_pair[upper_half]
+        lower_half = (lo <= rows) & (rows < hi)
+        w[cols[lower_half], rows[lower_half] - lo] = w_pair[lower_half]
+        pair += ((v @ w) * v[:, lo:hi]).sum(axis=1)
+    variance = leading + pair
+
+    rel = 16 * (n + rows.size + 16) * np.finfo(float).eps
+    spread_mag = npq * ((((values + estimate[:, None]) ** 2) * indicator).sum(axis=1) / per)
+    taken_back = max(rank_diag.max(), rank_pair.max(initial=0.0)) / pp * total**2
+    var_error = rel * (spread_mag + pair + 2.0 * taken_back)
+    clear = variance > 2.0 * var_error  # the relative error of the variance is below 1/2
+    rel_var = var_error / np.where(clear, variance, 1.0)
+    z = norm_ppf(1.0 - alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with no exposed unit or zero variance
+        ratio = z * (estimate / np.sqrt(variance)) * (npq / per)
+        margin = 1.0 - ratio
+        clear &= np.abs(margin) > (ratio + 1.0) * rel + 2.0 * ratio * rel_var
+    width = z * np.sqrt(variance) / per
+    upper = estimate + width
+    return count, estimate, variance, margin >= 0.0, upper, clear, rel * upper + rel_var * width
 
 
 def upper_confidence_bound(

@@ -27,6 +27,14 @@ Monotonicity (theta <= Y elementwise) holds by construction in all scenarios.
 Replicate r derives its generator from (seed, r), so tables are bit-stable
 for a given seed; replicates with no effectively treated unit or a zero
 conservative variance are tallied in a degenerate column, never dropped.
+
+Replicates are drawn one at a time from their (seed, r) generators into
+(replicates, n) arrays, and the bounds of all of them are computed in one
+array pass per design (``monotone._batch_bounds``). A replicate within
+rounding distance of a decision boundary (zero variance, the validity
+condition, or coverage) is re-decided by the scalar bound
+``monotone._bound_from_values``, so the tables are identical to those of the
+per-replicate computation.
 """
 
 from __future__ import annotations
@@ -40,10 +48,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .design import ExposureMapping, NeighborhoodSet, Population, build_knn_neighborhoods, evaluate_exposure
-from .errors import ValidationError, check_integer
+from .design import (
+    EffectiveTreatment,
+    ExposureMapping,
+    NeighborhoodSet,
+    Population,
+    build_knn_neighborhoods,
+    evaluate_exposure_many,
+)
+from .errors import ValidationError, check_integer, check_seed
 from .exposure import exact_profile
-from .monotone import _bound_from_values, _check_alpha
+from .monotone import _batch_bounds, _bound_from_values, _check_alpha
 
 SCENARIO_KINDS = (
     "no_effect_no_clustering",
@@ -56,15 +71,17 @@ LAYOUT_KINDS = ("uniform_square", "two_cluster", "line")
 
 _ADVERSARIAL_BASE = ((0.0, 2), (10.0, 44), (20.0, 3))  # value, count at n = 49
 
+# Entries of the (replicates, n) arrays drawn per batch: 1 MB each, while the
+# benchmark's tables (49 x 1000 and 500 x 200) each take one batch.
+_BATCH = 1 << 17
+
 
 def synthetic_layout(kind: str, n: int, seed: int = 0) -> np.ndarray:
     """Deterministic synthetic coordinates standing in for a real unit map."""
     n = check_integer(n, "layout size n")
     if n < 2:
         raise ValidationError(f"a layout needs at least 2 points, got {n}")
-    seed = check_integer(seed, "layout seed")
-    if seed < 0:
-        raise ValidationError(f"layout seed must be nonnegative, got {seed}")
+    seed = check_seed(seed, "layout seed")
     if kind == "line":
         return np.arange(n, dtype=float)[:, None]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -82,7 +99,9 @@ class Scenario:
     """A generative model for replicated experiments on a fixed layout.
 
     ``nearest`` holds the layout's 6-NN neighborhoods (each unit and its 5
-    nearest) that the ``exposure_model`` outcome rule uses; it is built once.
+    nearest) that the ``exposure_model`` outcome rule uses, and
+    ``count_pool`` the fixed counts that the ``no_effect_no_clustering`` and
+    ``exposure_model`` replicates permute; both are built once.
     """
 
     kind: str
@@ -93,6 +112,7 @@ class Scenario:
     count_dispersion: float = 3.0
     spillover_max: float = 10.0
     nearest: Optional[NeighborhoodSet] = field(default=None, init=False, repr=False, compare=False)
+    count_pool: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -104,9 +124,7 @@ class Scenario:
             raise ValidationError("layout must be an (n, dim) array with n >= 2")
         if not 0.0 < self.rho < 1.0:
             raise ValidationError(f"treatment probability must lie in (0, 1), got {self.rho}")
-        object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
-        if self.seed < 0:
-            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if not (self.count_mean > 0 and self.count_dispersion > 0):
             raise ValidationError("count_mean and count_dispersion must be positive")
         layout = layout.copy()
@@ -118,6 +136,10 @@ class Scenario:
             if not self.spillover_max > 0:
                 raise ValidationError("spillover_max must be positive")
             object.__setattr__(self, "nearest", build_knn_neighborhoods(layout, 6))
+        if self.kind in ("no_effect_no_clustering", "exposure_model"):
+            pool = _count_pool(self)
+            pool.setflags(write=False)
+            object.__setattr__(self, "count_pool", pool)
 
     @property
     def n(self) -> int:
@@ -155,7 +177,7 @@ def _adversarial_pool(n: int) -> np.ndarray:
             f"adversarial scenario is defined at 49 units; scaling pool counts "
             f"proportionally to n = {n}",
             UserWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return np.repeat([v for v, _ in _ADVERSARIAL_BASE], counts).astype(float)
 
@@ -165,38 +187,52 @@ def _southern_half(layout: np.ndarray) -> np.ndarray:
     return latitude <= np.median(latitude)
 
 
+def _draw(scenario: Scenario, replicates) -> tuple:
+    """(treatment, outcome, theta) of the given replicates as (R, n) arrays.
+
+    Replicate r draws from its own generator (seed, r), so a replicate's
+    draws do not depend on which others are drawn with it.
+    """
+    n, kind = scenario.n, scenario.kind
+    x = np.empty((len(replicates), n), dtype=np.int8)
+    theta = np.empty((len(replicates), n))
+    spill = np.empty_like(theta) if kind == "exposure_model" else None
+    pool = _adversarial_pool(n) if kind == "adversarial" else scenario.count_pool
+    for row, r in enumerate(replicates):
+        rng = _replicate_rng(scenario, r)
+        x[row] = rng.random(n) < scenario.rho
+        if kind != "no_effect_clustering":
+            theta[row] = rng.permutation(pool)
+        if kind == "exposure_model":
+            spill[row] = scenario.spillover_max * (1.0 - rng.random(n))  # uniform on (0, max]
+    if kind == "no_effect_clustering":
+        theta[:] = np.where(_southern_half(scenario.layout), 3.0, 15.0)
+    if kind == "exposure_model":
+        # treated, with at least 2 of the 5 nearest treated
+        qualified = evaluate_exposure_many(x, scenario.nearest, ExposureMapping.threshold(3)) > 0
+        y = np.where(qualified, theta, theta + spill)
+    elif kind == "adversarial":
+        y = np.where((x > 0) & (theta == 0), 10.0, theta)
+    else:
+        y = theta.copy()
+    return x, y, theta
+
+
 def generate_scenario(scenario: Scenario, replicate_index: int):
     """Draw one replicate: returns (population, theta).
 
     ``theta`` is the counterfactual outcome vector under full treatment,
     exposed for coverage accounting; real analyses never see it.
     """
-    rng = _replicate_rng(scenario, replicate_index)
-    n = scenario.n
-    x = (rng.random(n) < scenario.rho).astype(np.int8)
-    if scenario.kind == "no_effect_no_clustering":
-        theta = rng.permutation(_count_pool(scenario))
-        y = theta.copy()
-    elif scenario.kind == "no_effect_clustering":
-        theta = np.where(_southern_half(scenario.layout), 3.0, 15.0)
-        y = theta.copy()
-    elif scenario.kind == "exposure_model":
-        theta = rng.permutation(_count_pool(scenario))
-        spill = scenario.spillover_max * (1.0 - rng.random(n))  # uniform on (0, max]
-        # treated, with at least 2 of the 5 nearest treated
-        qualified = evaluate_exposure(x, scenario.nearest, ExposureMapping.threshold(3)).indicator > 0
-        y = np.where(qualified, theta, theta + spill)
-    else:  # adversarial
-        theta = rng.permutation(_adversarial_pool(n))
-        y = np.where((x > 0) & (theta == 0), 10.0, theta)
+    x, y, theta = _draw(scenario, [replicate_index])
     pop = Population(
-        ids=tuple(range(n)),
+        ids=tuple(range(scenario.n)),
         coords=scenario.layout,
-        treatment=x,
-        outcome=y,
+        treatment=x[0],
+        outcome=y[0],
         rho=scenario.rho,
     )
-    return pop, theta
+    return pop, theta[0]
 
 
 @dataclass(frozen=True)
@@ -269,6 +305,28 @@ class CoverageTable:
         return "\n".join(lines) + "\n"
 
 
+def _replicate_outcomes(y, z, estimands, profile, alpha) -> tuple:
+    """Per replicate of one design: (skipped, degenerate, condition met,
+    covered, rescored) boolean arrays.
+
+    Bounds come from one array pass (``_batch_bounds``). A replicate whose
+    variance, condition or coverage lies within rounding distance of its
+    decision boundary is rescored by the scalar ``_bound_from_values``, so
+    every decision equals the per-replicate computation's.
+    """
+    count, _, _, condition, upper, clear, upper_error = _batch_bounds(y, z, profile, alpha)
+    skipped = count == 0
+    covered = estimands <= upper
+    rescored = ~skipped & ~(clear & (np.abs(estimands - upper) > upper_error))
+    degenerate = np.zeros_like(skipped)
+    for r in np.flatnonzero(rescored):
+        exposure = EffectiveTreatment(indicator=z[r], count=int(count[r]))
+        _, variance, condition[r], upper_r = _bound_from_values(y[r], exposure, profile, alpha, strict=False)
+        degenerate[r] = variance == 0.0
+        covered[r] = estimands[r] <= upper_r
+    return skipped, degenerate, condition & ~skipped, covered & ~skipped, rescored
+
+
 def run_coverage_experiment(
     scenario: Scenario,
     configs: Sequence[tuple],
@@ -280,7 +338,9 @@ def run_coverage_experiment(
     Coverage is reported both over condition-met replicates (the guarantee's
     domain) and over all valid replicates, since the gap between the two is
     exactly what ignoring the condition costs. Exposure profiles depend only
-    on the design, so they are computed once per configuration.
+    on the design, so they are computed once per configuration. Replicates
+    are drawn in batches of ``_BATCH`` entries and scored in one array pass
+    per design (see ``_replicate_outcomes``).
     """
     replicates = check_integer(replicates, "replicates")
     if replicates < 1:
@@ -295,21 +355,19 @@ def run_coverage_experiment(
         mapping = ExposureMapping.threshold(d_min)
         prepared.append((nbhd, mapping, exact_profile(nbhd, mapping, scenario.rho)))
     counters = [dict(skipped=0, degenerate=0, met=0, covered_met=0, covered_all=0) for _ in configs]
-    for r in range(replicates):
-        pop, theta = generate_scenario(scenario, r)
-        estimand = float(theta.mean())
+    step = max(1, _BATCH // scenario.n)
+    for lo in range(0, replicates, step):
+        x, y, theta = _draw(scenario, range(lo, min(lo + step, replicates)))
+        if not (np.isfinite(y) & (y >= 0)).all():  # treatments are checked by evaluate_exposure_many
+            raise ValidationError("simulated outcomes must be finite and nonnegative")
+        estimands = theta.mean(axis=1)
         for (nbhd, mapping, profile), tally in zip(prepared, counters):
-            exposure = evaluate_exposure(pop, nbhd, mapping)
-            if exposure.count == 0:
-                tally["skipped"] += 1
-                continue
-            _, variance, condition, upper = _bound_from_values(pop.outcome, exposure, profile, alpha, strict=False)
-            tally["degenerate"] += variance == 0.0
-            covered = estimand <= upper
-            if condition:
-                tally["met"] += 1
-                tally["covered_met"] += covered
-            tally["covered_all"] += covered
+            z = evaluate_exposure_many(x, nbhd, mapping)
+            skipped, degenerate, met, covered, _ = _replicate_outcomes(y, z, estimands, profile, alpha)
+            masks = (skipped, degenerate, met, met & covered, covered)
+            for key, mask in zip(tally, masks):
+                tally[key] += int(np.count_nonzero(mask))
+    estimand = float(estimands[-1])
 
     rows = []
     for (d_min, d), (nbhd, mapping, profile), tally in zip(configs, prepared, counters):

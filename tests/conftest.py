@@ -19,6 +19,13 @@ def random_design(rng, max_units=12, rhos=(0.2, 0.5, 0.8)):
     return nbhd, mapping, rho
 
 
+def incidence(nbhd):
+    """Dense (n, n) 0/1 matrix M with M[i, u] = 1 iff u is in set i."""
+    m = np.zeros((nbhd.n, nbhd.n), dtype=float)
+    m[np.repeat(np.arange(nbhd.n), nbhd.k), nbhd.members.ravel()] = 1.0
+    return m
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -9,6 +9,8 @@ from interfere import design
 from interfere.design import evaluate_exposure_many
 from interfere.errors import ValidationError
 
+from conftest import incidence
+
 
 def brute_force_knn(coords, d):
     """Independent nearest-neighbor search over all pairs (test oracle)."""
@@ -144,7 +146,7 @@ class TestNeighborhoodSet:
 
     def test_incidence_matches_sets(self):
         nbhd = itf.NeighborhoodSet.from_sets([{0, 1}, {1, 2}, {2, 1}])
-        m = nbhd.incidence()
+        m = incidence(nbhd)
         for i, members in enumerate(nbhd.as_sets()):
             assert set(np.flatnonzero(m[i])) == set(members)
 

@@ -228,6 +228,37 @@ def test_library_integers_are_not_truncated(case):
             call(bad)
 
 
+# Library entry points that take a seed: (call, seeds its generator accepts, seeds it rejects).
+# A Philox key word lies in [-2**63, 2**64); a default_rng seed is nonnegative.
+LIBRARY_SEEDS = {
+    "monte_carlo_profile": (
+        lambda v: itf.monte_carlo_profile(_ring(), itf.ExposureMapping.threshold(2), 0.5, 10, v),
+        (-(2**63), 2**63),
+        (-(2**63) - 1, 2**64),
+    ),
+    "concentration_check": (
+        lambda v: itf.concentration_check(np.array([0, 1, 1, 0]), 5, 2, seed=v),
+        (-(2**63), 2**63),
+        (-(2**63) - 1, 2**64),
+    ),
+    "largest_centered_eigenvalue": (
+        lambda v: itf.largest_centered_eigenvalue(np.eye(4), seed=v),
+        (0, 2**70),
+        (-1,),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_SEEDS))
+def test_library_seeds_outside_the_generator_range_are_errors(case):
+    call, accepted, rejected = LIBRARY_SEEDS[case]
+    for seed in accepted:
+        call(seed)
+    for seed in rejected:
+        with pytest.raises(ValidationError, match="seed must"):
+            call(seed)
+
+
 def test_error_names_the_key_path(tmp_path):
     _, _, err = run(estimate_config(tmp_path, neighborhood={"d": "two"}))
     assert err == "error: config.neighborhood.d: expected an integer, got 'two'\n"

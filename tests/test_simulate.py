@@ -1,9 +1,26 @@
+import contextlib
+import hashlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import interfere as itf
+from interfere.cli import main
+from interfere.design import EffectiveTreatment, evaluate_exposure_many
 from interfere.errors import ValidationError
-from interfere.simulate import _count_pool
+from interfere.monotone import _batch_bounds, _bound_from_values
+from interfere.simulate import LAYOUT_KINDS, _adversarial_pool, _count_pool, _draw, _replicate_outcomes
+
+from conftest import incidence
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DESIGNS = ((1, 1), (2, 3), (3, 6), (5, 10))
+SCALED_ADVERSARIAL = "ignore:adversarial scenario is defined at 49 units"
 
 
 class TestSyntheticLayout:
@@ -78,7 +95,7 @@ class TestGenerateScenario:
         pop, theta = itf.generate_scenario(scenario, 2)
         nearest5 = itf.build_knn_neighborhoods(square49, 6)
         x = pop.treatment.astype(float)
-        treated_neighbors = nearest5.incidence() @ x - x
+        treated_neighbors = incidence(nearest5) @ x - x
         qualified = (pop.treatment > 0) & (treated_neighbors >= 2)
         assert np.array_equal(pop.outcome[qualified], theta[qualified])
         inflated = pop.outcome[~qualified] - theta[~qualified]
@@ -105,6 +122,7 @@ class TestGenerateScenario:
     def test_count_pool_is_fixed_per_scenario(self, square49):
         scenario = itf.Scenario(kind="no_effect_no_clustering", layout=square49, seed=4)
         pool = _count_pool(scenario)
+        assert np.array_equal(scenario.count_pool, pool)
         for replicate in range(4):
             _, theta = itf.generate_scenario(scenario, replicate)
             assert sorted(theta.tolist()) == sorted(pool.tolist())
@@ -167,3 +185,161 @@ class TestCoverageExperiment:
             for row in table.rows:
                 assert row.coverage_given_condition is not None
                 assert row.coverage_given_condition >= 0.93, (kind, row.d_min, row.d)
+
+
+def reference_replicate(scenario, r):
+    """(x, y, theta) of replicate r, drawn one replicate at a time as the
+    harness drew them before batching (reference)."""
+    rng = np.random.default_rng(np.random.SeedSequence(scenario.seed, spawn_key=(1, r)))
+    n = scenario.n
+    x = (rng.random(n) < scenario.rho).astype(np.int8)
+    if scenario.kind == "no_effect_no_clustering":
+        theta = rng.permutation(_count_pool(scenario))
+        y = theta.copy()
+    elif scenario.kind == "no_effect_clustering":
+        latitude = scenario.layout[:, -1]
+        theta = np.where(latitude <= np.median(latitude), 3.0, 15.0)
+        y = theta.copy()
+    elif scenario.kind == "exposure_model":
+        theta = rng.permutation(_count_pool(scenario))
+        spill = scenario.spillover_max * (1.0 - rng.random(n))
+        nearest = incidence(itf.build_knn_neighborhoods(scenario.layout, 6))
+        y = np.where((x > 0) & (nearest @ x >= 3), theta, theta + spill)
+    else:
+        theta = rng.permutation(_adversarial_pool(n))
+        y = np.where((x > 0) & (theta == 0), 10.0, theta)
+    return x, y, theta
+
+
+def check_batch_against_scalar(scenario, alpha, replicates=25):
+    """Require every per-replicate decision of the batched engine to equal
+    ``evaluate_exposure`` + ``_bound_from_values`` on ``generate_scenario``'s
+    output, and estimate, variance and upper to agree to 1e-12 where no
+    replicate was rescored. Returns the skipped, degenerate and rescored
+    replicates seen, summed over the designs."""
+    x, y, theta = _draw(scenario, range(replicates))
+    estimands = theta.mean(axis=1)
+    seen = np.zeros(3, dtype=int)
+    for d_min, d in DESIGNS:
+        if d > scenario.n:
+            continue
+        nbhd = itf.build_knn_neighborhoods(scenario.layout, d)
+        mapping = itf.ExposureMapping.threshold(d_min)
+        profile = itf.exact_profile(nbhd, mapping, scenario.rho)
+        z = evaluate_exposure_many(x, nbhd, mapping)
+        *decisions, rescored = _replicate_outcomes(y, z, estimands, profile, alpha)
+        _, estimate, variance, _, upper, _, _ = _batch_bounds(y, z, profile, alpha)
+        for r in range(replicates):
+            pop, theta_r = itf.generate_scenario(scenario, r)
+            exposure = itf.evaluate_exposure(pop, nbhd, mapping)
+            batched = tuple(bool(decision[r]) for decision in decisions)
+            if exposure.count == 0:
+                assert batched == (True, False, False, False)
+                continue
+            values = _bound_from_values(pop.outcome, exposure, profile, alpha, strict=False)
+            covered = float(theta_r.mean()) <= values[3]
+            assert batched == (False, values[1] == 0.0, values[2], covered), (d_min, d, r)
+            if not rescored[r]:
+                got = (estimate[r], variance[r], upper[r])
+                np.testing.assert_allclose(got, (values[0], values[1], values[3]), rtol=1e-12, atol=0)
+        seen += [np.count_nonzero(decisions[0]), np.count_nonzero(decisions[1]), np.count_nonzero(rescored)]
+    return seen
+
+
+class TestBatchedReplicates:
+    @pytest.mark.filterwarnings(SCALED_ADVERSARIAL)
+    @pytest.mark.parametrize("kind", itf.SCENARIO_KINDS)
+    @pytest.mark.parametrize("n", [6, 49, 500])
+    def test_batch_draws_equal_generate_scenario(self, kind, n):
+        layout = itf.synthetic_layout("uniform_square", n, seed=7)
+        scenario = itf.Scenario(kind=kind, layout=layout, seed=3)
+        x, y, theta = _draw(scenario, range(2, 7))
+        estimands = theta.mean(axis=1)
+        for row, r in enumerate(range(2, 7)):
+            pop, theta_r = itf.generate_scenario(scenario, r)
+            expected = reference_replicate(scenario, r)
+            for drawn in ((x[row], y[row], theta[row]), (pop.treatment, pop.outcome, theta_r)):
+                for got, want in zip(drawn, expected):
+                    assert np.array_equal(got, want)
+            assert estimands[row] == float(theta_r.mean())
+
+    @pytest.mark.filterwarnings(SCALED_ADVERSARIAL)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(itf.SCENARIO_KINDS),
+        layout=st.sampled_from(LAYOUT_KINDS),
+        n=st.integers(6, 60),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.sampled_from((0.05, 0.2, 0.5)),
+    )
+    def test_batched_decisions_equal_scalar(self, kind, layout, n, seed, alpha):
+        coords = itf.synthetic_layout(layout, n, seed=seed % 1000)
+        check_batch_against_scalar(itf.Scenario(kind=kind, layout=coords, seed=seed), alpha)
+
+    def test_sweep_reaches_skipped_degenerate_and_rescored_replicates(self, square49):
+        adversarial = itf.Scenario(kind="adversarial", layout=square49, seed=21)
+        _, degenerate, rescored = check_batch_against_scalar(adversarial, 0.05, replicates=60)
+        assert degenerate > 0 and rescored > 0  # the (1, 1) rows with equal exposed outcomes
+        line = itf.Scenario(kind="no_effect_no_clustering", layout=itf.synthetic_layout("line", 6), seed=5)
+        skipped, _, _ = check_batch_against_scalar(line, 0.05, replicates=60)
+        assert skipped > 0  # (3, 6) with fewer than 3 treated
+
+    def test_coverage_at_the_scalar_upper_bound(self, square49):
+        # Estimands exactly at each replicate's scalar upper bound, and one
+        # float above it: a last-bit difference between the batched and the
+        # scalar bound flips one of the two unless the replicate is rescored.
+        scenario = itf.Scenario(kind="exposure_model", layout=square49, seed=8)
+        x, y, _ = _draw(scenario, range(40))
+        for d_min, d in DESIGNS[1:]:
+            nbhd = itf.build_knn_neighborhoods(square49, d)
+            mapping = itf.ExposureMapping.threshold(d_min)
+            profile = itf.exact_profile(nbhd, mapping, scenario.rho)
+            z = evaluate_exposure_many(x, nbhd, mapping)
+            exposed = z.sum(axis=1) > 0
+            uppers = np.array([
+                _bound_from_values(y[r], EffectiveTreatment(z[r], int(z[r].sum())), profile, 0.05, strict=False)[3]
+                if exposed[r] else 0.0
+                for r in range(len(z))
+            ])
+            for estimands, covered in ((uppers, exposed), (np.nextafter(uppers, np.inf), np.zeros_like(exposed))):
+                assert np.array_equal(_replicate_outcomes(y, z, estimands, profile, 0.05)[3], covered)
+
+    def test_equal_non_integer_outcomes(self, square49):
+        # With equal exposed outcomes the scalar variance is 0 or a rounding
+        # residue such as 4e-32, depending on the order of summation, and the
+        # batched one often differs: degeneracy is decided by rescoring.
+        rng = np.random.default_rng(5)
+        z = (rng.random((200, 49)) < 0.5).astype(np.int8)
+        nbhd = itf.build_knn_neighborhoods(square49, 1)
+        mapping = itf.ExposureMapping.threshold(1)
+        profile = itf.exact_profile(nbhd, mapping, 0.5)
+        for value in rng.random(5):
+            y = np.full(z.shape, value)
+            _, degenerate, met, _, _ = _replicate_outcomes(y, z, np.zeros(len(z)), profile, 0.05)
+            for r in range(len(z)):
+                _, variance, condition, _ = _bound_from_values(
+                    y[r], EffectiveTreatment(z[r], int(z[r].sum())), profile, 0.05, strict=False
+                )
+                assert (degenerate[r], met[r]) == (variance == 0.0, condition)
+
+    def test_non_finite_outcomes_are_rejected(self, square49):
+        scenario = itf.Scenario(kind="exposure_model", layout=square49, spillover_max=np.inf)
+        with pytest.raises(ValidationError, match="finite and nonnegative"):
+            itf.run_coverage_experiment(scenario, [(2, 3)], 0.05, 5)
+
+
+def test_benchmark_tables_match_recorded_sha256(tmp_path, monkeypatch):
+    """The simulate tables of the benchmark's seed 0 are byte-identical to
+    the ones recorded in perfbench/references.json (read only)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    recorded = workloads.load_references("simulate", workloads.SPECS["simulate"])["seeds"]["0"]["sha256"]
+    inputs = workloads.generate("simulate", 0, tmp_path)
+    assert sorted(call.label for call in inputs.calls) == sorted(recorded)
+    for call in inputs.calls:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(list(call.argv)) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == recorded[call.label], call.label
