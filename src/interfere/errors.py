@@ -53,13 +53,14 @@ def check_seed(value, name: str = "seed", *, philox: bool = False) -> int:
     """``value`` as an integer seed that its generator accepts, or a
     ValidationError naming ``name``.
 
-    A ``default_rng`` seed is nonnegative; a Philox key word (``philox``)
-    lies in [-2**63, 2**64).
+    A ``default_rng`` seed is nonnegative. A Philox seed (``philox``) lies
+    in [-2**63, 2**63): numpy converts the key ``[seed, shard]`` exactly
+    only in that range, so wider seeds would share streams.
     """
     seed = check_integer(value, name)
     if philox:
-        if not -(2**63) <= seed < 2**64:
-            raise ValidationError(f"{name} must fit in 64 bits, got {seed}")
+        if not -(2**63) <= seed < 2**63:
+            raise ValidationError(f"{name} must lie in [-2**63, 2**63), got {seed}")
     elif seed < 0:
         raise ValidationError(f"{name} must be nonnegative, got {seed}")
     return seed

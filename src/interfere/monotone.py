@@ -15,6 +15,11 @@ unobservable idealized bound additionally requires a computable condition on
 the estimate-to-spread ratio (``validity_condition``); reports carry the
 condition flag rather than hiding failures, because ignoring it is known to
 produce under-coverage.
+
+Every bound here and in the simulation harness comes from one routine,
+``_score``, over rows of outcomes and exposure indicators; a single analysis
+is its one-row case. Its variance (``_variances``) takes O(n log n + pairs)
+per row and builds no (n, n) or (|A|, |A|) array.
 """
 
 from __future__ import annotations
@@ -41,9 +46,10 @@ from .errors import (
 from .exposure import ExposureProfile, exact_profile
 from .normal import norm_ppf
 
-# Entries of the (rows, |A|) block of rank-one centered values, or of the
-# (n, columns) slice of the dense weight matrix, built per step: 2 MB.
-_BLOCK = 1 << 18
+# Entries of the (rows, n + pairs) arrays that ``_variances`` builds per step:
+# 512 KB, which stays in cache (steps of 2 MB took three times as long). A
+# step holds whole rows, and a row's floats do not depend on the step.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,72 +84,125 @@ def point_estimate(values, exposure: EffectiveTreatment) -> float:
     return float(_active_values(values, exposure).mean())
 
 
-def _pair_term(values, exposure, profile: ExposureProfile, clip: bool) -> float:
-    """sum over exposed i, j of v_i v_j c_ij / J_ij, c the centered excess
-    (clipped at 0 when ``clip``), evaluated from the sparse profile.
+def _one_row(values, exposure: EffectiveTreatment, profile: ExposureProfile, nonnegative: bool) -> tuple:
+    """``values`` and the exposure indicator as the one row of a call to
+    ``_variances`` or ``_score``, after the checks of a single analysis."""
+    values = np.asarray(values, dtype=float)
+    if profile.n != exposure.indicator.shape[0]:
+        raise ValidationError("profile and exposure sizes differ")
+    if values.shape != exposure.indicator.shape:
+        raise ValidationError("values and exposure indicator differ in length")
+    if exposure.count < 1:
+        raise NoEffectiveUnitsError("no unit is effectively treated (count = 0)")
+    if nonnegative and np.any(values < 0):
+        raise ValidationError("conservative variance requires nonnegative values")
+    return values[None, :], exposure.indicator[None, :]
 
-    Every centered entry is the rank-one part g_ij = t - u_i - u_j (u = r/n,
-    t = s/n^2) plus the excess, which is 0 off the pattern, where also
-    J_ij = p^2. So the rank-one part is summed over all of A x A in row
-    blocks of about ``_BLOCK`` entries, and the diagonal and pattern entries
-    then swap their rank-one value for their actual one. Clipping applies to
-    each entry, as in ``max(centered, 0)``, so the clipped result is the sum
-    of the same nonnegative terms, up to rounding.
+
+def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -> tuple:
+    """(count, estimate, variance) arrays, one entry per row of the (R, n)
+    ``values`` and 0/1 ``indicator``; a row without exposed units gets 0s.
+
+    The variance is the leading term n p (1-p) times the spread of the
+    exposed values, plus the pair term: the sum over exposed i, j of
+    v_i v_j h(c_ij) / J_ij, where c is the centered excess and h clips it at
+    0 (``clip``) or keeps it. Every centered entry is the rank-one part
+    g_ij = (t - u_i) - u_j (u = r/n, t = s/n^2) plus the excess, which is 0
+    off the pattern, where also J_ij = p^2. So the diagonal and pattern
+    entries add their own weights h(g + excess) / J, and the entries off the
+    pattern add the rank-one sum over all of A x A, in closed form, less its
+    diagonal and pattern entries, h(g) / p^2 each.
+
+    Unclipped, the rank-one sum is t S^2 - 2 S (v.u), S the sum of v.
+    Clipped, only the positive g_ij count: with u sorted, those of row i are
+    the first k_i, u_j < t - u_i, and they add v_i ((t - u_i) V(k_i) -
+    W(k_i)), V and W the prefix sums of v and v u. That difference can
+    cancel, so each such term gets an upward allowance for its rounding: at
+    most (k_i + 2) eps/2 times (|t - u_i| + max_{j<k_i} |u_j|) V(k_i),
+    counted twice over. The clipped off-pattern sum has nonnegative terms,
+    so it is clipped at 0 too. If no g_ij is positive, it is 0.
+
+    Every sum runs along a row, over index sets that depend on the profile
+    alone, so a row's results do not depend on the other rows of the call.
     """
-    mask = exposure.indicator > 0
-    idx = np.flatnonzero(mask)
-    on = mask[profile.rows] & mask[profile.cols]
-    rows, cols, joint = profile.rows[on], profile.cols[on], profile.values[on]
-    diag = profile.diag[idx]
     n, p = profile.n, profile.p
     pp = p * p
-    off_pattern = idx.size * (idx.size - 1) // 2 > rows.size
-    if diag.min() <= 0.0 or joint.min(initial=1.0) <= 0.0 or (off_pattern and not pp > 0.0):
+    # The diagonal entries, then the pattern pairs, each standing for its two entries.
+    first = np.concatenate((np.arange(n), profile.rows))
+    second = np.concatenate((np.arange(n), profile.cols))
+    joint = np.concatenate((profile.diag, profile.values))
+    exposed = indicator > 0
+    off_pattern = profile.rows.size < n * (n - 1) // 2  # some pair lies off the pattern
+    zero = joint <= 0.0
+    bad = (exposed[:, first[zero]] & exposed[:, second[zero]]).any(axis=1)
+    if off_pattern and not pp > 0.0:
+        count = exposed.sum(axis=1)
+        on_pattern = (exposed[:, profile.rows] & exposed[:, profile.cols]).sum(axis=1)
+        bad |= count * (count - 1) // 2 > on_pattern
+        off_pattern = False  # no row has an exposed pair off the pattern
+    if bad.any():
         raise ZeroJointProbabilityError(
             "a jointly exposed pair has zero joint probability; "
             "the exposure profile is inconsistent with the realized assignment"
         )
-    h = _clip if clip else (lambda c: c)
+
+    floor = 0.0 if clip else -np.inf  # h(c) = max(c, floor)
     u = profile.row_excess / n
     t = profile.excess_total / (n * n)
-    v_all = np.asarray(values, dtype=float)
-    v, vi, vj, ua = v_all[idx], v_all[rows], v_all[cols], u[idx]
-    rank_diag, w_diag = _entry_weights(t, ua, ua, h, (diag - p * (1.0 - p)) - pp, diag)
-    rank_pair, w_pair = _entry_weights(t, u[rows], u[cols], h, joint - pp, joint)
-    total = 0.0
-    if off_pattern:
-        w_diag -= rank_diag / pp
-        w_pair -= rank_pair / pp
-        step = max(1, _BLOCK // idx.size)
-        for lo in range(0, idx.size, step):
-            block = _entry_weights(t, ua[lo : lo + step, None], ua, h)
-            total += float(v[lo : lo + step] @ block @ v) / pp
-    return total + float(v @ (v * w_diag)) + 2.0 * float(vi @ (vj * w_pair))
+    if off_pattern and clip:
+        order = np.argsort(u, kind="stable")
+        head = t - u
+        k = np.searchsorted(u[order], head, side="left")
+        lead = np.flatnonzero(k > 0)  # units with a positive rank-one entry
+        off_pattern = lead.size > 0
+        order = order[: k.max()]
+        u_sorted = u[order]
+        head, last = head[lead], k[lead] - 1  # the prefix sums include their last entry
+        far = np.maximum(np.abs(u_sorted[:1]), np.abs(u_sorted[last]))
+        slack = (last + 3) * np.finfo(float).eps * (np.abs(head) + far)
 
+    g = t - u[first]
+    g -= u[second]
+    w = joint - pp  # the excess
+    w[:n] = (profile.diag - p * (1.0 - p)) - pp
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero joints, dropped below
+        w += g
+        np.maximum(w, floor, out=w)
+        w /= joint
+        w = np.stack((w, np.maximum(g, floor) / pp)) if off_pattern else w[None]
+    keep = np.flatnonzero(~zero & w.any(axis=0))
+    w = w[:, keep]
+    w[:, np.searchsorted(keep, n):] *= 2.0  # a pattern pair stands for its two entries
+    first, second = first[keep], second[keep]
 
-def _clip(c):
-    return np.maximum(c, 0.0)
-
-
-def _entry_weights(t, u_i, u_j, h, excess=None, joint=None):
-    """h(g) for the rank-one part g = t - u_i - u_j of centered entries
-    (i, j); with the entries' ``excess`` and ``joint`` probability, also
-    their pair-term weights h(g + excess) / joint.
-
-    Off the pattern an entry's weight is h(g) / p^2. ``_pair_term`` and
-    ``_batch_bounds`` both form their entries here, so they agree entry by
-    entry.
-    """
-    g = (t - u_i) - u_j
-    if excess is None:
-        return h(g)
-    return h(g), h(g + excess) / joint
-
-
-def _leading_term(values, exposure, profile: ExposureProfile) -> float:
-    active = _active_values(values, exposure)
-    spread = float(((active - active.mean()) ** 2).mean())
-    return profile.n * profile.p * (1.0 - profile.p) * spread
+    count = indicator.sum(axis=1)
+    per = np.maximum(count, 1)
+    estimate = np.empty(count.shape)
+    variance = np.empty(count.shape)
+    npq = n * p * (1.0 - p)
+    step = max(1, _BLOCK // (n + first.size))
+    for lo in range(0, count.size, step):
+        at = slice(lo, lo + step)
+        y, z = values[at], indicator[at]
+        v = y * z
+        estimate[at] = v.sum(axis=1) / per[at]
+        leading = npq * ((((y - estimate[at, None]) * z) ** 2).sum(axis=1) / per[at])
+        both = np.take(v, first, axis=1) * np.take(v, second, axis=1)
+        pair = (both * w[0]).sum(axis=1)
+        if off_pattern:
+            if clip:
+                ahead = np.take(v, order, axis=1)
+                prefix = np.take(np.cumsum(ahead, axis=1), last, axis=1)
+                moment = np.take(np.cumsum(ahead * u_sorted, axis=1), last, axis=1)
+                term = np.maximum(head * prefix - moment, 0.0) + slack * prefix
+                rank = (np.take(v, lead, axis=1) * term).sum(axis=1)
+            else:
+                total = v.sum(axis=1)
+                rank = t * total * total - 2.0 * total * (v * u).sum(axis=1)
+            off = rank / pp - (both * w[1]).sum(axis=1)
+            pair += np.maximum(off, 0.0) if clip else off
+        variance[at] = leading + pair
+    return count, estimate, variance
 
 
 def variance_estimate(values, exposure: EffectiveTreatment, profile: ExposureProfile) -> float:
@@ -153,9 +212,7 @@ def variance_estimate(values, exposure: EffectiveTreatment, profile: ExposurePro
     finite samples; the conservative variant below is what the observable
     bound uses.
     """
-    if profile.n != exposure.indicator.shape[0]:
-        raise ValidationError("profile and exposure sizes differ")
-    return _leading_term(values, exposure, profile) + _pair_term(values, exposure, profile, clip=False)
+    return float(_variances(*_one_row(values, exposure, profile, False), profile, clip=False)[2][0])
 
 
 def conservative_variance(values, exposure: EffectiveTreatment, profile: ExposureProfile) -> float:
@@ -164,12 +221,13 @@ def conservative_variance(values, exposure: EffectiveTreatment, profile: Exposur
     For nonnegative values this never falls below ``variance_estimate`` and
     is safe to maximize over the monotonicity constraint set.
     """
-    if profile.n != exposure.indicator.shape[0]:
-        raise ValidationError("profile and exposure sizes differ")
-    values = np.asarray(values, dtype=float)
-    if np.any(values < 0):
-        raise ValidationError("conservative variance requires nonnegative values")
-    return _leading_term(values, exposure, profile) + _pair_term(values, exposure, profile, clip=True)
+    return float(_variances(*_one_row(values, exposure, profile, True), profile)[2][0])
+
+
+def _margin(estimate, variance, profile: ExposureProfile, count, z):
+    """The factor 1 - z (estimate / sqrt(variance)) (n p (1-p) / count) of
+    the validity condition, elementwise."""
+    return 1.0 - z * (estimate / np.sqrt(variance)) * (profile.n * profile.p * (1.0 - profile.p) / count)
 
 
 def validity_condition(
@@ -191,9 +249,7 @@ def validity_condition(
         raise DegenerateVarianceError(f"negative variance estimate {variance}")
     if variance == 0:
         raise DegenerateVarianceError("zero variance estimate; condition is undefined")
-    z = norm_ppf(1.0 - alpha)
-    scale = profile.n * profile.p * (1.0 - profile.p) / count
-    return 1.0 - z * (estimate / math.sqrt(variance)) * scale >= 0.0
+    return bool(_margin(estimate, variance, profile, count, norm_ppf(1.0 - alpha)) >= 0.0)
 
 
 def variance_fallback_ok(variance: float, n: int, alpha: float, variance_floor: float) -> bool:
@@ -211,91 +267,39 @@ def _check_alpha(alpha: float) -> None:
         raise ValidationError(f"alpha must lie in (0, 0.5] for a one-sided upper bound, got {alpha}")
 
 
+def _score(values, indicator, profile: ExposureProfile, alpha: float) -> tuple:
+    """The conservative bound of each row of the nonnegative (R, n)
+    ``values`` and 0/1 ``indicator``: arrays (count, estimate, variance,
+    condition, upper).
+
+    The variance sums nonnegative terms, so it is never negative. A row with
+    zero variance is degenerate: its upper bound is its estimate and its
+    condition fails.
+    """
+    count, estimate, variance = _variances(values, indicator, profile)
+    per = np.maximum(count, 1)
+    z = norm_ppf(1.0 - alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero variance
+        condition = (variance > 0.0) & (_margin(estimate, variance, profile, per, z) >= 0.0)
+    upper = estimate + z * np.sqrt(variance) / per
+    return count, estimate, variance, condition, upper
+
+
 def _bound_from_values(values, exposure, profile, alpha, strict=True):
-    """(estimate, variance, condition_ok, upper) of the conservative bound.
+    """(estimate, variance, condition_ok, upper) of the conservative bound:
+    row 0 of a one-row ``_score``.
 
     A zero variance is degenerate: with ``strict`` it raises, otherwise the
     bound is the estimate itself and the condition counts as failed.
     """
-    estimate = point_estimate(values, exposure)
-    variance = conservative_variance(values, exposure, profile)
-    if variance == 0.0:
-        if not strict:
-            return estimate, variance, False, estimate
+    values, indicator = _one_row(values, exposure, profile, True)
+    _, estimate, variance, condition, upper = (a[0] for a in _score(values, indicator, profile, alpha))
+    if variance == 0.0 and strict:
         raise DegenerateVarianceError(
             "conservative variance is zero (all effectively treated outcomes "
             "identical and no positive centered-excess mass); no bound can be formed"
         )
-    condition_ok = validity_condition(estimate, variance, profile, alpha, exposure.count)
-    upper = estimate + norm_ppf(1.0 - alpha) * math.sqrt(variance) / exposure.count
-    return estimate, variance, condition_ok, upper
-
-
-def _batch_bounds(values, indicator, profile: ExposureProfile, alpha: float) -> tuple:
-    """The conservative bound of many replicates in array operations: row r
-    of the nonnegative ``values`` and of the 0/1 ``indicator`` is one.
-
-    Returns arrays (count, estimate, variance, condition, upper, clear,
-    upper_error). The pair term is rowsum((V W) * V), V = values * indicator,
-    where W holds the clipped weights h(centered) / J of ``_entry_weights``,
-    built in column slices of ``_BLOCK`` entries.
-
-    These floats differ from ``_bound_from_values`` in the last bits, so each
-    row also gets a bound on that difference. A sum of k terms, added in any
-    order, is off by at most k * eps/2 times the sum of the terms'
-    magnitudes. Both variances sum nonnegative terms: the leading term's
-    (a - mean)^2, at most (a + mean)^2, and the weighted pair terms. The
-    scalar pair term also adds the clipped rank-one value h(g) / p^2 of every
-    entry of A x A and takes it back on the diagonal and the pattern, so
-    twice that share counts too; it is at most the largest such value times
-    (sum of v)^2. ``rel`` counts the terms of the longest sum either
-    computation forms, 6n + pairs + 13 roundings at most, five times over.
-    ``clear`` marks rows whose variance exceeds twice its error bound and
-    whose condition margin lies farther from 0 than its propagated error;
-    ``upper_error`` bounds |upper - the upper of _bound_from_values|.
-    """
-    n, p = profile.n, profile.p
-    pp = p * p
-    u = profile.row_excess / n
-    t = profile.excess_total / (n * n)
-    rows, cols = profile.rows, profile.cols
-    rank_diag, w_diag = _entry_weights(t, u, u, _clip, (profile.diag - p * (1.0 - p)) - pp, profile.diag)
-    rank_pair, w_pair = _entry_weights(t, u[rows], u[cols], _clip, profile.values - pp, profile.values)
-    count = indicator.sum(axis=1)
-    per = np.maximum(count, 1)
-    v = values * indicator
-    total = v.sum(axis=1)
-    estimate = total / per
-    npq = n * p * (1.0 - p)
-    leading = npq * ((((values - estimate[:, None]) * indicator) ** 2).sum(axis=1) / per)
-    pair = np.zeros(values.shape[0])
-    step = max(1, _BLOCK // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        w = _entry_weights(t, u[:, None], u[lo:hi], _clip)
-        w /= pp
-        w[np.arange(lo, hi), np.arange(hi - lo)] = w_diag[lo:hi]
-        upper_half = (lo <= cols) & (cols < hi)
-        w[rows[upper_half], cols[upper_half] - lo] = w_pair[upper_half]
-        lower_half = (lo <= rows) & (rows < hi)
-        w[cols[lower_half], rows[lower_half] - lo] = w_pair[lower_half]
-        pair += ((v @ w) * v[:, lo:hi]).sum(axis=1)
-    variance = leading + pair
-
-    rel = 16 * (n + rows.size + 16) * np.finfo(float).eps
-    spread_mag = npq * ((((values + estimate[:, None]) ** 2) * indicator).sum(axis=1) / per)
-    taken_back = max(rank_diag.max(), rank_pair.max(initial=0.0)) / pp * total**2
-    var_error = rel * (spread_mag + pair + 2.0 * taken_back)
-    clear = variance > 2.0 * var_error  # the relative error of the variance is below 1/2
-    rel_var = var_error / np.where(clear, variance, 1.0)
-    z = norm_ppf(1.0 - alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows with no exposed unit or zero variance
-        ratio = z * (estimate / np.sqrt(variance)) * (npq / per)
-        margin = 1.0 - ratio
-        clear &= np.abs(margin) > (ratio + 1.0) * rel + 2.0 * ratio * rel_var
-    width = z * np.sqrt(variance) / per
-    upper = estimate + width
-    return count, estimate, variance, margin >= 0.0, upper, clear, rel * upper + rel_var * width
+    return float(estimate), float(variance), bool(condition), float(upper)
 
 
 def upper_confidence_bound(

@@ -30,11 +30,9 @@ conservative variance are tallied in a degenerate column, never dropped.
 
 Replicates are drawn one at a time from their (seed, r) generators into
 (replicates, n) arrays, and the bounds of all of them are computed in one
-array pass per design (``monotone._batch_bounds``). A replicate within
-rounding distance of a decision boundary (zero variance, the validity
-condition, or coverage) is re-decided by the scalar bound
-``monotone._bound_from_values``, so the tables are identical to those of the
-per-replicate computation.
+call per design of ``monotone._score``, the routine behind every bound of
+the library. Its results for a row do not depend on the rows scored with
+it, so the tables equal those of scoring each replicate alone.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .design import (
-    EffectiveTreatment,
     ExposureMapping,
     NeighborhoodSet,
     Population,
@@ -58,7 +55,7 @@ from .design import (
 )
 from .errors import ValidationError, check_integer, check_seed
 from .exposure import exact_profile
-from .monotone import _batch_bounds, _bound_from_values, _check_alpha
+from .monotone import _check_alpha, _score
 
 SCENARIO_KINDS = (
     "no_effect_no_clustering",
@@ -307,24 +304,11 @@ class CoverageTable:
 
 def _replicate_outcomes(y, z, estimands, profile, alpha) -> tuple:
     """Per replicate of one design: (skipped, degenerate, condition met,
-    covered, rescored) boolean arrays.
-
-    Bounds come from one array pass (``_batch_bounds``). A replicate whose
-    variance, condition or coverage lies within rounding distance of its
-    decision boundary is rescored by the scalar ``_bound_from_values``, so
-    every decision equals the per-replicate computation's.
-    """
-    count, _, _, condition, upper, clear, upper_error = _batch_bounds(y, z, profile, alpha)
+    covered) boolean arrays, from one ``monotone._score`` call over all of
+    them."""
+    count, _, variance, condition, upper = _score(y, z, profile, alpha)
     skipped = count == 0
-    covered = estimands <= upper
-    rescored = ~skipped & ~(clear & (np.abs(estimands - upper) > upper_error))
-    degenerate = np.zeros_like(skipped)
-    for r in np.flatnonzero(rescored):
-        exposure = EffectiveTreatment(indicator=z[r], count=int(count[r]))
-        _, variance, condition[r], upper_r = _bound_from_values(y[r], exposure, profile, alpha, strict=False)
-        degenerate[r] = variance == 0.0
-        covered[r] = estimands[r] <= upper_r
-    return skipped, degenerate, condition & ~skipped, covered & ~skipped, rescored
+    return skipped, ~skipped & (variance == 0.0), condition, (estimands <= upper) & ~skipped
 
 
 def run_coverage_experiment(
@@ -363,7 +347,7 @@ def run_coverage_experiment(
         estimands = theta.mean(axis=1)
         for (nbhd, mapping, profile), tally in zip(prepared, counters):
             z = evaluate_exposure_many(x, nbhd, mapping)
-            skipped, degenerate, met, covered, _ = _replicate_outcomes(y, z, estimands, profile, alpha)
+            skipped, degenerate, met, covered = _replicate_outcomes(y, z, estimands, profile, alpha)
             masks = (skipped, degenerate, met, met & covered, covered)
             for key, mask in zip(tally, masks):
                 tally[key] += int(np.count_nonzero(mask))

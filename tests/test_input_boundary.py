@@ -153,6 +153,9 @@ REGRESSIONS = {
     "estimate mc seed exceeds 64 bits": lambda t: estimate_config(
         t, p_method={"kind": "mc", "samples": 10, "seed": 2**64}
     ),
+    "estimate mc seed exceeds 63 bits": lambda t: estimate_config(
+        t, p_method={"kind": "mc", "samples": 200, "seed": 9223372036854775809}
+    ),
     "neighborhood index is a string": lambda t: _neighborhoods(t, "a"),
     "neighborhood index exceeds 64 bits": lambda t: _neighborhoods(t, 2**70),
     "neighborhood index is not integral": lambda t: _neighborhoods(t, 1.5),
@@ -229,17 +232,18 @@ def test_library_integers_are_not_truncated(case):
 
 
 # Library entry points that take a seed: (call, seeds its generator accepts, seeds it rejects).
-# A Philox key word lies in [-2**63, 2**64); a default_rng seed is nonnegative.
+# A Philox seed lies in [-2**63, 2**63), where numpy converts the key
+# [seed, shard] exactly; a default_rng seed is nonnegative.
 LIBRARY_SEEDS = {
     "monte_carlo_profile": (
         lambda v: itf.monte_carlo_profile(_ring(), itf.ExposureMapping.threshold(2), 0.5, 10, v),
-        (-(2**63), 2**63),
-        (-(2**63) - 1, 2**64),
+        (-(2**63), 2**63 - 1),
+        (-(2**63) - 1, 2**63, 2**64 - 1),
     ),
     "concentration_check": (
         lambda v: itf.concentration_check(np.array([0, 1, 1, 0]), 5, 2, seed=v),
-        (-(2**63), 2**63),
-        (-(2**63) - 1, 2**64),
+        (-(2**63), 2**63 - 1),
+        (-(2**63) - 1, 2**63, 2**64 - 1),
     ),
     "largest_centered_eigenvalue": (
         lambda v: itf.largest_centered_eigenvalue(np.eye(4), seed=v),

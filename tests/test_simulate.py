@@ -13,7 +13,8 @@ import interfere as itf
 from interfere.cli import main
 from interfere.design import EffectiveTreatment, evaluate_exposure_many
 from interfere.errors import ValidationError
-from interfere.monotone import _batch_bounds, _bound_from_values
+from interfere import monotone
+from interfere.monotone import _bound_from_values, _score
 from interfere.simulate import LAYOUT_KINDS, _adversarial_pool, _count_pool, _draw, _replicate_outcomes
 
 from conftest import incidence
@@ -214,12 +215,12 @@ def reference_replicate(scenario, r):
 def check_batch_against_scalar(scenario, alpha, replicates=25):
     """Require every per-replicate decision of the batched engine to equal
     ``evaluate_exposure`` + ``_bound_from_values`` on ``generate_scenario``'s
-    output, and estimate, variance and upper to agree to 1e-12 where no
-    replicate was rescored. Returns the skipped, degenerate and rescored
-    replicates seen, summed over the designs."""
+    output, and its estimate, variance, condition and upper to be the same
+    floats. Returns the skipped and degenerate replicates seen, summed over
+    the designs."""
     x, y, theta = _draw(scenario, range(replicates))
     estimands = theta.mean(axis=1)
-    seen = np.zeros(3, dtype=int)
+    seen = np.zeros(2, dtype=int)
     for d_min, d in DESIGNS:
         if d > scenario.n:
             continue
@@ -227,8 +228,8 @@ def check_batch_against_scalar(scenario, alpha, replicates=25):
         mapping = itf.ExposureMapping.threshold(d_min)
         profile = itf.exact_profile(nbhd, mapping, scenario.rho)
         z = evaluate_exposure_many(x, nbhd, mapping)
-        *decisions, rescored = _replicate_outcomes(y, z, estimands, profile, alpha)
-        _, estimate, variance, _, upper, _, _ = _batch_bounds(y, z, profile, alpha)
+        decisions = _replicate_outcomes(y, z, estimands, profile, alpha)
+        _, estimate, variance, condition, upper = _score(y, z, profile, alpha)
         for r in range(replicates):
             pop, theta_r = itf.generate_scenario(scenario, r)
             exposure = itf.evaluate_exposure(pop, nbhd, mapping)
@@ -239,10 +240,8 @@ def check_batch_against_scalar(scenario, alpha, replicates=25):
             values = _bound_from_values(pop.outcome, exposure, profile, alpha, strict=False)
             covered = float(theta_r.mean()) <= values[3]
             assert batched == (False, values[1] == 0.0, values[2], covered), (d_min, d, r)
-            if not rescored[r]:
-                got = (estimate[r], variance[r], upper[r])
-                np.testing.assert_allclose(got, (values[0], values[1], values[3]), rtol=1e-12, atol=0)
-        seen += [np.count_nonzero(decisions[0]), np.count_nonzero(decisions[1]), np.count_nonzero(rescored)]
+            assert (estimate[r], variance[r], condition[r], upper[r]) == values, (d_min, d, r)
+        seen += [np.count_nonzero(decisions[0]), np.count_nonzero(decisions[1])]
     return seen
 
 
@@ -276,18 +275,18 @@ class TestBatchedReplicates:
         coords = itf.synthetic_layout(layout, n, seed=seed % 1000)
         check_batch_against_scalar(itf.Scenario(kind=kind, layout=coords, seed=seed), alpha)
 
-    def test_sweep_reaches_skipped_degenerate_and_rescored_replicates(self, square49):
+    def test_sweep_reaches_skipped_and_degenerate_replicates(self, square49):
         adversarial = itf.Scenario(kind="adversarial", layout=square49, seed=21)
-        _, degenerate, rescored = check_batch_against_scalar(adversarial, 0.05, replicates=60)
-        assert degenerate > 0 and rescored > 0  # the (1, 1) rows with equal exposed outcomes
+        _, degenerate = check_batch_against_scalar(adversarial, 0.05, replicates=60)
+        assert degenerate > 0  # the (1, 1) rows with equal exposed outcomes
         line = itf.Scenario(kind="no_effect_no_clustering", layout=itf.synthetic_layout("line", 6), seed=5)
-        skipped, _, _ = check_batch_against_scalar(line, 0.05, replicates=60)
+        skipped, _ = check_batch_against_scalar(line, 0.05, replicates=60)
         assert skipped > 0  # (3, 6) with fewer than 3 treated
 
     def test_coverage_at_the_scalar_upper_bound(self, square49):
         # Estimands exactly at each replicate's scalar upper bound, and one
         # float above it: a last-bit difference between the batched and the
-        # scalar bound flips one of the two unless the replicate is rescored.
+        # scalar bound would flip one of the two.
         scenario = itf.Scenario(kind="exposure_model", layout=square49, seed=8)
         x, y, _ = _draw(scenario, range(40))
         for d_min, d in DESIGNS[1:]:
@@ -305,9 +304,9 @@ class TestBatchedReplicates:
                 assert np.array_equal(_replicate_outcomes(y, z, estimands, profile, 0.05)[3], covered)
 
     def test_equal_non_integer_outcomes(self, square49):
-        # With equal exposed outcomes the scalar variance is 0 or a rounding
-        # residue such as 4e-32, depending on the order of summation, and the
-        # batched one often differs: degeneracy is decided by rescoring.
+        # With equal exposed outcomes the variance is 0 or a rounding residue
+        # such as 4e-32, depending on the order of summation: degeneracy is
+        # decided the same way in a batch and alone.
         rng = np.random.default_rng(5)
         z = (rng.random((200, 49)) < 0.5).astype(np.int8)
         nbhd = itf.build_knn_neighborhoods(square49, 1)
@@ -315,12 +314,32 @@ class TestBatchedReplicates:
         profile = itf.exact_profile(nbhd, mapping, 0.5)
         for value in rng.random(5):
             y = np.full(z.shape, value)
-            _, degenerate, met, _, _ = _replicate_outcomes(y, z, np.zeros(len(z)), profile, 0.05)
+            _, degenerate, met, _ = _replicate_outcomes(y, z, np.zeros(len(z)), profile, 0.05)
             for r in range(len(z)):
                 _, variance, condition, _ = _bound_from_values(
                     y[r], EffectiveTreatment(z[r], int(z[r].sum())), profile, 0.05, strict=False
                 )
                 assert (degenerate[r], met[r]) == (variance == 0.0, condition)
+
+    @pytest.mark.parametrize("d_min, d", [(2, 3), (3, 6), (4, 10)])
+    def test_scores_do_not_depend_on_the_batch(self, square49, monkeypatch, d_min, d):
+        # Alone, in the full batch, in uneven sub-batches, and in steps of a
+        # few rows: every replicate's floats are the same.
+        scenario = itf.Scenario(kind="exposure_model", layout=square49, seed=4)
+        x, y, _ = _draw(scenario, range(60))
+        nbhd = itf.build_knn_neighborhoods(square49, d)
+        mapping = itf.ExposureMapping.threshold(d_min)
+        profile = itf.exact_profile(nbhd, mapping, scenario.rho)
+        z = evaluate_exposure_many(x, nbhd, mapping)
+
+        def scores(rows):
+            return np.column_stack(_score(y[rows], z[rows], profile, 0.05))
+
+        full = scores(slice(None))
+        for cuts in ([1, 2, 9, 33], list(range(1, 60))):  # uneven sub-batches, then each replicate alone
+            assert np.array_equal(np.concatenate([scores(rows) for rows in np.split(np.arange(60), cuts)]), full)
+        monkeypatch.setattr(monotone, "_BLOCK", 3 * (49 + len(profile.rows)))
+        assert np.array_equal(scores(slice(None)), full)
 
     def test_non_finite_outcomes_are_rejected(self, square49):
         scenario = itf.Scenario(kind="exposure_model", layout=square49, spillover_max=np.inf)
@@ -329,17 +348,22 @@ class TestBatchedReplicates:
 
 
 def test_benchmark_tables_match_recorded_sha256(tmp_path, monkeypatch):
-    """The simulate tables of the benchmark's seed 0 are byte-identical to
-    the ones recorded in perfbench/references.json (read only)."""
+    """The simulate tables of every seed recorded in
+    perfbench/references.json (read only) are byte-identical to the ones
+    recorded there."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look their module up
     spec.loader.exec_module(workloads)
-    recorded = workloads.load_references("simulate", workloads.SPECS["simulate"])["seeds"]["0"]["sha256"]
-    inputs = workloads.generate("simulate", 0, tmp_path)
-    assert sorted(call.label for call in inputs.calls) == sorted(recorded)
-    for call in inputs.calls:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(list(call.argv)) == 0
-        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == recorded[call.label], call.label
+    seeds = workloads.load_references("simulate", workloads.SPECS["simulate"])["seeds"]
+    assert sorted(seeds, key=int) == [str(seed) for seed in range(21)]
+    for seed, recorded in seeds.items():
+        recorded = recorded["sha256"]
+        inputs = workloads.generate("simulate", int(seed), tmp_path / seed)
+        assert sorted(call.label for call in inputs.calls) == sorted(recorded)
+        for call in inputs.calls:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(list(call.argv)) == 0
+            digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            assert digest == recorded[call.label], (seed, call.label)
