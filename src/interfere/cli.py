@@ -11,9 +11,7 @@ with round-trippable floats, and nothing emits timestamps.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io as _stringio
 import sys
 from pathlib import Path
 
@@ -25,7 +23,7 @@ from .design import build_knn_neighborhoods, evaluate_exposure
 from .errors import InterfereError, ValidationError
 from .exposure import enumerated_profile, exact_profile, monte_carlo_profile
 from .monotone import bonferroni_scan, upper_confidence_bound
-from .simulate import Scenario, run_coverage_experiment, synthetic_layout
+from .simulate import CoverageRow, Scenario, run_coverage_experiment, synthetic_layout
 
 CONDITION_FAILED_EXIT = 4
 
@@ -83,17 +81,10 @@ def _estimate_text(reports, bonferroni, alpha) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reports_csv(reports) -> str:
-    buffer = _stringio.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    fields = (
-        "d_min", "d", "alpha", "estimate", "variance", "upper_bound",
-        "condition_ok", "n_effective", "p", "min_joint", "overlap_degree", "fallback_ok",
-    )
-    writer.writerow(fields)
-    for r in reports:
-        writer.writerow([getattr(r, f) for f in fields])
-    return buffer.getvalue()
+_REPORT_FIELDS = (
+    "d_min", "d", "alpha", "estimate", "variance", "upper_bound",
+    "condition_ok", "n_effective", "p", "min_joint", "overlap_degree", "fallback_ok",
+)
 
 
 def cmd_estimate(args) -> int:
@@ -143,7 +134,8 @@ def cmd_estimate(args) -> int:
     if args.format == "json":
         _write_or_print(pkgio.dump_json(payload), args.out, "estimate.json")
     elif args.format == "csv":
-        _write_or_print(_reports_csv(reports), args.out, "estimate.csv")
+        rows = ([getattr(r, f) for f in _REPORT_FIELDS] for r in reports)
+        _write_or_print(pkgio.dump_csv(_REPORT_FIELDS, rows), args.out, "estimate.csv")
     else:
         _write_or_print(_estimate_text(reports, bonferroni, config.alpha), args.out, "estimate.txt")
     return 0 if payload["all_conditions_met"] else CONDITION_FAILED_EXIT
@@ -192,17 +184,10 @@ def cmd_contrast(args) -> int:
             zreport = exposure_attributable_contrast(pop.outcome, exposure, profile, alpha)
             payload["exposure_split"] = pkgio.contrast_report_dict(zreport)
     if args.format == "csv":
-        buffer = _stringio.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("split", "delta", "one_sided_lower", "two_sided_low", "two_sided_high", "alpha"))
-        for key in ("treatment_split", "exposure_split"):
-            if key in payload:
-                block = payload[key]
-                writer.writerow(
-                    (key, block["delta"], block["one_sided_lower"],
-                     block["two_sided"][0], block["two_sided"][1], block["alpha"])
-                )
-        _write_or_print(buffer.getvalue(), args.out, "contrast.csv")
+        header = ("split", "delta", "one_sided_lower", "two_sided_low", "two_sided_high", "alpha")
+        blocks = [(key, payload[key]) for key in ("treatment_split", "exposure_split") if key in payload]
+        rows = [(key, b["delta"], b["one_sided_lower"], *b["two_sided"], b["alpha"]) for key, b in blocks]
+        _write_or_print(pkgio.dump_csv(header, rows), args.out, "contrast.csv")
     elif args.format == "text":
         _write_or_print(_contrast_text(payload), args.out, "contrast.txt")
     else:
@@ -234,12 +219,15 @@ def cmd_simulate(args) -> int:
         south = int((layout[:, -1] <= np.median(layout[:, -1])).sum())
         metadata["layout"]["south_north_split"] = [south, config.n - south]
     payload = dict(pkgio.coverage_table_dict(table), metadata=metadata)
+    coverage_csv = pkgio.dump_csv(
+        [f.name for f in dataclasses.fields(CoverageRow)], map(dataclasses.astuple, table.rows)
+    )
     if args.out is not None:
-        _write_or_print(table.to_csv(), args.out, "coverage.csv")
+        _write_or_print(coverage_csv, args.out, "coverage.csv")
         _write_or_print(table.to_text(), args.out, "coverage.txt")
         _write_or_print(pkgio.dump_json(payload), args.out, "coverage.json")
     if args.format == "csv":
-        sys.stdout.write(table.to_csv())
+        sys.stdout.write(coverage_csv)
     elif args.format == "json":
         sys.stdout.write(pkgio.dump_json(payload))
     else:
@@ -313,7 +301,6 @@ def _add_common(parser, *, data=True):
         parser.add_argument("--data", required=True, help="unit table CSV")
     parser.add_argument("--out", default=None, help="directory for output files (default: stdout)")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument("--alpha", type=float, default=None, help="significance level override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="upper bounds on the full-treatment mean outcome")
     _add_common(p_est)
+    p_est.add_argument("--alpha", type=float, default=None, help="significance level override")
     p_est.add_argument("--neighborhoods", default=None, help="explicit adjacency JSON instead of k-NN")
     p_est.add_argument("--format", choices=("json", "text", "csv"), default="json")
     p_est.add_argument("--dump-matrices", action="store_true", help="write joint/excess matrices as CSV")

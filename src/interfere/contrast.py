@@ -13,6 +13,10 @@ sampling without replacement; the exposure-split interval assumes Bernoulli
 assignment plus the same design conditions as the monotone machinery, which
 cannot be validated from observed data and are therefore recorded in the
 report text.
+
+``_split_deltas`` scores (R, n) rows of 0/1 groups: a unit-level split is its
+one-row case, and ``concentration_check`` scores all its drawn groups in one
+call, so it measures the reported statistic. ``_report`` builds every interval.
 """
 
 from __future__ import annotations
@@ -117,6 +121,42 @@ def _exposure_scale(lam: float, n: int, p: float) -> float:
     return math.sqrt(lam / n) / (2.0 * p * (1.0 - p))
 
 
+def _split_deltas(y: np.ndarray, groups: np.ndarray) -> tuple:
+    """Sizes and deltas of the groups of (R, n) 0/1 rows over binary ``y``; the
+    sums are exact, so a row's delta does not depend on the other rows. An
+    empty or full group gets nan or inf."""
+    counts = groups.sum(axis=1)
+    return counts, _delta(groups @ y, counts, y.sum(), y.size)
+
+
+def _delta(positives, count, total: int, n: int):
+    """Mean outcome of a group of ``count`` units less that of the other units."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return positives / count - (total - positives) / (n - count)
+
+
+def _report(kind: str, delta, n_exposed: int, n: int, scale: float, alpha: float,
+            lam: Optional[EigenvalueBound] = None) -> ContrastReport:
+    """Intervals delta - z_(1-alpha) ``scale`` and delta -+ z_(1-alpha/2) ``scale``;
+    only an exposure split has an eigenvalue bound ``lam``."""
+    half = norm_ppf(1.0 - alpha / 2.0) * scale
+    eigen = {} if lam is None else dict(
+        lambda_1=lam.value, lambda_1_certificate=lam.certificate,
+        lambda_1_ritz=lam.ritz, lambda_1_steps=lam.steps,
+    )
+    return ContrastReport(
+        kind=kind,
+        delta=float(delta),
+        one_sided_lower=float(delta - norm_ppf(1.0 - alpha) * scale),
+        two_sided=(float(delta - half), float(delta + half)),
+        alpha=alpha,
+        n_exposed=int(n_exposed),
+        n_unexposed=int(n - n_exposed),
+        assumptions=_TREATMENT_ASSUMPTIONS if lam is None else _EXPOSURE_ASSUMPTIONS,
+        **eigen,
+    )
+
+
 def attributable_contrast_from_counts(
     n_treated: int,
     pos_treated: int,
@@ -142,21 +182,8 @@ def attributable_contrast_from_counts(
             raise ValidationError(f"{name} arm is empty; both arms are required")
         if not 0 <= pos <= total:
             raise ValidationError(f"{name} positives must lie in [0, {total}], got {pos}")
-    delta = pos1 / n1 - pos0 / n0
-    scale = _treatment_scale(n1, n0)
-    one_sided = delta - norm_ppf(1.0 - alpha) * scale
-    half = norm_ppf(1.0 - alpha / 2.0) * scale
-    return ContrastReport(
-        kind="treatment",
-        delta=float(delta),
-        one_sided_lower=float(one_sided),
-        two_sided=(float(delta - half), float(delta + half)),
-        alpha=alpha,
-        n_exposed=n1,
-        n_unexposed=n0,
-        lambda_1=None,
-        assumptions=_TREATMENT_ASSUMPTIONS,
-    )
+    delta = _delta(pos1, n1, pos1 + pos0, n1 + n0)
+    return _report("treatment", delta, n1, n1 + n0, _treatment_scale(n1, n0), alpha)
 
 
 def attributable_contrast(x, y, alpha: float) -> ContrastReport:
@@ -165,11 +192,12 @@ def attributable_contrast(x, y, alpha: float) -> ContrastReport:
     y = _check_binary(y, "outcome")
     if x.shape != y.shape:
         raise ValidationError("treatment and outcome vectors differ in length")
-    n1 = int(x.sum())
-    n0 = int(x.size - n1)
-    if n1 < 1 or n0 < 1:
+    (n1,), (delta,) = _split_deltas(y, x[None])
+    n1, n = int(n1), x.size
+    if n1 < 1 or n1 > n - 1:
         raise ValidationError("both a treated and a control group are required")
-    return attributable_contrast_from_counts(n1, int(y[x > 0].sum()), n0, int(y[x == 0].sum()), alpha)
+    _check_two_sided_alpha(alpha)
+    return _report("treatment", delta, n1, n, _treatment_scale(n1, n - n1), alpha)
 
 
 def _log_ratio(n: int) -> float:
@@ -206,7 +234,7 @@ def _centered_operator(matrix) -> tuple:
     (Monte Carlo, enumeration) already holds O(n^2) values and takes the
     dense product, as does a dense J (with c = 0).
     """
-    if isinstance(matrix, ExposureProfile) and matrix.rows.size < matrix.n * (matrix.n - 1) // 2:
+    if isinstance(matrix, ExposureProfile) and matrix.off_pattern:
         n, shift = matrix.n, matrix.p * matrix.p
         diag, pair = matrix.diag - shift, matrix.values - shift
         rows, cols = matrix.rows, matrix.cols
@@ -322,33 +350,16 @@ def exposure_attributable_contrast(
     _check_two_sided_alpha(alpha)
     y = _check_binary(y, "outcome")
     n = profile.n
-    if y.size != n:
-        raise ValidationError("outcome vector and profile differ in length")
+    if y.size != n or exposure.indicator.size != n:
+        raise ValidationError("outcome vector, exposure and profile differ in length")
     count = exposure.count
     if count < 1 or count > n - 1:
         raise ValidationError(
             f"the exposure split needs both groups nonempty, got {count} of {n} exposed"
         )
-    active = exposure.indicator > 0
-    delta = float(y[active].mean() - y[~active].mean())
+    _, (delta,) = _split_deltas(y, exposure.indicator[None])
     lam = largest_centered_eigenvalue(profile)
-    scale = _exposure_scale(lam.value, n, profile.p)
-    one_sided = delta - norm_ppf(1.0 - alpha) * scale
-    half = norm_ppf(1.0 - alpha / 2.0) * scale
-    return ContrastReport(
-        kind="exposure",
-        delta=delta,
-        one_sided_lower=float(one_sided),
-        two_sided=(float(delta - half), float(delta + half)),
-        alpha=alpha,
-        n_exposed=count,
-        n_unexposed=n - count,
-        lambda_1=lam.value,
-        lambda_1_certificate=lam.certificate,
-        lambda_1_ritz=lam.ritz,
-        lambda_1_steps=lam.steps,
-        assumptions=_EXPOSURE_ASSUMPTIONS,
-    )
+    return _report("exposure", delta, count, n, _exposure_scale(lam.value, n, profile.p), alpha, lam)
 
 
 def concentration_check(
@@ -373,36 +384,25 @@ def concentration_check(
     _check_two_sided_alpha(alpha)
     seed = check_seed(seed, philox=True)
     n = xi.size
-    z = norm_ppf(1.0 - alpha)
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     if isinstance(design, (int, float, np.number)):
         n1 = check_integer(design, "treated-group size")
         if not 1 <= n1 <= n - 1:
             raise ValidationError(f"treated-group size must lie in [1, {n - 1}], got {n1}")
-        n0 = n - n1
-        total = xi.sum()
-        uniforms = rng.random((num_draws, n))
-        treated_idx = np.argpartition(uniforms, n1 - 1, axis=1)[:, :n1]
-        treated_sum = xi[treated_idx].sum(axis=1)
-        deltas = treated_sum / n1 - (total - treated_sum) / n0
-        bound = z * _treatment_scale(n1, n0)
-        valid = np.ones(num_draws, dtype=bool)
+        groups = np.zeros((num_draws, n), dtype=np.int8)
+        treated = np.argpartition(rng.random((num_draws, n)), n1 - 1, axis=1)[:, :n1]
+        np.put_along_axis(groups, treated, 1, axis=1)
+        scale = _treatment_scale(n1, n - n1)
         kind = "treatment"
     else:
         nbhd, mapping, rho = design
         profile = exact_profile(nbhd, mapping, rho)
-        x = (rng.random((num_draws, n)) < rho).astype(np.int8)
-        zmat = evaluate_exposure_many(x, nbhd, mapping).astype(float)
-        counts = zmat.sum(axis=1)
-        valid = (counts > 0) & (counts < n)
-        exposed_sum = zmat @ xi
-        total = xi.sum()
-        deltas = np.full(num_draws, np.nan)
-        deltas[valid] = exposed_sum[valid] / counts[valid] - (total - exposed_sum[valid]) / (
-            n - counts[valid]
-        )
-        bound = z * _exposure_scale(largest_centered_eigenvalue(profile).value, n, profile.p)
+        groups = evaluate_exposure_many((rng.random((num_draws, n)) < rho).astype(np.int8), nbhd, mapping)
+        scale = _exposure_scale(largest_centered_eigenvalue(profile).value, n, profile.p)
         kind = "exposure"
+    counts, deltas = _split_deltas(xi, groups)
+    valid = (counts > 0) & (counts < n)
+    bound = norm_ppf(1.0 - alpha) * scale
     exceed = int(np.sum(deltas[valid] > bound))
     num_valid = int(valid.sum())
     return ConcentrationSummary(

@@ -55,7 +55,6 @@ class ExposureProfile:
     values: np.ndarray          # (m,) J[rows, cols]
     row_excess: np.ndarray      # (n,) row sums of the excess matrix
     excess_total: float         # sum of all excess entries
-    min_joint: float            # smallest off-diagonal joint probability
     overlap_degree: int         # max number of other neighborhoods meeting any set
     method: str                 # "exact" | "monte_carlo" | "enumeration"
     num_samples: Optional[int] = None
@@ -63,6 +62,18 @@ class ExposureProfile:
     @property
     def n(self) -> int:
         return self.diag.shape[0]
+
+    @property
+    def off_pattern(self) -> bool:
+        """Whether some pair lies off the pattern, so has joint probability p^2."""
+        return self.rows.size < self.n * (self.n - 1) // 2
+
+    @property
+    def min_joint(self) -> float:
+        """Smallest off-diagonal joint probability (p for a single unit)."""
+        if self.n == 1:
+            return self.p
+        return float(np.min(self.values, initial=self.p * self.p if self.off_pattern else np.inf))
 
     @property
     def joint(self) -> np.ndarray:
@@ -183,8 +194,6 @@ def center_excess(joint: np.ndarray, p: float) -> tuple:
 
 def _finalize(p, diag, rows, cols, values, degree, method, num_samples=None) -> ExposureProfile:
     n = diag.shape[0]
-    off_pattern = rows.size < n * (n - 1) // 2
-    min_joint = float(p) if n == 1 else float(np.min(values, initial=p * p if off_pattern else np.inf))
     pair_excess = values - p * p
     row_excess = (
         (diag - p * (1.0 - p)) - p * p
@@ -201,7 +210,6 @@ def _finalize(p, diag, rows, cols, values, degree, method, num_samples=None) -> 
         values=values,
         row_excess=row_excess,
         excess_total=float(row_excess.sum()),
-        min_joint=min_joint,
         overlap_degree=degree,
         method=method,
         num_samples=num_samples,
@@ -268,10 +276,12 @@ def exact_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -
 
 
 def _mc_shard_counts(nbhd, mapping, rho, seed, shard, shard_n):
+    """Joint exposure counts of at most 2^16 draws: exact in float32 (< 2^24),
+    widened to float64 for the sum over shards."""
     rng = np.random.Generator(np.random.Philox(key=[seed, shard]))
     x = (rng.random((shard_n, nbhd.n)) < rho).astype(np.int8)
-    z = evaluate_exposure_many(x, nbhd, mapping).astype(float)
-    return z.T @ z
+    z = evaluate_exposure_many(x, nbhd, mapping).astype(np.float32)
+    return (z.T @ z).astype(np.float64)
 
 
 def monte_carlo_profile(

@@ -23,6 +23,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from io import StringIO
 from pathlib import Path
 from typing import Optional
 
@@ -363,3 +364,12 @@ def coverage_table_dict(table: CoverageTable) -> dict:
 def dump_json(payload) -> str:
     """Deterministic JSON rendering; floats round-trip exactly."""
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def dump_csv(header, rows) -> str:
+    """CSV rendering: None is an empty cell and floats round-trip exactly."""
+    buffer = StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()

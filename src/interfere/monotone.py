@@ -132,7 +132,7 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
     second = np.concatenate((np.arange(n), profile.cols))
     joint = np.concatenate((profile.diag, profile.values))
     exposed = indicator > 0
-    off_pattern = profile.rows.size < n * (n - 1) // 2  # some pair lies off the pattern
+    off_pattern = profile.off_pattern
     zero = joint <= 0.0
     bad = (exposed[:, first[zero]] & exposed[:, second[zero]]).any(axis=1)
     if off_pattern and not pp > 0.0:

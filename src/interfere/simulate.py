@@ -37,11 +37,9 @@ it, so the tables equal those of scoring each replicate alone.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -263,25 +261,6 @@ class CoverageTable:
     seed: int
     estimand: float             # mean counterfactual under full treatment
     rows: tuple
-
-    _CSV_FIELDS = tuple(f.name for f in fields(CoverageRow))
-
-    def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(self._CSV_FIELDS)
-        for row in self.rows:
-            record = []
-            for field in self._CSV_FIELDS:
-                value = getattr(row, field)
-                if value is None:
-                    record.append("")
-                elif isinstance(value, float):
-                    record.append(repr(value))
-                else:
-                    record.append(value)
-            writer.writerow(record)
-        return buffer.getvalue()
 
     def to_text(self) -> str:
         lines = [

@@ -5,7 +5,10 @@ import pytest
 from scipy.sparse.linalg import eigsh
 
 import interfere as itf
-from interfere.contrast import _ROUNDING, _SLACK, _centered_operator, _lanczos_steps, _random_start_slack
+from interfere import contrast
+from interfere.contrast import (
+    _ROUNDING, _SLACK, _centered_operator, _lanczos_steps, _random_start_slack, _split_deltas,
+)
 from interfere.errors import ValidationError
 from interfere.normal import norm_ppf
 
@@ -246,6 +249,12 @@ class TestExposureSplitContrast:
         with pytest.raises(ValidationError, match="nonempty"):
             itf.exposure_attributable_contrast(np.zeros(40, dtype=int), expo, profile, 0.05)
 
+    def test_exposure_of_another_length_rejected(self):
+        _, _, profile = self._design()
+        expo = itf.EffectiveTreatment(indicator=np.array([1, 0, 1], dtype=np.int8), count=2)
+        with pytest.raises(ValidationError, match="differ in length"):
+            itf.exposure_attributable_contrast(np.zeros(40, dtype=int), expo, profile, 0.05)
+
     def test_report_carries_assumption_text(self):
         nbhd, mapping, profile = self._design()
         x = (np.random.default_rng(9).random(40) < 0.5).astype(np.int8)
@@ -285,3 +294,48 @@ class TestConcentrationCheck:
     def test_rejects_nonbinary(self):
         with pytest.raises(ValidationError, match="binary"):
             itf.concentration_check(np.array([0.5, 1.0]), 10, 1)
+
+
+def recorded_draws(monkeypatch, *args, **kwargs):
+    """Run concentration_check and return its summary with the group rows
+    and deltas it scored."""
+    calls = []
+
+    def record(y, groups):
+        counts, deltas = _split_deltas(y, groups)
+        calls.append((groups.copy(), deltas.copy()))
+        return counts, deltas
+
+    with monkeypatch.context() as patch:
+        patch.setattr(contrast, "_split_deltas", record)
+        summary = itf.concentration_check(*args, **kwargs)
+    (groups, deltas), = calls
+    return summary, groups, deltas
+
+
+class TestConcentrationCheckScoresTheReportedDelta:
+    """Every draw's delta is the one the report of that draw's groups gives."""
+
+    def test_treatment_split(self, monkeypatch):
+        xi = (np.random.default_rng(5).random(50) < 0.4).astype(int)
+        summary, groups, deltas = recorded_draws(monkeypatch, xi, 200, 17, alpha=0.05, seed=3)
+        assert groups.shape == (200, 50) and (groups.sum(axis=1) == 17).all()
+        for row, delta in zip(groups, deltas):
+            assert itf.attributable_contrast(row, xi, 0.05).delta == delta
+        assert summary.exceed_count == int((deltas > summary.bound).sum()) > 0
+
+    @pytest.mark.parametrize("mapping", [itf.ExposureMapping.threshold(2), itf.ExposureMapping.product()])
+    def test_exposure_split(self, monkeypatch, mapping):
+        nbhd = itf.build_knn_neighborhoods(itf.synthetic_layout("uniform_square", 24, seed=2), 3)
+        profile = itf.exact_profile(nbhd, mapping, 0.4)
+        xi = (np.random.default_rng(6).random(24) < 0.5).astype(int)
+        summary, groups, deltas = recorded_draws(monkeypatch, xi, 120, (nbhd, mapping, 0.4), alpha=0.2, seed=8)
+        counts = groups.sum(axis=1)
+        valid = (counts > 0) & (counts < 24)
+        assert summary.num_valid == int(valid.sum()) > 0
+        for row, count, delta in zip(groups[valid], counts[valid], deltas[valid]):
+            exposure = itf.EffectiveTreatment(indicator=row, count=int(count))
+            report = itf.exposure_attributable_contrast(xi, exposure, profile, 0.2)
+            assert report.delta == delta
+            assert report.n_exposed == count
+        assert summary.exceed_count == int((deltas[valid] > summary.bound).sum())

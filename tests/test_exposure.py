@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import interfere as itf
 from interfere.errors import ValidationError
+from interfere.exposure import _MC_SHARD, _mc_shard_counts
 
 from conftest import random_design
 
@@ -161,6 +162,20 @@ class TestMonteCarloProfile:
         se = np.sqrt(exact.joint * (1 - exact.joint) / samples)
         gap = np.abs(mc.joint - exact.joint)
         assert np.all(gap <= 3.0 * np.maximum(se, 1e-12))
+
+    def test_full_shard_counts_are_exact(self):
+        # A full shard of 2^16 draws at rho near 1: the diagonal counts come
+        # close to 2^16, and the float32 product must still equal the integer one.
+        nbhd = itf.build_knn_neighborhoods(np.arange(12.0)[:, None], 3)
+        mapping = itf.ExposureMapping.threshold(2)
+        counts = _mc_shard_counts(nbhd, mapping, 0.999, 5, 0, _MC_SHARD)
+        rng = np.random.Generator(np.random.Philox(key=[5, 0]))
+        x = (rng.random((_MC_SHARD, 12)) < 0.999).astype(np.int8)
+        z = itf.evaluate_exposure_many(x, nbhd, mapping).astype(np.int64)
+        assert _MC_SHARD == 2**16
+        assert counts.dtype == np.float64
+        assert np.diagonal(counts).min() > 0.99 * _MC_SHARD
+        assert np.array_equal(counts, z.T @ z)
 
     def test_records_method_and_samples(self):
         nbhd = itf.build_knn_neighborhoods(np.arange(4.0)[:, None], 1)

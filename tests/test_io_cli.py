@@ -400,8 +400,20 @@ class TestCliSimulate:
         second = capsys.readouterr().out
         assert first != second
 
+    def test_csv_has_a_header_and_one_row_per_design(self, tmp_path, capsys):
+        main(["simulate", "--config", str(self._config(tmp_path)), "--format", "csv"])
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.startswith("d_min,d,replicates,n_valid")
+        assert len(rows) == 1 and rows[0].startswith("1,1,40,")
+
 
 class TestCliProbcheck:
+    def test_alpha_is_not_an_option(self, units_file, config_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["probcheck", "--config", str(config_file), "--data", str(units_file), "--alpha", "7"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --alpha 7" in capsys.readouterr().err
+
     def test_oracle_agreement_small_design(self, units_file, tmp_path, capsys):
         config = tmp_path / "c.json"
         config.write_text(

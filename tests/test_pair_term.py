@@ -149,8 +149,7 @@ def synthetic_profile(gen, n, u, t):
         arr.setflags(write=False)
     return ExposureProfile(
         p=p, diag=diag, rows=rows, cols=cols, values=values, row_excess=u * n,
-        excess_total=t * n * n, min_joint=float(values.min(initial=p * p)),
-        overlap_degree=0, method="exact",
+        excess_total=t * n * n, overlap_degree=0, method="exact",
     )
 
 

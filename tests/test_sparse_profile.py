@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import interfere as itf
 from interfere.exposure import _binom_pmf_table, _binom_sf_table, _mc_shard_counts, _overlapping_pairs, _sf
@@ -83,6 +83,23 @@ def reference_variance(values, exposure, joint, p, clip):
     return lead + pair
 
 
+def reference_rounding(values, exposure, joint, p):
+    """Bound on the rounding of ``reference_variance``: 4 n eps times the summed
+    magnitude of its terms, the centered entries taken as |P| |excess| |P|.
+
+    A variance that is exactly 0 can come out of the projection products as
+    a residue of order eps, so the clipped check cannot be relative alone.
+    """
+    n = joint.shape[0]
+    idx = np.flatnonzero(exposure.indicator)
+    excess, _ = reference_center(joint, p)
+    proj = np.abs(np.eye(n) - np.ones((n, n)) / n)
+    block = (proj @ np.abs(excess) @ proj)[np.ix_(idx, idx)]
+    v = np.abs(np.asarray(values, dtype=float)[idx])
+    lead = n * p * (1.0 - p) * float(((v + v.mean()) ** 2).mean())
+    return 4 * n * np.finfo(float).eps * (lead + float(v @ (block / joint[np.ix_(idx, idx)]) @ v))
+
+
 def check_against_reference(nbhd, mapping, rho, gen, profile=None, x=None):
     joint, p = reference_joint(nbhd, mapping, rho)
     if profile is None:
@@ -100,7 +117,8 @@ def check_against_reference(nbhd, mapping, rho, gen, profile=None, x=None):
         return profile, exposure, None, None
     values = gen.gamma(2.0, 5.0, size=nbhd.n)
     got = conservative_variance(values, exposure, profile)
-    assert got >= reference_variance(values, exposure, joint, p, clip=True) * (1 - 1e-12)
+    want = reference_variance(values, exposure, joint, p, clip=True)
+    assert got >= want * (1 - 1e-12) - reference_rounding(values, exposure, joint, p)
     want = reference_variance(values, exposure, joint, p, clip=False)
     assert variance_estimate(values, exposure, profile) == pytest.approx(want, rel=1e-12, abs=1e-12)
     return profile, exposure, values, got
@@ -109,6 +127,7 @@ def check_against_reference(nbhd, mapping, rho, gen, profile=None, x=None):
 class TestExactProfileMatchesDense:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @example(seed=201)  # a variance of exactly 0, which the reference rounds to 1.1e-16
     def test_random_small_designs(self, seed):
         gen = np.random.default_rng(seed)
         nbhd, mapping, rho = random_design(gen, max_units=14)
