@@ -20,8 +20,10 @@ import numpy as np
 
 from .errors import ValidationError, check_integer
 
-# Entries of the (rows, n, dim) difference block built per k-NN chunk.
+# Entries of the (rows, candidates, dim) difference block built per k-NN chunk.
 _KNN_CHUNK = 1 << 20
+# A k-NN leaf bucket holds max(_KNN_LEAF, d) points up to twice that (or all n, when fewer).
+_KNN_LEAF = 16
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -215,13 +217,126 @@ class EffectiveTreatment:
         object.__setattr__(self, "indicator", _frozen_array(indicator, np.int8))
 
 
+def _knn_tree(coords: np.ndarray, size: int) -> tuple:
+    """A median-split tree: a node holding at least ``2 * size`` points is
+    halved at the median of its widest axis, so every leaf holds between
+    ``size`` and ``2 * size - 1`` points (all of them when there are fewer
+    than ``2 * size``, or no axis to split).
+
+    Returns the leaves' sorted index arrays and, per node in breadth-first
+    order (the root first), its bounding box ``low``, ``high`` and its two
+    children, ``-1`` for a leaf; the leaves come in the order of their nodes.
+    """
+    nodes, leaves, low, high, child = [np.arange(coords.shape[0])], [], [], [], []
+    for i, idx in enumerate(nodes):
+        nodes[i] = None
+        pts = coords[idx]
+        low.append(pts.min(axis=0))
+        high.append(pts.max(axis=0))
+        if idx.size < 2 * size or coords.shape[1] == 0:
+            leaves.append(np.sort(idx))
+            child.append((-1, -1))
+            continue
+        half = idx.size // 2
+        part = np.argpartition(pts[:, int(np.argmax(high[i] - low[i]))], half)
+        child.append((len(nodes), len(nodes) + 1))
+        nodes += [idx[part[:half]], idx[part[half:]]]
+    return leaves, np.array(low), np.array(high), np.array(child, dtype=np.int64)
+
+
+def _near_leaves(low: np.ndarray, high: np.ndarray, child: np.ndarray, limit: np.ndarray):
+    """Yield, for each leaf a in order, the other leaves whose box distance
+    to a's box is at most ``limit[a]``. The box distance is the length of
+    the per-axis gaps between two boxes.
+
+    The tree is descended from the root for a batch of leaves at once, and
+    a node is dropped with everything under it when its box is farther. A
+    batch holds as many leaves as keep its (leaf, node) pairs of one level,
+    and the leaves it finds, within about ``_KNN_CHUNK`` entries.
+    """
+    is_leaf = child[:, 0] < 0
+    leaf_node = np.flatnonzero(is_leaf)
+    leaf_of = np.cumsum(is_leaf) - 1
+    count = leaf_node.size
+    step = max(1, _KNN_CHUNK // (count * max(low.shape[1], 1)))
+    for lo in range(0, count, step):
+        a = np.arange(lo, min(lo + step, count))
+        b = np.zeros(a.size, dtype=np.int64)
+        found_a, found_b = [], []
+        while a.size:
+            qa = leaf_node[a]
+            gap = np.maximum(np.maximum(low[b] - high[qa], low[qa] - high[b]), 0.0)
+            near = np.sqrt(np.einsum("ij,ij->i", gap, gap)) <= limit[a]
+            a, b = a[near], b[near]
+            done = is_leaf[b]
+            found_a.append(a[done])
+            found_b.append(leaf_of[b[done]])
+            a, b = np.repeat(a[~done], 2), child[b[~done]].ravel()
+        a, b = np.concatenate(found_a), np.concatenate(found_b)
+        a, b = a[a != b], b[a != b]
+        order = np.argsort(a, kind="stable")
+        yield from np.split(b[order], np.searchsorted(a[order], np.arange(lo + 1, min(lo + step, count))))
+
+
+def _knn_block(coords: np.ndarray, rows: np.ndarray, cols: np.ndarray, d: int) -> tuple:
+    """Each query row's d nearest among the ascending candidate indices
+    ``cols`` (which include the rows), and its d-th distance.
+
+    The row itself is placed first; everything strictly below the d-th
+    smallest distance is in, and the remaining places go to the lowest
+    indices tied at that distance. Rows are scored in chunks whose difference
+    block holds about ``_KNN_CHUNK`` entries.
+    """
+    members = np.empty((rows.size, d), dtype=np.int64)
+    radius = np.empty(rows.size)
+    own = np.searchsorted(cols, rows)
+    row_coords, col_coords = coords[rows], coords[cols]
+    step = max(1, _KNN_CHUNK // (cols.size * max(coords.shape[1], 1)))
+    for lo in range(0, rows.size, step):
+        hi = min(lo + step, rows.size)
+        diff = row_coords[lo:hi, None, :] - col_coords[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist[np.arange(hi - lo), own[lo:hi]] = -1.0
+        kth = np.partition(dist, d - 1, axis=1)[:, d - 1 : d]
+        chosen = dist < kth
+        short = d - chosen.sum(axis=1, keepdims=True)
+        tied = dist == kth
+        chosen |= tied & (np.cumsum(tied, axis=1) <= short)
+        members[lo:hi] = cols[np.nonzero(chosen)[1].reshape(hi - lo, d)]
+        radius[lo:hi] = kth[:, 0]
+    return members, radius
+
+
 def build_knn_neighborhoods(pop_or_coords, d: int) -> NeighborhoodSet:
     """Each unit's set is itself plus its d-1 nearest units (Euclidean).
 
     Distance ties are broken by ascending unit index, so the result is
-    deterministic across platforms. Distances are computed in row chunks
-    whose difference block holds about ``_KNN_CHUNK`` entries, so no (n, n)
-    array is ever built.
+    deterministic across platforms.
+
+    The points are split at the median of the widest axis into leaf buckets
+    of ``max(_KNN_LEAF, d)`` to twice that many points (Friedman, Bentley &
+    Finkel 1977). A leaf's rows are first scored against the leaf itself;
+    the largest d-th distance found, ``r``, bounds every row's true d-th
+    distance. The rows are then scored against every leaf whose box distance
+    (the length of the per-axis gaps between the two bounding boxes) is at
+    most ``r`` times ``1 + 8 dim eps``, with the candidates in ascending
+    index. Those leaves are found by descending the tree, which drops a node
+    and all under it when the node's box is farther. The certificate:
+    rounding is monotone, so a gap never exceeds the rounded coordinate
+    difference of any two points in the boxes, and the allowance covers a
+    different order of summing the squares. Every point left out is
+    therefore strictly farther than each row's d-th distance, the d-th
+    distance and the points tied at it are all among the candidates, and
+    the members equal those of a search over all n points, bit for bit.
+
+    Distances are the same ``sqrt(einsum)`` of coordinate differences as an
+    all-pairs search. Each distance block holds about ``_KNN_CHUNK``
+    differences (rows are scored in chunks when the candidates are many), so
+    working memory stays within a few such blocks: no (n, n) array is built.
+    On spread-out points a leaf has O(1) candidate leaves and the cost is
+    about n log n; on points that are all (nearly) equal every leaf is a
+    candidate of every other, and the cost is the all-pairs O(n^2) in time,
+    still not in memory.
     """
     coords = np.asarray(getattr(pop_or_coords, "coords", pop_or_coords), dtype=float)
     if coords.ndim == 1:
@@ -230,25 +345,20 @@ def build_knn_neighborhoods(pop_or_coords, d: int) -> NeighborhoodSet:
         raise ValidationError("coordinates must form an (n, dim) array")
     if not np.isfinite(coords).all():
         raise ValidationError("coordinates must be finite")
-    n = coords.shape[0]
+    n, dim = coords.shape
     d = check_integer(d, "neighborhood size d")
     if not 1 <= d <= n:
         raise ValidationError(f"neighborhood size d must satisfy 1 <= d <= {n}, got {d}")
+    leaves, low, high, child = _knn_tree(coords, max(_KNN_LEAF, d))
     members = np.empty((n, d), dtype=np.int64)
-    step = max(1, _KNN_CHUNK // (n * max(coords.shape[1], 1)))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        diff = coords[lo:hi, None, :] - coords[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        dist[np.arange(hi - lo), np.arange(lo, hi)] = -1.0  # the unit itself comes first
-        # Everything strictly below the d-th smallest distance is in; the
-        # remaining places go to the lowest indices tied at that distance.
-        kth = np.partition(dist, d - 1, axis=1)[:, d - 1 : d]
-        chosen = dist < kth
-        short = d - chosen.sum(axis=1, keepdims=True)
-        tied = dist == kth
-        chosen |= tied & (np.cumsum(tied, axis=1) <= short)
-        members[lo:hi] = np.nonzero(chosen)[1].reshape(hi - lo, d)
+    limit = np.empty(len(leaves))
+    for a, rows in enumerate(leaves):
+        members[rows], radius = _knn_block(coords, rows, rows, d)
+        limit[a] = radius.max() * (1.0 + 8.0 * max(dim, 1) * np.finfo(float).eps)
+    for rows, near in zip(leaves, _near_leaves(low, high, child, limit)):
+        if near.size:
+            cols = np.sort(np.concatenate([rows] + [leaves[b] for b in near]))
+            members[rows] = _knn_block(coords, rows, cols, d)[0]
     return NeighborhoodSet(members=members)
 
 

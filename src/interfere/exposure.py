@@ -32,6 +32,8 @@ from .design import ExposureMapping, NeighborhoodSet, evaluate_exposure_many, _c
 from .errors import ValidationError, check_integer, check_seed
 
 _MC_SHARD = 1 << 16
+# Uniforms drawn and counted at once within a Monte Carlo shard (8 MiB of float64).
+_MC_DRAW = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -277,11 +279,17 @@ def exact_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -
 
 def _mc_shard_counts(nbhd, mapping, rho, seed, shard, shard_n):
     """Joint exposure counts of at most 2^16 draws: exact in float32 (< 2^24),
-    widened to float64 for the sum over shards."""
+    widened to float64 for the sum over shards. The draws are made and
+    counted in row chunks of about ``_MC_DRAW`` uniforms; the chunks continue
+    one Philox stream, so the counts equal those of the whole shard at once."""
     rng = np.random.Generator(np.random.Philox(key=[seed, shard]))
-    x = (rng.random((shard_n, nbhd.n)) < rho).astype(np.int8)
-    z = evaluate_exposure_many(x, nbhd, mapping).astype(np.float32)
-    return (z.T @ z).astype(np.float64)
+    counts = np.zeros((nbhd.n, nbhd.n), dtype=np.float32)
+    step = max(1, _MC_DRAW // nbhd.n)
+    for lo in range(0, shard_n, step):  # Philox fills rows in stream order
+        x = (rng.random((min(step, shard_n - lo), nbhd.n)) < rho).astype(np.int8)
+        z = evaluate_exposure_many(x, nbhd, mapping).astype(np.float32)
+        counts += z.T @ z
+    return counts.astype(np.float64)
 
 
 def monte_carlo_profile(

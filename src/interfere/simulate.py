@@ -301,9 +301,10 @@ def run_coverage_experiment(
     Coverage is reported both over condition-met replicates (the guarantee's
     domain) and over all valid replicates, since the gap between the two is
     exactly what ignoring the condition costs. Exposure profiles depend only
-    on the design, so they are computed once per configuration. Replicates
-    are drawn in batches of ``_BATCH`` entries and scored in one array pass
-    per design (see ``_replicate_outcomes``).
+    on the design, so they are computed once per configuration, on one k-NN
+    per distinct neighborhood size. Replicates are drawn in batches of
+    ``_BATCH`` entries and scored in one array pass per design (see
+    ``_replicate_outcomes``).
     """
     replicates = check_integer(replicates, "replicates")
     if replicates < 1:
@@ -312,9 +313,11 @@ def run_coverage_experiment(
     configs = [(check_integer(d_min, "d_min"), check_integer(d, "d")) for d_min, d in configs]
     if not configs:
         raise ValidationError("at least one (d_min, d) configuration is required")
-    prepared = []
+    prepared, neighborhoods = [], {}
     for d_min, d in configs:
-        nbhd = build_knn_neighborhoods(scenario.layout, d)
+        if d not in neighborhoods:
+            neighborhoods[d] = build_knn_neighborhoods(scenario.layout, d)
+        nbhd = neighborhoods[d]
         mapping = ExposureMapping.threshold(d_min)
         prepared.append((nbhd, mapping, exact_profile(nbhd, mapping, scenario.rho)))
     counters = [dict(skipped=0, degenerate=0, met=0, covered_met=0, covered_all=0) for _ in configs]

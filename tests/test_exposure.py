@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import interfere as itf
+from interfere import exposure
 from interfere.errors import ValidationError
 from interfere.exposure import _MC_SHARD, _mc_shard_counts
 
@@ -176,6 +177,17 @@ class TestMonteCarloProfile:
         assert counts.dtype == np.float64
         assert np.diagonal(counts).min() > 0.99 * _MC_SHARD
         assert np.array_equal(counts, z.T @ z)
+
+    def test_chunked_draws_equal_one_draw(self, monkeypatch):
+        # 1000 draws of 777 units, drawn and counted in chunks of 300 rows
+        # (300, 300, 300, 100), give the counts of the whole shard at once.
+        nbhd = itf.build_knn_neighborhoods(itf.synthetic_layout("uniform_square", 777, seed=3), 4)
+        mapping = itf.ExposureMapping.threshold(2)
+        rng = np.random.Generator(np.random.Philox(key=[9, 2]))
+        x = (rng.random((1000, 777)) < 0.4).astype(np.int8)
+        z = itf.evaluate_exposure_many(x, nbhd, mapping).astype(np.float32)
+        monkeypatch.setattr(exposure, "_MC_DRAW", 300 * 777 + 5)
+        assert np.array_equal(_mc_shard_counts(nbhd, mapping, 0.4, 9, 2, 1000), (z.T @ z).astype(np.float64))
 
     def test_records_method_and_samples(self):
         nbhd = itf.build_knn_neighborhoods(np.arange(4.0)[:, None], 1)

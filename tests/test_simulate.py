@@ -13,7 +13,7 @@ import interfere as itf
 from interfere.cli import main
 from interfere.design import EffectiveTreatment, evaluate_exposure_many
 from interfere.errors import ValidationError
-from interfere import monotone
+from interfere import monotone, simulate
 from interfere.monotone import _bound_from_values, _score
 from interfere.simulate import LAYOUT_KINDS, _adversarial_pool, _count_pool, _draw, _replicate_outcomes
 
@@ -135,6 +135,20 @@ class TestCoverageExperiment:
         a = itf.run_coverage_experiment(scenario, [(1, 1)], 0.05, 60)
         b = itf.run_coverage_experiment(scenario, [(1, 1)], 0.05, 60)
         assert a == b
+
+    def test_builds_neighborhoods_once_per_size(self, square49, monkeypatch):
+        scenario = itf.Scenario(kind="exposure_model", layout=square49, seed=5)
+        configs = [(1, 1), (2, 3), (4, 10), (5, 10), (3, 3)]
+        expected = itf.run_coverage_experiment(scenario, configs, 0.05, 40)
+        sizes = []
+
+        def counting_knn(pop_or_coords, d):
+            sizes.append(d)
+            return itf.build_knn_neighborhoods(pop_or_coords, d)
+
+        monkeypatch.setattr(simulate, "build_knn_neighborhoods", counting_knn)
+        assert itf.run_coverage_experiment(scenario, configs, 0.05, 40) == expected
+        assert sorted(sizes) == [1, 3, 10]
 
     def test_adversarial_1_1_identical_across_layouts(self):
         # at singleton neighborhoods geometry is unused, so tables agree cell
