@@ -6,6 +6,11 @@ condition failed (the numeric output is still produced).
 
 All output is deterministic for fixed inputs and seeds: JSON is key-sorted
 with round-trippable floats, and nothing emits timestamps.
+
+``estimate``, ``contrast`` and ``probcheck`` build their one design with
+``_neighborhoods`` (a mapping, and the ``--neighborhoods`` file or k-NN of
+size ``neighborhood.d``: one without the other is an error) and ``_profile``
+(Monte Carlo when ``p_method`` asks for it, with ``--seed`` as its seed).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .design import build_knn_neighborhoods, evaluate_exposure
 from .errors import InterfereError, ValidationError
 from .exposure import enumerated_profile, exact_profile, monte_carlo_profile
 from .monotone import bonferroni_scan, upper_confidence_bound
-from .simulate import CoverageRow, Scenario, run_coverage_experiment, synthetic_layout
+from .simulate import CoverageRow, Scenario, _southern_half, run_coverage_experiment, synthetic_layout
 
 CONDITION_FAILED_EXIT = 4
 
@@ -41,11 +46,31 @@ def _write_or_print(text: str, out_dir, filename: str) -> None:
         (path / filename).write_text(text)
 
 
-def _profile_for(config: pkgio.RunConfig, nbhd, seed_override=None):
-    if config.p_method == "mc":
-        seed = config.mc_seed if seed_override is None else seed_override
-        return monte_carlo_profile(nbhd, config.mapping, config.rho, config.mc_samples, seed)
-    return exact_profile(nbhd, config.mapping, config.rho)
+def _run_config(args) -> pkgio.RunConfig:
+    """The ``--config`` file, with ``--seed`` as its Monte Carlo seed when given."""
+    config = pkgio.load_run_config(args.config)
+    return config if args.seed is None else dataclasses.replace(config, mc_seed=args.seed)
+
+
+def _neighborhoods(command: str, config: pkgio.RunConfig, pop, path=None):
+    """The analysed sets: those of the ``path`` file (``estimate
+    --neighborhoods``) when given, else the k-NN sets of size ``config.d``.
+    A design needs a mapping and sets."""
+    if config.mapping is None or (path is None and config.d is None):
+        raise ValidationError(f"{command} needs config.mapping and config.neighborhood")
+    if path is None:
+        return build_knn_neighborhoods(pop, config.d)
+    nbhd = pkgio.load_neighborhoods(path)
+    if nbhd.n != pop.n:
+        raise ValidationError("neighborhood file and unit table differ in unit count")
+    return nbhd
+
+
+def _profile(config: pkgio.RunConfig, nbhd):
+    """The exposure profile: Monte Carlo when the config asks for it, else exact."""
+    if config.mc_samples is None:
+        return exact_profile(nbhd, config.mapping, config.rho)
+    return monte_carlo_profile(nbhd, config.mapping, config.rho, config.mc_samples, config.mc_seed)
 
 
 def _dump_matrices(profile, out_dir) -> None:
@@ -90,7 +115,7 @@ _REPORT_FIELDS = (
 def cmd_estimate(args) -> int:
     if args.dump_matrices and args.out is None:
         raise _UsageError("estimate: --dump-matrices needs --out")
-    config = pkgio.load_run_config(args.config)
+    config = _run_config(args)
     if args.alpha is not None:
         config = dataclasses.replace(config, alpha=args.alpha)
     pop = pkgio.load_units(args.data, config.rho)
@@ -100,24 +125,15 @@ def cmd_estimate(args) -> int:
             raise ValidationError("--neighborhoods cannot be combined with a bonferroni scan")
         if args.dump_matrices:
             raise ValidationError("--dump-matrices cannot be combined with a bonferroni scan")
-        if config.p_method == "mc":
+        if config.mc_samples is not None:
             raise ValidationError("Monte Carlo p_method is not supported in bonferroni scans")
         reports = bonferroni_scan(pop, config.bonferroni, config.alpha, config.variance_floor)
     else:
-        if config.mapping_kind is None:
-            raise ValidationError("estimate needs config.mapping (or a bonferroni list)")
-        if args.neighborhoods is not None:
-            nbhd = pkgio.load_neighborhoods(args.neighborhoods)
-            if nbhd.n != pop.n:
-                raise ValidationError("neighborhood file and unit table differ in unit count")
-        elif config.d is not None:
-            nbhd = build_knn_neighborhoods(pop, config.d)
-        else:
-            raise ValidationError("estimate needs config.neighborhood or --neighborhoods")
-        profile = _profile_for(config, nbhd, args.seed)
+        nbhd = _neighborhoods("estimate", config, pop, args.neighborhoods)
+        profile = _profile(config, nbhd)
         exposure = evaluate_exposure(pop, nbhd, config.mapping)
         report = upper_confidence_bound(pop, exposure, profile, config.alpha, config.variance_floor)
-        reports = [dataclasses.replace(report, d_min=config.d_min, d=config.d)]
+        reports = [dataclasses.replace(report, d_min=config.mapping.d_min, d=nbhd.k)]
         if args.dump_matrices:
             _dump_matrices(profile, args.out)
     payload = {
@@ -165,7 +181,7 @@ def cmd_contrast(args) -> int:
     alpha = args.alpha if args.alpha is not None else 0.05
     config = None
     if args.config is not None:
-        config = pkgio.load_run_config(args.config)
+        config = _run_config(args)
         if args.alpha is None:
             alpha = config.alpha
     payload = {"command": "contrast", "alpha": alpha}
@@ -177,9 +193,9 @@ def cmd_contrast(args) -> int:
         pop = pkgio.load_units(args.data, config.rho if config else 0.5)
         report = attributable_contrast(pop.treatment, pop.outcome, alpha)
         payload["treatment_split"] = pkgio.contrast_report_dict(report)
-        if config is not None and config.d is not None and config.mapping_kind is not None:
-            nbhd = build_knn_neighborhoods(pop, config.d)
-            profile = _profile_for(config, nbhd, args.seed)
+        if config is not None and (config.mapping is not None or config.d is not None):
+            nbhd = _neighborhoods("contrast", config, pop)
+            profile = _profile(config, nbhd)
             exposure = evaluate_exposure(pop, nbhd, config.mapping)
             zreport = exposure_attributable_contrast(pop.outcome, exposure, profile, alpha)
             payload["exposure_split"] = pkgio.contrast_report_dict(zreport)
@@ -216,7 +232,7 @@ def cmd_simulate(args) -> int:
         "seed": seed,
     }
     if config.layout_kind == "two_cluster":
-        south = int((layout[:, -1] <= np.median(layout[:, -1])).sum())
+        south = int(_southern_half(layout).sum())
         metadata["layout"]["south_north_split"] = [south, config.n - south]
     payload = dict(pkgio.coverage_table_dict(table), metadata=metadata)
     coverage_csv = pkgio.dump_csv(
@@ -238,11 +254,9 @@ def cmd_simulate(args) -> int:
 def cmd_probcheck(args) -> int:
     if args.dump_matrices and args.out is None:
         raise _UsageError("probcheck: --dump-matrices needs --out")
-    config = pkgio.load_run_config(args.config)
+    config = _run_config(args)
     pop = pkgio.load_units(args.data, config.rho)
-    if config.d is None or config.mapping_kind is None:
-        raise ValidationError("probcheck needs config.mapping and config.neighborhood")
-    nbhd = build_knn_neighborhoods(pop, config.d)
+    nbhd = _neighborhoods("probcheck", config, pop)
     exact = exact_profile(nbhd, config.mapping, config.rho)
     payload = {
         "command": "probcheck",
@@ -259,16 +273,15 @@ def cmd_probcheck(args) -> int:
             "max_abs_diff_joint": float(np.abs(exact.joint - oracle.joint).max()),
             "abs_diff_p": abs(exact.p - oracle.p),
         }
-    if config.p_method == "mc":
-        seed = args.seed if args.seed is not None else config.mc_seed
-        mc = monte_carlo_profile(nbhd, config.mapping, config.rho, config.mc_samples, seed)
+    if config.mc_samples is not None:
+        mc = _profile(config, nbhd)
         exact_joint = exact.joint
         diff = np.abs(mc.joint - exact_joint)
         se = np.sqrt(exact_joint * (1.0 - exact_joint) / config.mc_samples)
         positive = se > 0
         payload["mc"] = {
             "samples": config.mc_samples,
-            "seed": seed,
+            "seed": config.mc_seed,
             "max_abs_diff_joint": float(diff.max()),
             "max_se_ratio": float((diff[positive] / se[positive]).max()) if positive.any() else 0.0,
             "n_entries": int(diff.size),

@@ -18,6 +18,9 @@ The exact pairwise computation partitions the union of two neighborhoods into
 the two private parts and the shared part and convolves binomial counts over
 the three regions, so cost per pair is O(k^2) rather than O(2^|union|). A
 full-enumeration oracle (n <= 20) is provided for testing and diagnostics.
+
+``_threshold_designs`` prepares the threshold (d_min, d) designs of the
+Bonferroni scan and the simulation harness, on one k-NN per distinct d.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .design import ExposureMapping, NeighborhoodSet, evaluate_exposure_many, _check_mapping
+from .design import ExposureMapping, NeighborhoodSet, _check_mapping, build_knn_neighborhoods, evaluate_exposure_many
 from .errors import ValidationError, check_integer, check_seed
 
 _MC_SHARD = 1 << 16
@@ -275,6 +278,17 @@ def exact_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -
         ])
     values = table[where.ravel()]
     return _finalize(p, np.full(n, p), rows, cols, values, _degree(rows, cols, n), "exact")
+
+
+def _threshold_designs(coords, configs, rho):
+    """Yield (neighborhoods, mapping, exact profile) of each threshold
+    (d_min, d) design in ``configs``, on one k-NN per distinct d."""
+    neighborhoods = {}
+    for d_min, d in configs:
+        if d not in neighborhoods:
+            neighborhoods[d] = build_knn_neighborhoods(coords, d)
+        mapping = ExposureMapping.threshold(d_min)
+        yield neighborhoods[d], mapping, exact_profile(neighborhoods[d], mapping, rho)
 
 
 def _mc_shard_counts(nbhd, mapping, rho, seed, shard, shard_n):

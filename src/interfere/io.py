@@ -22,7 +22,7 @@ import dataclasses
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
 from typing import Optional
@@ -228,29 +228,22 @@ class RunConfig:
 
     rho: float
     alpha: float = 0.05
-    mapping_kind: Optional[str] = None   # "product" | "threshold"
-    d_min: Optional[int] = None
+    mapping: Optional[ExposureMapping] = None
     d: Optional[int] = None
     bonferroni: Optional[tuple] = None   # ((d_min, d), ...)
-    p_method: str = "exact"              # "exact" | "mc"
-    mc_samples: Optional[int] = None
+    mc_samples: Optional[int] = None     # Monte Carlo draws; None: exact profile
     mc_seed: int = 0
     variance_floor: Optional[float] = None
-    mapping: Optional[ExposureMapping] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ValidationError(f"config: rho must lie in (0, 1), got {self.rho}")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError(f"config: alpha must lie in (0, 1), got {self.alpha}")
-        if self.p_method not in ("exact", "mc"):
-            raise ValidationError(f"config: p_method must be 'exact' or 'mc', got {self.p_method!r}")
-        if self.p_method == "mc" and (self.mc_samples is None or self.mc_samples < 1):
+        if self.mc_samples is not None and self.mc_samples < 1:
             raise ValidationError("config: Monte Carlo p_method needs samples >= 1")
         if self.variance_floor is not None and not self.variance_floor > 0:
             raise ValidationError(f"config: diagnostics.c must be positive, got {self.variance_floor}")
-        if self.mapping_kind is not None:
-            object.__setattr__(self, "mapping", ExposureMapping(self.mapping_kind, self.d_min))
 
 
 def parse_run_config(data: dict) -> RunConfig:
@@ -265,10 +258,9 @@ def parse_run_config(data: dict) -> RunConfig:
         fields["alpha"] = _float(data["alpha"], "config", "alpha")
     if "mapping" in data:
         mapping = _object(data["mapping"], {"kind", "d_min"}, "config", "mapping")
-        kinds = ("product", "threshold")
-        fields["mapping_kind"] = _choice(mapping.get("kind"), kinds, "config", "mapping", "kind")
-        if "d_min" in mapping:
-            fields["d_min"] = _int(mapping["d_min"], "config", "mapping", "d_min")
+        kind = _choice(mapping.get("kind"), ("product", "threshold"), "config", "mapping", "kind")
+        d_min = _int(mapping["d_min"], "config", "mapping", "d_min") if "d_min" in mapping else None
+        fields["mapping"] = ExposureMapping(kind, d_min)
     if "neighborhood" in data:
         nbhd = _object(data["neighborhood"], {"d"}, "config", "neighborhood", required=("d",))
         fields["d"] = _int(nbhd["d"], "config", "neighborhood", "d")
@@ -277,7 +269,6 @@ def parse_run_config(data: dict) -> RunConfig:
     if "p_method" in data and data["p_method"] != "exact":
         method = _object(data["p_method"], {"kind", "samples", "seed"}, "config", "p_method")
         _choice(method.get("kind"), ("mc",), "config", "p_method", "kind")
-        fields["p_method"] = "mc"
         fields["mc_samples"] = _int(method.get("samples", 0), "config", "p_method", "samples")
         fields["mc_seed"] = _int(method.get("seed", 0), "config", "p_method", "seed")
     if "diagnostics" in data:
@@ -348,7 +339,6 @@ def monotone_report_dict(report: MonotoneCiReport) -> dict:
 
 def contrast_report_dict(report: ContrastReport) -> dict:
     data = dataclasses.asdict(report)
-    data["two_sided"] = list(report.two_sided)
     if report.lambda_1 is None:  # the treatment split has no eigenvalue
         for key in ("lambda_1_certificate", "lambda_1_ritz", "lambda_1_steps"):
             del data[key]
@@ -356,9 +346,7 @@ def contrast_report_dict(report: ContrastReport) -> dict:
 
 
 def coverage_table_dict(table: CoverageTable) -> dict:
-    data = dataclasses.asdict(table)
-    data["rows"] = [dataclasses.asdict(row) for row in table.rows]
-    return data
+    return dataclasses.asdict(table)
 
 
 def dump_json(payload) -> str:

@@ -18,8 +18,10 @@ produce under-coverage.
 
 Every bound here and in the simulation harness comes from one routine,
 ``_score``, over rows of outcomes and exposure indicators; a single analysis
-is its one-row case. Its variance (``_variances``) takes O(n log n + pairs)
-per row and builds no (n, n) or (|A|, |A|) array.
+is its one-row case, checked and shaped by ``_one_row``. Its variance
+(``_variances``) takes O(n log n + pairs) per row and builds no (n, n) or
+(|A|, |A|) array. The Bonferroni scan takes its designs from
+``exposure._threshold_designs``, as the simulation harness does.
 """
 
 from __future__ import annotations
@@ -30,20 +32,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .design import (
-    EffectiveTreatment,
-    ExposureMapping,
-    Population,
-    build_knn_neighborhoods,
-    evaluate_exposure,
-)
+from .design import EffectiveTreatment, Population, evaluate_exposure
 from .errors import (
     DegenerateVarianceError,
     NoEffectiveUnitsError,
     ValidationError,
     ZeroJointProbabilityError,
 )
-from .exposure import ExposureProfile, exact_profile
+from .exposure import ExposureProfile, _threshold_designs
 from .normal import norm_ppf
 
 # Entries of the (rows, n + pairs) arrays that ``_variances`` builds per step:
@@ -70,25 +66,13 @@ class MonotoneCiReport:
     d: Optional[int] = None
 
 
-def _active_values(values, exposure: EffectiveTreatment) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape != exposure.indicator.shape:
-        raise ValidationError("values and exposure indicator differ in length")
-    if exposure.count < 1:
-        raise NoEffectiveUnitsError("no unit is effectively treated (count = 0)")
-    return values[exposure.indicator > 0]
-
-
-def point_estimate(values, exposure: EffectiveTreatment) -> float:
-    """Average of ``values`` over effectively treated units."""
-    return float(_active_values(values, exposure).mean())
-
-
-def _one_row(values, exposure: EffectiveTreatment, profile: ExposureProfile, nonnegative: bool) -> tuple:
+def _one_row(values, exposure: EffectiveTreatment, profile=None, nonnegative=False) -> tuple:
     """``values`` and the exposure indicator as the one row of a call to
-    ``_variances`` or ``_score``, after the checks of a single analysis."""
+    ``_variances`` or ``_score``, after the checks of a single analysis: the
+    sizes agree (the profile's too, when one is given), some unit is
+    exposed, and with ``nonnegative`` no value is negative."""
     values = np.asarray(values, dtype=float)
-    if profile.n != exposure.indicator.shape[0]:
+    if profile is not None and profile.n != exposure.indicator.shape[0]:
         raise ValidationError("profile and exposure sizes differ")
     if values.shape != exposure.indicator.shape:
         raise ValidationError("values and exposure indicator differ in length")
@@ -97,6 +81,12 @@ def _one_row(values, exposure: EffectiveTreatment, profile: ExposureProfile, non
     if nonnegative and np.any(values < 0):
         raise ValidationError("conservative variance requires nonnegative values")
     return values[None, :], exposure.indicator[None, :]
+
+
+def point_estimate(values, exposure: EffectiveTreatment) -> float:
+    """Average of ``values`` over effectively treated units."""
+    values, indicator = _one_row(values, exposure)
+    return float(values[indicator > 0].mean())
 
 
 def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -> tuple:
@@ -285,16 +275,13 @@ def _score(values, indicator, profile: ExposureProfile, alpha: float) -> tuple:
     return count, estimate, variance, condition, upper
 
 
-def _bound_from_values(values, exposure, profile, alpha, strict=True):
+def _bound_from_values(values, exposure, profile, alpha):
     """(estimate, variance, condition_ok, upper) of the conservative bound:
-    row 0 of a one-row ``_score``.
-
-    A zero variance is degenerate: with ``strict`` it raises, otherwise the
-    bound is the estimate itself and the condition counts as failed.
+    row 0 of a one-row ``_score``. A zero variance is degenerate and raises.
     """
     values, indicator = _one_row(values, exposure, profile, True)
     _, estimate, variance, condition, upper = (a[0] for a in _score(values, indicator, profile, alpha))
-    if variance == 0.0 and strict:
+    if variance == 0.0:
         raise DegenerateVarianceError(
             "conservative variance is zero (all effectively treated outcomes "
             "identical and no positive centered-excess mass); no bound can be formed"
@@ -387,13 +374,7 @@ def bonferroni_scan(
     _check_alpha(alpha)
     adjusted = alpha / len(configs)
     reports = []
-    neighborhoods = {}
-    for d_min, d in configs:
-        if d not in neighborhoods:
-            neighborhoods[d] = build_knn_neighborhoods(pop, d)
-        nbhd = neighborhoods[d]
-        mapping = ExposureMapping.threshold(d_min)
-        profile = exact_profile(nbhd, mapping, pop.rho)
+    for (d_min, d), (nbhd, mapping, profile) in zip(configs, _threshold_designs(pop, configs, pop.rho)):
         exposure = evaluate_exposure(pop, nbhd, mapping)
         report = upper_confidence_bound(pop, exposure, profile, adjusted, variance_floor)
         reports.append(replace(report, d_min=int(d_min), d=int(d)))

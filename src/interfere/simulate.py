@@ -52,7 +52,7 @@ from .design import (
     evaluate_exposure_many,
 )
 from .errors import ValidationError, check_integer, check_seed
-from .exposure import exact_profile
+from .exposure import _threshold_designs
 from .monotone import _check_alpha, _score
 
 SCENARIO_KINDS = (
@@ -302,9 +302,9 @@ def run_coverage_experiment(
     domain) and over all valid replicates, since the gap between the two is
     exactly what ignoring the condition costs. Exposure profiles depend only
     on the design, so they are computed once per configuration, on one k-NN
-    per distinct neighborhood size. Replicates are drawn in batches of
-    ``_BATCH`` entries and scored in one array pass per design (see
-    ``_replicate_outcomes``).
+    per distinct neighborhood size (``exposure._threshold_designs``).
+    Replicates are drawn in batches of ``_BATCH`` entries and scored in one
+    array pass per design (see ``_replicate_outcomes``).
     """
     replicates = check_integer(replicates, "replicates")
     if replicates < 1:
@@ -313,13 +313,7 @@ def run_coverage_experiment(
     configs = [(check_integer(d_min, "d_min"), check_integer(d, "d")) for d_min, d in configs]
     if not configs:
         raise ValidationError("at least one (d_min, d) configuration is required")
-    prepared, neighborhoods = [], {}
-    for d_min, d in configs:
-        if d not in neighborhoods:
-            neighborhoods[d] = build_knn_neighborhoods(scenario.layout, d)
-        nbhd = neighborhoods[d]
-        mapping = ExposureMapping.threshold(d_min)
-        prepared.append((nbhd, mapping, exact_profile(nbhd, mapping, scenario.rho)))
+    prepared = list(_threshold_designs(scenario.layout, configs, scenario.rho))
     counters = [dict(skipped=0, degenerate=0, met=0, covered_met=0, covered_all=0) for _ in configs]
     step = max(1, _BATCH // scenario.n)
     for lo in range(0, replicates, step):

@@ -1,0 +1,141 @@
+"""Exit codes and stdout of the analysis commands, pinned by sha256.
+
+Each case runs one ``estimate``, ``contrast`` or ``probcheck`` call on the
+small fixtures of ``test_io_cli`` and compares its exit code and the sha256
+of its stdout with recorded values, so a refactor of the command-line
+surface cannot change a byte of the output unnoticed. Error cases pin the
+exit code and the empty stdout.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from interfere.cli import main
+from test_io_cli import BINARY_CSV, CONFIG, COUNTS_CSV, UNITS_CSV
+
+MC = {"kind": "mc", "samples": 2000, "seed": 3}
+FILES = {
+    "units.csv": UNITS_CSV,
+    "binary.csv": BINARY_CSV,
+    "counts.csv": COUNTS_CSV,
+    "exact.json": CONFIG,
+    "mc.json": dict(CONFIG, p_method=MC),
+    "product.json": {"rho": 0.5, "mapping": {"kind": "product"}, "neighborhood": {"d": 2}},
+    "singleton.json": {"rho": 0.5, "mapping": {"kind": "threshold", "d_min": 1}, "neighborhood": {"d": 1}},
+    "scan.json": {"rho": 0.5, "bonferroni": [[1, 1], [2, 2], [2, 3]], "diagnostics": {"c": 0.5}},
+    "scan_mc.json": {"rho": 0.5, "bonferroni": [[1, 1], [2, 3]], "p_method": MC},
+    "plain.json": {"rho": 0.5, "alpha": 0.1},
+    "no_neighborhood.json": {"rho": 0.5, "mapping": {"kind": "threshold", "d_min": 2}},
+    "no_mapping.json": {"rho": 0.5, "neighborhood": {"d": 3}},
+    "nbhd.json": [[i, (i + 1) % 6] for i in range(6)],
+}
+
+# label -> (argv with file names for paths, formats)
+CALLS = {
+    "estimate exact": ("estimate --config exact.json --data units.csv", ("json", "text", "csv")),
+    "estimate alpha": ("estimate --config exact.json --data units.csv --alpha 0.1", ("json", "text", "csv")),
+    "estimate mc": ("estimate --config mc.json --data units.csv", ("json", "text", "csv")),
+    "estimate mc seed": ("estimate --config mc.json --data units.csv --seed 5", ("json", "text", "csv")),
+    "estimate product": ("estimate --config product.json --data units.csv", ("json", "text", "csv")),
+    "estimate singleton": ("estimate --config singleton.json --data units.csv", ("json", "text", "csv")),
+    "estimate scan": ("estimate --config scan.json --data units.csv", ("json", "text", "csv")),
+    "estimate scan mc": ("estimate --config scan_mc.json --data units.csv", ("json",)),
+    "estimate scan nbhd": ("estimate --config scan.json --data units.csv --neighborhoods nbhd.json", ("json",)),
+    "estimate no neighborhood": ("estimate --config no_neighborhood.json --data units.csv", ("json",)),
+    "estimate no mapping": ("estimate --config no_mapping.json --data units.csv", ("json",)),
+    "contrast": ("contrast --data binary.csv", ("json", "text", "csv")),
+    "contrast plain": ("contrast --config plain.json --data binary.csv", ("json", "text", "csv")),
+    "contrast exact": ("contrast --config exact.json --data binary.csv", ("json", "text", "csv")),
+    "contrast alpha": ("contrast --config exact.json --data binary.csv --alpha 0.1", ("json", "text", "csv")),
+    "contrast mc": ("contrast --config mc.json --data binary.csv", ("json", "text", "csv")),
+    "contrast mc seed": ("contrast --config mc.json --data binary.csv --seed 5", ("json", "text", "csv")),
+    "contrast counts": ("contrast --data counts.csv --count-mode", ("json", "text", "csv")),
+    "contrast counts plain": ("contrast --config plain.json --data counts.csv --count-mode", ("json", "text", "csv")),
+    "probcheck oracle": ("probcheck --config exact.json --data units.csv --oracle", ("json", "text")),
+    "probcheck mc": ("probcheck --config mc.json --data units.csv", ("json", "text")),
+    "probcheck mc seed": ("probcheck --config mc.json --data units.csv --oracle --seed 5", ("json", "text")),
+    "probcheck no neighborhood": ("probcheck --config no_neighborhood.json --data units.csv", ("json",)),
+}
+
+# "label format" -> (exit code, sha256 of stdout)
+RECORDED = {
+    "estimate exact json": (0, "4c27306f5d6937af0669f7b207b749213ab57d508c5c0140edcba6acfc875ffa"),
+    "estimate exact text": (0, "20ff10c616c6da4a4ebb316bf51a2edbf6a44fe92fd0776f1355a116ce4b4708"),
+    "estimate exact csv": (0, "8bafa37c53dda52af2c9b1c4dc4f0e97af1548ab3c06cd163aa81ce68dc41559"),
+    "estimate alpha json": (0, "955126f88dc8bd28ab6d64e8cf5e9661f5826b68a624f10b29e4f2a135d8b436"),
+    "estimate alpha text": (0, "9cf128b7a69ca03a253e89d808c12d1273065407c151d015b8dd9045a0bb6b3f"),
+    "estimate alpha csv": (0, "54bff0e0768a28b80be3d20b5bfb4baf2ff9e520017f5b3e4d549979802e2b23"),
+    "estimate mc json": (0, "1b889d98047366bfd6277ee95fd2b51ae6f3f696c1b650e18824ea99d7f1a6f8"),
+    "estimate mc text": (0, "2a17ec3270b182201d7c76e8a7418ff22658982ebeaa4d16d1b341c0ed37dffd"),
+    "estimate mc csv": (0, "e0138b130dd98d038ec4d6b3c9e640954234d59b46d60ef363d87b43c79c2d4d"),
+    "estimate mc seed json": (0, "5c91f8b72f9bdcb873101c5eeac834daa60fb9c0507c13210adde49dbb6b5604"),
+    "estimate mc seed text": (0, "c4a56f5429c797276073e788c1f7ca2952f6b7761848a84d139488860c079190"),
+    "estimate mc seed csv": (0, "93ec0ea061982d7dfe1faf62e052558eb23d87c082b860ebe11f92d23dddafb5"),
+    "estimate product json": (0, "9b3a7650b493d9cf38a4297262324c2ea3d06809a850a5b30a8739239a68f4c8"),
+    "estimate product text": (0, "f4bc0ffbf07388cece1345f46983d8d3f87bf52ffe632d173abe4be43fd59aba"),
+    "estimate product csv": (0, "d95706a4e826d3772d272371f091943b25043ff5d51f595b5d8eb80400eaf567"),
+    "estimate singleton json": (0, "029a28d3702db3b1b653ae16e201c68c071a931c4c6c7cedccafdc7b95ba0896"),
+    "estimate singleton text": (0, "4356a96320ef57d9dc5146b0a0766f86baf423491dd066bc40f65d86959ef13a"),
+    "estimate singleton csv": (0, "93756e34385392a8411ff935f04eded53c558af65be731ed7b05d8c77670e5df"),
+    "estimate scan json": (0, "31e3ca18332eb4e6344a1343ea9239cf5b355f305d0e31e91ac0ab4b422d47a1"),
+    "estimate scan text": (0, "289c13c1b77d99e4822cf3ebac90fab4fd16d2ade2853fa3c902e3531653257c"),
+    "estimate scan csv": (0, "c4957583d445196a0f9a5f0499555af9c39b1e156516462a5153add3b777f748"),
+    "estimate scan mc json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "estimate scan nbhd json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "estimate no neighborhood json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "estimate no mapping json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "contrast json": (0, "693b68db601dcbaf1bd5b58c8742bd73a3fc834282a3c382e07833d762674c5e"),
+    "contrast text": (0, "5c1ce170586ff50836b08e6cc4ec6ef6eb6e5b94e34a1d161bdc7546427d2d23"),
+    "contrast csv": (0, "e09d3e245f595331ee6a0c35b1b85fee4f719d0b4333814a46beddc3ac670290"),
+    "contrast plain json": (0, "9c49f68877f4cc22784ec02e4e9715a8c5342f8d496d155198ab1a274ca7cdba"),
+    "contrast plain text": (0, "b20ef21ef9ab91314e75ae0f2b39ec9d5a65823cc354e219751e3d88f8594fb1"),
+    "contrast plain csv": (0, "01468450daabda31bf327ac70adf92d9b1a4b0cd9b0235a82588d8d2fc0a188b"),
+    "contrast exact json": (0, "a716e0a4b4d01e01879b8d2c3a3fb11e9183634945bb1a603c5f1ce2919e305f"),
+    "contrast exact text": (0, "433eca743dd9f61d4c6c5ce794c6f5d98dc562da84daebe04230911ab5c4dfe7"),
+    "contrast exact csv": (0, "778a6f1e340ea40d37efe9237edd356908d137af5697f11dd1c65aab2f994fdb"),
+    "contrast alpha json": (0, "c073112098af8bf88bd91fa1f5151139f4318c09222b07f785ff3e11b6fa3969"),
+    "contrast alpha text": (0, "3e270f40eb4c8df615e5e3f537b304391b329334a2ccdf4755f59787092d2822"),
+    "contrast alpha csv": (0, "10886a1c90a74f66871aa21464ed0b251808f12f7c7d9b33715d47e9bbbb5bb5"),
+    "contrast mc json": (0, "a4d2c10353443c643593995ede80a0d41bec34baf90d08e0d26f9a8cbac23120"),
+    "contrast mc text": (0, "67d7774d848d4b03c153f5fc11976b6221b3bc09307377dab90f42a60ae7f7e6"),
+    "contrast mc csv": (0, "5412d179a50ad888e959178d742fbd36ee2200613bac5eaf40d2b3cb824beb0a"),
+    "contrast mc seed json": (0, "0477bf322dbdd8ded8aef44dd51208a2b473c154dca972a2c8f48e39b8198714"),
+    "contrast mc seed text": (0, "6232bb0d189c5888df5923fd8ef165d23eda8ef30c1d3b79bf2ebad04179faeb"),
+    "contrast mc seed csv": (0, "6e79d25019edfc8fda2c03959f8364b5103876ec2b0e03b58696a313e0ad280d"),
+    "contrast counts json": (0, "ca1a38bf3eddeeeb38adb5b42736300d8e6282ea07f6257acd53d8a489bc5381"),
+    "contrast counts text": (0, "70d45e4e451df8f76d28b1a8b54bf8dcb640aebe23187d289e70f0255ff1a120"),
+    "contrast counts csv": (0, "e203020de4f011ec70eda2b2920f67d00f66980e7cb7a0b29db2ec7c5e38cbac"),
+    "contrast counts plain json": (0, "6dcc6cdd78ee2c6f3354699ebcbf9c95f5af944d7b0687a56a3cb4e29d2e6ca5"),
+    "contrast counts plain text": (0, "27effc7656dc7926d06fa4fa23121fac2c52c02d5ec6c81014998e56e96340f5"),
+    "contrast counts plain csv": (0, "fa0c65b07fa014b0b17efad3cb2263425ea947ef5ffe3c042b2b626f56386b6e"),
+    "probcheck oracle json": (0, "60b53b279507e913c4cfbc06386c012bf99dbf2bbc79aca43c8f4fe603580866"),
+    "probcheck oracle text": (0, "506ff55154b7af07a2af0ce326782499856ca5d34f12fa15c5e750b532a7d9e1"),
+    "probcheck mc json": (0, "1c7b290c7b90c912f039cfbd80c3e7f511678029f470746ebae45af5d180e196"),
+    "probcheck mc text": (0, "6ac8452642062a01c8895e5bad5d70e89ae24c01b60a209b177b3d3b551a0180"),
+    "probcheck mc seed json": (0, "a35ada6d9e6bc8a4601050ba0b9144c5aabf40e2962e4a7cf54afb20d2fb56cc"),
+    "probcheck mc seed text": (0, "0629f025b4b90c902a0992c28a712aa6d3ea16d75b28f2bbf6666d4e582a9b2c"),
+    "probcheck no neighborhood json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+CASES = [(label, fmt) for label, (_, formats) in CALLS.items() for fmt in formats]
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    for name, content in FILES.items():
+        (path / name).write_text(content if isinstance(content, str) else json.dumps(content))
+    return path
+
+
+def _run(fixture_dir, label, fmt, capsys):
+    argv = [str(fixture_dir / word) if (fixture_dir / word).exists() else word for word in CALLS[label][0].split()]
+    code = main(argv + ["--format", fmt])
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("label,fmt", CASES, ids=[f"{label} {fmt}" for label, fmt in CASES])
+def test_output_matches_recorded_sha256(fixture_dir, capsys, label, fmt):
+    assert _run(fixture_dir, label, fmt, capsys) == RECORDED[f"{label} {fmt}"]

@@ -5,6 +5,7 @@ import pytest
 
 import interfere.io as pkgio
 from interfere.cli import main
+from interfere.design import ExposureMapping
 from interfere.errors import ValidationError
 
 UNITS_CSV = """id,x,y,treatment,outcome
@@ -126,11 +127,17 @@ class TestRunConfig:
                 "diagnostics": {"c": 1.5},
             }
         )
-        assert config.mapping_kind == "threshold"
+        assert config.mapping == ExposureMapping.threshold(2)
+        assert config.d == 3
         assert config.bonferroni == ((2, 3), (3, 6))
-        assert config.p_method == "mc"
-        assert config.mc_samples == 1000
+        assert (config.mc_samples, config.mc_seed) == (1000, 4)
         assert config.variance_floor == 1.5
+
+    def test_exact_profile_has_no_samples(self):
+        for method in ({}, {"p_method": "exact"}):
+            config = pkgio.parse_run_config({"rho": 0.5, "mapping": {"kind": "product"}, **method})
+            assert config.mapping == ExposureMapping.product()
+            assert config.mc_samples is None
 
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown keys"):
@@ -242,6 +249,29 @@ class TestCliEstimate:
         assert payload["configs"][0]["p"] == pytest.approx(0.25)
         assert code in (0, 4)
 
+    @pytest.mark.parametrize("neighborhood", [{"neighborhood": {"d": 3}}, {}])
+    def test_explicit_neighborhoods_report_their_own_size(self, units_file, tmp_path, capsys, neighborhood):
+        nbhd_path = tmp_path / "nbhd.json"
+        nbhd_path.write_text(json.dumps([[i, (i + 1) % 6] for i in range(6)]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"rho": 0.5, "mapping": {"kind": "product"}, **neighborhood}))
+        main(["estimate", "--config", str(config), "--data", str(units_file), "--neighborhoods", str(nbhd_path)])
+        [entry] = json.loads(capsys.readouterr().out)["configs"]
+        assert (entry["d_min"], entry["d"]) == (None, 2)
+
+    def test_singleton_note_follows_the_analysed_sets(self, units_file, tmp_path, capsys):
+        nbhd_path = tmp_path / "nbhd.json"
+        nbhd_path.write_text(json.dumps([[i] for i in range(6)]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(CONFIG, mapping={"kind": "threshold", "d_min": 1})))  # d: 3
+        argv = ["estimate", "--config", str(config), "--data", str(units_file), "--neighborhoods", str(nbhd_path)]
+        main(argv)
+        [entry] = json.loads(capsys.readouterr().out)["configs"]
+        assert (entry["d_min"], entry["d"]) == (1, 1)
+        assert entry["note"] == "singleton neighborhoods; spatial information is not used"
+        main(argv + ["--format", "text"])
+        assert "note: singleton neighborhoods" in capsys.readouterr().out
+
     def test_missing_data_file_is_error(self, config_file, capsys):
         code = main(["estimate", "--config", str(config_file), "--data", "/nonexistent.csv"])
         assert code == 1
@@ -344,6 +374,17 @@ class TestCliContrast:
         block = json.loads(capsys.readouterr().out)["treatment_split"]
         assert block["lambda_1"] is None
         assert not any(key.startswith("lambda_1_") for key in block)
+
+    def test_config_without_a_design_gives_the_treatment_split(self, tmp_path, capsys):
+        data = tmp_path / "binary.csv"
+        data.write_text(BINARY_CSV)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"rho": 0.5, "alpha": 0.1}))
+        code = main(["contrast", "--config", str(config), "--data", str(data)])
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == ["alpha", "command", "treatment_split"]
+        assert payload["treatment_split"]["alpha"] == 0.1
+        assert code == 0
 
     def test_single_arm_is_error(self, tmp_path, capsys):
         data = tmp_path / "one_arm.csv"
@@ -472,3 +513,16 @@ def test_matrix_dump_without_out_is_usage_error(units_file, config_file, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{command}: --dump-matrices needs --out" in captured.err
+
+
+@pytest.mark.parametrize("command", ["estimate", "contrast", "probcheck"])
+@pytest.mark.parametrize("drop", ["mapping", "neighborhood"])
+def test_half_specified_exposure_design_is_error(tmp_path, capsys, command, drop):
+    data = tmp_path / "binary.csv"
+    data.write_text(BINARY_CSV)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: value for key, value in CONFIG.items() if key != drop}))
+    code = main([command, "--config", str(config), "--data", str(data)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {command} needs config.mapping and config.neighborhood\n"

@@ -12,7 +12,6 @@ from interfere.errors import (
     ValidationError,
     ZeroJointProbabilityError,
 )
-from interfere import monotone
 from interfere.monotone import _bound_from_values
 from interfere.normal import norm_ppf
 
@@ -38,6 +37,10 @@ class TestPointEstimate:
     def test_no_active_units(self):
         with pytest.raises(NoEffectiveUnitsError):
             itf.point_estimate(np.ones(3), make_exposure([0, 0, 0]))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValidationError, match="differ in length"):
+            itf.point_estimate(np.ones(4), make_exposure([1, 0, 1]))
 
 
 class TestVarianceEstimates:
@@ -415,7 +418,7 @@ class TestBonferroniScan:
             sizes.append(d)
             return itf.build_knn_neighborhoods(pop_or_coords, d)
 
-        monkeypatch.setattr(monotone, "build_knn_neighborhoods", counting_knn)
+        monkeypatch.setattr("interfere.exposure.build_knn_neighborhoods", counting_knn)
         reports = itf.bonferroni_scan(pop, [(2, 3), (3, 6), (4, 6), (1, 3)], 0.05)
         assert sorted(sizes) == [3, 6]
         monkeypatch.undo()

@@ -13,8 +13,8 @@ import interfere as itf
 from interfere.cli import main
 from interfere.design import EffectiveTreatment, evaluate_exposure_many
 from interfere.errors import ValidationError
-from interfere import monotone, simulate
-from interfere.monotone import _bound_from_values, _score
+from interfere import monotone
+from interfere.monotone import _one_row, _score
 from interfere.simulate import LAYOUT_KINDS, _adversarial_pool, _count_pool, _draw, _replicate_outcomes
 
 from conftest import incidence
@@ -146,7 +146,7 @@ class TestCoverageExperiment:
             sizes.append(d)
             return itf.build_knn_neighborhoods(pop_or_coords, d)
 
-        monkeypatch.setattr(simulate, "build_knn_neighborhoods", counting_knn)
+        monkeypatch.setattr("interfere.exposure.build_knn_neighborhoods", counting_knn)
         assert itf.run_coverage_experiment(scenario, configs, 0.05, 40) == expected
         assert sorted(sizes) == [1, 3, 10]
 
@@ -226,7 +226,7 @@ def reference_replicate(scenario, r):
 
 def check_batch_against_scalar(scenario, alpha, replicates=25):
     """Require every per-replicate decision of the batched engine to equal
-    ``evaluate_exposure`` + ``_bound_from_values`` on ``generate_scenario``'s
+    ``evaluate_exposure`` + a one-row ``_score`` on ``generate_scenario``'s
     output, and its estimate, variance, condition and upper to be the same
     floats. Returns the skipped and degenerate replicates seen, summed over
     the designs."""
@@ -249,7 +249,7 @@ def check_batch_against_scalar(scenario, alpha, replicates=25):
             if exposure.count == 0:
                 assert batched == (True, False, False, False)
                 continue
-            values = _bound_from_values(pop.outcome, exposure, profile, alpha, strict=False)
+            values = tuple(a[0] for a in _score(*_one_row(pop.outcome, exposure, profile, True), profile, alpha)[1:])
             covered = float(theta_r.mean()) <= values[3]
             assert batched == (False, values[1] == 0.0, values[2], covered), (d_min, d, r)
             assert (estimate[r], variance[r], condition[r], upper[r]) == values, (d_min, d, r)
@@ -308,7 +308,7 @@ class TestBatchedReplicates:
             z = evaluate_exposure_many(x, nbhd, mapping)
             exposed = z.sum(axis=1) > 0
             uppers = np.array([
-                _bound_from_values(y[r], EffectiveTreatment(z[r], int(z[r].sum())), profile, 0.05, strict=False)[3]
+                _score(*_one_row(y[r], EffectiveTreatment(z[r], int(z[r].sum())), profile, True), profile, 0.05)[4][0]
                 if exposed[r] else 0.0
                 for r in range(len(z))
             ])
@@ -328,8 +328,8 @@ class TestBatchedReplicates:
             y = np.full(z.shape, value)
             _, degenerate, met, _ = _replicate_outcomes(y, z, np.zeros(len(z)), profile, 0.05)
             for r in range(len(z)):
-                _, variance, condition, _ = _bound_from_values(
-                    y[r], EffectiveTreatment(z[r], int(z[r].sum())), profile, 0.05, strict=False
+                _, _, variance, condition, _ = _score(
+                    *_one_row(y[r], EffectiveTreatment(z[r], int(z[r].sum())), profile, True), profile, 0.05
                 )
                 assert (degenerate[r], met[r]) == (variance == 0.0, condition)
 
