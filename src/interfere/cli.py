@@ -74,10 +74,19 @@ def _profile(config: pkgio.RunConfig, nbhd):
 
 
 def _dump_matrices(profile, out_dir) -> None:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    for name in ("joint", "excess", "centered"):
-        np.savetxt(path / f"{name}.csv", getattr(profile, name), delimiter=",")
+    """The profile in O(n + pairs): ``diag.csv`` has a row per unit, ``pairs.csv``
+    a row per pattern pair i < j. A pair not listed has joint p^2 and excess 0."""
+    p, diag = profile.p, profile.diag
+    tables = {
+        "diag.csv": dict(i=np.arange(profile.n), joint=diag, excess=diag - p * (1.0 - p) - p * p,
+                         row_excess=profile.row_excess),
+        "pairs.csv": dict(i=profile.rows, j=profile.cols, joint=profile.values, excess=profile.values - p * p),
+    }
+    step = 1 << 16  # rows are made a chunk at a time, so no column becomes one list
+    for name, table in tables.items():
+        rows = (row for lo in range(0, table["i"].size, step)
+                for row in zip(*(c[lo:lo + step].tolist() for c in table.values())))
+        _write_or_print(pkgio.dump_csv(list(table), rows), out_dir, name)
 
 
 def _estimate_text(reports, bonferroni, alpha) -> str:
@@ -184,8 +193,11 @@ def cmd_contrast(args) -> int:
         config = _run_config(args)
         if args.alpha is None:
             alpha = config.alpha
+    design = config is not None and (config.mapping is not None or config.d is not None)
     payload = {"command": "contrast", "alpha": alpha}
     if args.count_mode:
+        if design:
+            raise ValidationError("contrast --count-mode takes no config.mapping or config.neighborhood")
         counts = pkgio.load_count_table(args.data)
         report = attributable_contrast_from_counts(alpha=alpha, **counts)
         payload["treatment_split"] = pkgio.contrast_report_dict(report)
@@ -193,7 +205,7 @@ def cmd_contrast(args) -> int:
         pop = pkgio.load_units(args.data, config.rho if config else 0.5)
         report = attributable_contrast(pop.treatment, pop.outcome, alpha)
         payload["treatment_split"] = pkgio.contrast_report_dict(report)
-        if config is not None and (config.mapping is not None or config.d is not None):
+        if design:
             nbhd = _neighborhoods("contrast", config, pop)
             profile = _profile(config, nbhd)
             exposure = evaluate_exposure(pop, nbhd, config.mapping)
@@ -213,8 +225,6 @@ def cmd_contrast(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = pkgio.load_sim_config(args.config)
-    if config.replicates < 1:
-        raise _UsageError("simulate: replicates must be at least 1")
     seed = args.seed if args.seed is not None else config.seed
     layout = synthetic_layout(config.layout_kind, config.n, config.layout_seed)
     scenario = Scenario(
@@ -328,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--alpha", type=float, default=None, help="significance level override")
     p_est.add_argument("--neighborhoods", default=None, help="explicit adjacency JSON instead of k-NN")
     p_est.add_argument("--format", choices=("json", "text", "csv"), default="json")
-    p_est.add_argument("--dump-matrices", action="store_true", help="write joint/excess matrices as CSV")
+    p_est.add_argument("--dump-matrices", action="store_true", help="write the profile as diag.csv and pairs.csv")
     p_est.set_defaults(func=cmd_estimate)
 
     p_con = sub.add_parser("contrast", help="attributable-contrast intervals (binary outcomes)")

@@ -17,6 +17,7 @@ report text.
 ``_split_deltas`` scores (R, n) rows of 0/1 groups: a unit-level split is its
 one-row case, and ``concentration_check`` scores all its drawn groups in one
 call, so it measures the reported statistic. ``_report`` builds every interval.
+The exposure split's eigenvalue bound takes a profile and runs on its pattern.
 """
 
 from __future__ import annotations
@@ -224,36 +225,28 @@ def _centered(product):
     return matvec
 
 
-def _centered_operator(matrix) -> tuple:
+def _centered_operator(profile: ExposureProfile) -> tuple:
     """``(matvec, n, row_sum)`` for P M P with P = I - 11'/n.
 
-    M is the joint matrix J less a constant c, so P M P = P J P, and
-    ``row_sum`` is the largest absolute row sum of M. A profile takes
-    c = p^2, which makes M zero off its pattern: the product costs
-    O(n + pairs) and J is never built. A profile whose pattern is every pair
-    (Monte Carlo, enumeration) already holds O(n^2) values and takes the
-    dense product, as does a dense J (with c = 0).
+    M is the joint matrix J less p^2 11', so P M P = P J P, and ``row_sum``
+    is the largest absolute row sum of M. M is zero off the profile's
+    pattern: the product costs O(n + pairs) and J is never built. A profile
+    whose pattern is every pair (Monte Carlo, enumeration) already holds
+    O(n^2) values and takes the dense product.
     """
-    if isinstance(matrix, ExposureProfile) and matrix.off_pattern:
-        n, shift = matrix.n, matrix.p * matrix.p
-        diag, pair = matrix.diag - shift, matrix.values - shift
-        rows, cols = matrix.rows, matrix.cols
+    n, shift = profile.n, profile.p * profile.p
+    if profile.off_pattern:
+        diag, pair = profile.diag - shift, profile.values - shift
+        rows, cols = profile.rows, profile.cols
         row_sum = np.abs(diag) + np.bincount(rows, np.abs(pair), n) + np.bincount(cols, np.abs(pair), n)
 
         def product(u):
             return diag * u + np.bincount(rows, pair * u[cols], n) + np.bincount(cols, pair * u[rows], n)
 
         return _centered(product), n, float(row_sum.max())
-    if isinstance(matrix, ExposureProfile):
-        dense = matrix.joint
-        dense -= matrix.p * matrix.p
-    else:
-        dense = np.asarray(matrix, dtype=float)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValidationError("matrix must be square")
-        if not np.allclose(dense, dense.T, rtol=0.0, atol=1e-12):
-            raise ValidationError("matrix must be symmetric")
-    return _centered(dense.__matmul__), dense.shape[0], float(np.abs(dense).sum(axis=1).max(initial=0.0))
+    dense = profile.joint
+    dense -= shift
+    return _centered(dense.__matmul__), n, float(np.abs(dense).sum(axis=1).max(initial=0.0))
 
 
 def _lanczos(matvec, n: int, steps: int, seed: int, tiny: float) -> tuple:
@@ -290,11 +283,11 @@ def _lanczos(matvec, n: int, steps: int, seed: int, tiny: float) -> tuple:
     return float(np.linalg.eigvalsh(tridiagonal)[-1]), k, exhausted
 
 
-def largest_centered_eigenvalue(matrix, seed: int = 0) -> EigenvalueBound:
+def largest_centered_eigenvalue(profile: ExposureProfile, seed: int = 0) -> EigenvalueBound:
     """Certified upper bound on the largest eigenvalue of P J P, P = I - 11'/n.
 
-    ``matrix`` is an :class:`ExposureProfile` or a dense symmetric positive
-    semidefinite matrix J. Lanczos with full reorthogonalization runs on the
+    J is the joint matrix of ``profile``, positive semidefinite as a second
+    moment matrix. Lanczos with full reorthogonalization runs on the
     implicit centered operator from a random start drawn from ``seed`` (see
     :func:`_centered_operator` and :func:`_lanczos`) for
     k = min(n - 1, ``_lanczos_steps(n)``) steps, and the top Ritz value
@@ -324,7 +317,7 @@ def largest_centered_eigenvalue(matrix, seed: int = 0) -> EigenvalueBound:
     is declared at a residual no larger than the same allowance.
     """
     seed = check_seed(seed)
-    matvec, n, row_sum = _centered_operator(matrix)
+    matvec, n, row_sum = _centered_operator(profile)
     if n <= 1:
         return EigenvalueBound(value=0.0, ritz=0.0, steps=0, certificate="exact")
     allowance = _ROUNDING * row_sum

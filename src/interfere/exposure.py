@@ -3,16 +3,14 @@
 Given neighborhoods, a mapping, and the treatment probability, this module
 computes the shared marginal exposure probability p and the pairwise joint
 probabilities J[i, j] = P(Z_i = Z_j = 1), either exactly or by Monte Carlo,
-plus the derived quantities used by the variance estimators:
-
-    excess   = J - p(1-p) I - p^2 11'      (deviation from independence)
-    centered = (I - 11'/n) excess (I - 11'/n)
+plus the row sums of the excess J - p(1-p) I - p^2 11' (the deviation from
+independence) that the variance estimators center with.
 
 Units whose neighborhoods are disjoint are independent, so their joint
 probability is exactly p^2 and their excess exactly 0. An exact profile
 therefore stores only the overlapping pairs, memory linear in n for bounded
-overlap; the dense matrices above are built on demand (tests, matrix dumps,
-the eigenvalue solver).
+overlap. The dense ``joint`` property is built on demand only: for tests,
+``probcheck``, and the eigenvalue of an all-pairs (Monte Carlo) profile.
 
 The exact pairwise computation partitions the union of two neighborhoods into
 the two private parts and the shared part and convolves binomial counts over
@@ -89,16 +87,6 @@ class ExposureProfile:
         joint[self.cols, self.rows] = self.values
         return joint
 
-    @property
-    def excess(self) -> np.ndarray:
-        """Dense excess matrix, built on each access."""
-        return _excess(self.joint, self.p)
-
-    @property
-    def centered(self) -> np.ndarray:
-        """Dense doubly centered excess matrix, built on each access."""
-        return center_excess(self.joint, self.p)[1]
-
 
 def _binom_pmf_table(k: int, rho: float) -> list:
     """pmf[n][m] = P(Binomial(n, rho) = m) for all n in 0..k."""
@@ -174,11 +162,6 @@ def overlap_degree(nbhd: NeighborhoodSet) -> int:
     return _degree(pairs[:, 0], pairs[:, 1], nbhd.n)
 
 
-def _excess(joint: np.ndarray, p: float) -> np.ndarray:
-    n = joint.shape[0]
-    return joint - p * (1.0 - p) * np.eye(n) - p * p * np.ones((n, n))
-
-
 def center_excess(joint: np.ndarray, p: float) -> tuple:
     """Excess over the independent second moment, and its doubly centered form.
 
@@ -191,7 +174,7 @@ def center_excess(joint: np.ndarray, p: float) -> tuple:
         raise ValidationError("joint probability matrix must be square")
     if not np.allclose(joint, joint.T, rtol=0.0, atol=1e-12):
         raise ValidationError("joint probability matrix must be symmetric")
-    excess = _excess(joint, p)
+    excess = joint - p * (1.0 - p) * np.eye(n) - p * p * np.ones((n, n))
     r = excess.sum(axis=1)
     centered = excess - r[:, None] / n - r[None, :] / n + r.sum() / (n * n)
     return excess, centered
@@ -230,10 +213,14 @@ def _dense_finalize(joint, p, nbhd, method, num_samples=None) -> ExposureProfile
     )
 
 
-def _threshold_joint(a, b, c, base_i, base_j, d_min, rho, pmf, sf) -> float:
+def _threshold_joint(k, key, d_min, rho, pmf, sf) -> float:
     # Condition on X_i = X_j = 1 and convolve the three disjoint regions: a
     # members only in S_i, b only in S_j, c shared (i and j excluded), with
     # base_i, base_j treated members already counted towards each threshold.
+    # With k fixed, key = 4 |S_i & S_j| + 2 [j in S_i] + [i in S_j] sets all five.
+    shared, j_in_i, i_in_j = key >> 2, key >> 1 & 1, key & 1
+    a, b, c = k - shared - 1 + i_in_j, k - shared - 1 + j_in_i, shared - i_in_j - j_in_i
+    base_i, base_j = 1 + j_in_i, 1 + i_in_j
     total = 0.0
     pmf_c = pmf[c]
     for m in range(c + 1):
@@ -262,20 +249,10 @@ def exact_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -
     else:
         j_in_i = (nbhd.members[rows] == cols[:, None]).any(axis=1)
         i_in_j = (nbhd.members[cols] == rows[:, None]).any(axis=1)
-        # |only_i|, |only_j|, |shared| with i and j removed, base_i, base_j
-        regions = np.column_stack((
-            k - shared - ~i_in_j,
-            k - shared - ~j_in_i,
-            shared - i_in_j - j_in_i,
-            1 + j_in_i,
-            1 + i_in_j,
-        ))
-        tuples, where = np.unique(regions, axis=0, return_inverse=True)
+        keys, where = np.unique(4 * shared + 2 * j_in_i + i_in_j, return_inverse=True)
         pmf = _binom_pmf_table(k, rho)
         sf = _binom_sf_table(pmf)
-        table = np.array([
-            _threshold_joint(*(int(v) for v in t), mapping.d_min, rho, pmf, sf) for t in tuples
-        ])
+        table = np.array([_threshold_joint(k, int(key), mapping.d_min, rho, pmf, sf) for key in keys])
     values = table[where.ravel()]
     return _finalize(p, np.full(n, p), rows, cols, values, _degree(rows, cols, n), "exact")
 

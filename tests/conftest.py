@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import interfere as itf
+from interfere.exposure import _finalize
 
 
 def random_design(rng, max_units=12, rhos=(0.2, 0.5, 0.8)):
@@ -17,6 +18,15 @@ def random_design(rng, max_units=12, rhos=(0.2, 0.5, 0.8)):
         mapping = itf.ExposureMapping.threshold(int(rng.integers(1, d + 1)))
     rho = float(rng.choice(rhos))
     return nbhd, mapping, rho
+
+
+def dense_profile(joint):
+    """A dense symmetric matrix J as an all-pairs profile with p = 0, so that
+    the profile's joint matrix and its shifted form J - p^2 11' are J itself."""
+    joint = np.asarray(joint, dtype=float)
+    n = joint.shape[0]
+    rows, cols = np.triu_indices(n, 1)
+    return _finalize(0.0, np.diagonal(joint).copy(), rows, cols, joint[rows, cols], n - 1, "dense")
 
 
 def incidence(nbhd):

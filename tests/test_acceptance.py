@@ -138,7 +138,7 @@ def test_criterion_6_variance_decomposition_identity():
         quadratic = float(centered_theta @ profile.joint @ centered_theta)
         decomposed = (
             profile.n * profile.p * (1 - profile.p) * (centered_theta**2).mean()
-            + float(theta @ profile.centered @ theta)
+            + float(theta @ itf.center_excess(profile.joint, profile.p)[1] @ theta)
         )
         # relative check at 1e-8 with an absolute floor for designs whose
         # variance is identically zero (shared-neighborhood degeneracies)
@@ -193,7 +193,7 @@ def test_criterion_7_observed_outcomes_maximize_bound():
         mesh = np.meshgrid(*axes, indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=1)
         joint = profile.joint[np.ix_(idx, idx)]
-        clipped = np.maximum(profile.centered[np.ix_(idx, idx)], 0.0) / joint
+        clipped = np.maximum(itf.center_excess(profile.joint, profile.p)[1][np.ix_(idx, idx)], 0.0) / joint
         means = points.mean(axis=1)
         lead = profile.n * profile.p * (1 - profile.p) * ((points - means[:, None]) ** 2).mean(axis=1)
         pair = np.einsum("mi,ij,mj->m", points, clipped, points)

@@ -62,20 +62,20 @@ class TestExactProfile:
         nbhd = itf.NeighborhoodSet.from_sets([{0, 1}, {1, 2}, {2, 0}])
         profile = itf.exact_profile(nbhd, itf.ExposureMapping.product(), 0.5)
         assert profile.joint[0, 1] == pytest.approx(0.125, abs=1e-15)
-        assert profile.excess[0, 1] == pytest.approx(0.0625, abs=1e-15)
+        assert itf.center_excess(profile.joint, profile.p)[0][0, 1] == pytest.approx(0.0625, abs=1e-15)
 
     def test_disjoint_pairs_factorize(self):
         coords = np.array([[0.0], [1.0], [100.0], [101.0]])
         for mapping in (itf.ExposureMapping.product(), itf.ExposureMapping.threshold(2)):
             profile = itf.exact_profile(itf.build_knn_neighborhoods(coords, 2), mapping, 0.4)
             assert profile.joint[0, 2] == pytest.approx(profile.p**2, abs=1e-15)
-            assert profile.excess[0, 2] == pytest.approx(0.0, abs=1e-15)
+            assert itf.center_excess(profile.joint, profile.p)[0][0, 2] == pytest.approx(0.0, abs=1e-15)
 
     def test_singleton_neighborhoods_have_zero_excess(self):
         nbhd = itf.build_knn_neighborhoods(np.arange(6.0)[:, None], 1)
         profile = itf.exact_profile(nbhd, itf.ExposureMapping.threshold(1), 0.5)
-        assert np.abs(profile.excess).max() == pytest.approx(0.0, abs=1e-15)
-        assert np.abs(profile.centered).max() == pytest.approx(0.0, abs=1e-12)
+        assert np.abs(itf.center_excess(profile.joint, profile.p)[0]).max() == pytest.approx(0.0, abs=1e-15)
+        assert np.abs(itf.center_excess(profile.joint, profile.p)[1]).max() == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -90,9 +90,9 @@ class TestExactProfile:
         assert np.all(joint <= upper + 1e-12)
         assert np.all(joint >= -1e-15)
         # centered matrix has zero row, column, and overall sums
-        assert np.abs(profile.centered.sum(axis=0)).max() < 1e-10
-        assert np.abs(profile.centered.sum(axis=1)).max() < 1e-10
-        assert abs(profile.centered.sum()) < 1e-10
+        assert np.abs(itf.center_excess(profile.joint, profile.p)[1].sum(axis=0)).max() < 1e-10
+        assert np.abs(itf.center_excess(profile.joint, profile.p)[1].sum(axis=1)).max() < 1e-10
+        assert abs(itf.center_excess(profile.joint, profile.p)[1].sum()) < 1e-10
 
 
 class TestCenterExcess:
@@ -204,7 +204,7 @@ class TestVarianceIdentity:
         coords = np.array([[0.0], [1.0], [50.0], [51.0], [100.0], [101.0]])
         nbhd = itf.build_knn_neighborhoods(coords, 1)
         profile = itf.exact_profile(nbhd, itf.ExposureMapping.product(), 0.5)
-        assert np.abs(profile.centered).max() < 1e-14
+        assert np.abs(itf.center_excess(profile.joint, profile.p)[1]).max() < 1e-14
         for _ in range(10):
             theta = rng.gamma(2.0, 5.0, size=6)
             centered_theta = theta - theta.mean()

@@ -21,6 +21,8 @@ import interfere as itf
 from interfere.cli import main
 from interfere.errors import ValidationError
 
+from conftest import dense_profile
+
 UNITS_CSV = """id,x,y,treatment,outcome,enrollment
 a,0.0,0.0,1,4,9
 b,1.0,0.1,1,7,8
@@ -218,7 +220,7 @@ LIBRARY_INTEGERS = {
     "Scenario seed": lambda v: itf.run_coverage_experiment(
         itf.Scenario(kind="no_effect_no_clustering", layout=np.arange(10.0), seed=v), [(1, 2)], 0.05, 1
     ),
-    "largest_centered_eigenvalue seed": lambda v: itf.largest_centered_eigenvalue(np.eye(4), seed=v),
+    "largest_centered_eigenvalue seed": lambda v: itf.largest_centered_eigenvalue(dense_profile(np.eye(4)), seed=v),
 }
 
 
@@ -246,7 +248,7 @@ LIBRARY_SEEDS = {
         (-(2**63) - 1, 2**63, 2**64 - 1),
     ),
     "largest_centered_eigenvalue": (
-        lambda v: itf.largest_centered_eigenvalue(np.eye(4), seed=v),
+        lambda v: itf.largest_centered_eigenvalue(dense_profile(np.eye(4)), seed=v),
         (0, 2**70),
         (-1,),
     ),

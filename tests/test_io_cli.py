@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 import interfere.io as pkgio
 from interfere.cli import main
-from interfere.design import ExposureMapping
+from interfere.design import ExposureMapping, build_knn_neighborhoods
 from interfere.errors import ValidationError
+from interfere.exposure import center_excess, exact_profile, monte_carlo_profile
 
 UNITS_CSV = """id,x,y,treatment,outcome
 a,0.0,0.0,1,4
@@ -39,6 +41,33 @@ CONFIG = {
     "mapping": {"kind": "threshold", "d_min": 2},
     "neighborhood": {"d": 3},
 }
+
+
+def read_dump(out):
+    """The columns of a ``--dump-matrices`` directory's diag.csv and pairs.csv,
+    by header name, each cell read by ``float``."""
+    tables = []
+    for name, header in (
+        ("diag.csv", ["i", "joint", "excess", "row_excess"]),
+        ("pairs.csv", ["i", "j", "joint", "excess"]),
+    ):
+        with open(out / name, newline="") as handle:
+            head, *rows = csv.reader(handle)
+        assert head == header
+        cells = np.array([[float(cell) for cell in row] for row in rows]).reshape(len(rows), len(header))
+        tables.append(dict(zip(header, cells.T)))
+    return tables
+
+
+def rebuild_joint(diag, pairs):
+    """The dense joint matrix of a dump. Only an exact profile leaves pairs
+    out, and its diagonal is p in every row, so an unlisted pair gets p^2."""
+    n, p = diag["i"].size, diag["joint"][0]
+    joint = np.full((n, n), p * p)
+    np.fill_diagonal(joint, diag["joint"])
+    rows, cols = pairs["i"].astype(int), pairs["j"].astype(int)
+    joint[rows, cols] = joint[cols, rows] = pairs["joint"]
+    return joint
 
 
 @pytest.fixture
@@ -307,7 +336,10 @@ class TestCliEstimate:
         main(["estimate", "--config", str(config_file), "--data", str(units_file), "--out", str(out), "--dump-matrices"])
         capsys.readouterr()
         assert (out / "estimate.json").exists()
-        assert np.loadtxt(out / "centered.csv", delimiter=",").shape == (6, 6)
+        assert sorted(path.name for path in out.iterdir()) == ["diag.csv", "estimate.json", "pairs.csv"]
+        diag, pairs = read_dump(out)
+        assert diag["i"].tolist() == list(range(6))
+        assert (pairs["i"] < pairs["j"]).all()
 
     def test_matrix_dump_with_scan_is_error(self, units_file, tmp_path, capsys):
         config = tmp_path / "scan.json"
@@ -375,6 +407,17 @@ class TestCliContrast:
         assert block["lambda_1"] is None
         assert not any(key.startswith("lambda_1_") for key in block)
 
+    @pytest.mark.parametrize("keys", [("mapping",), ("neighborhood",), ("mapping", "neighborhood")])
+    def test_count_mode_rejects_design_keys(self, tmp_path, capsys, keys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(COUNTS_CSV)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: value for key, value in CONFIG.items() if key in ("rho", *keys)}))
+        code = main(["contrast", "--config", str(config), "--data", str(counts), "--count-mode"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: contrast --count-mode takes no config.mapping or config.neighborhood\n"
+
     def test_config_without_a_design_gives_the_treatment_split(self, tmp_path, capsys):
         data = tmp_path / "binary.csv"
         data.write_text(BINARY_CSV)
@@ -427,11 +470,12 @@ class TestCliSimulate:
         for name in ("coverage.csv", "coverage.txt", "coverage.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_zero_replicates_is_usage_error(self, tmp_path):
+    def test_zero_replicates_is_error(self, tmp_path, capsys):
         config = self._config(tmp_path, replicates=0)
-        with pytest.raises(SystemExit) as info:
-            main(["simulate", "--config", str(config)])
-        assert info.value.code == 2
+        code = main(["simulate", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: replicates must be at least 1\n"
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         config = self._config(tmp_path)
@@ -500,9 +544,9 @@ class TestCliProbcheck:
             ]
         )
         capsys.readouterr()
-        joint = np.loadtxt(out / "joint.csv", delimiter=",")
-        assert joint.shape == (6, 6)
-        assert (out / "excess.csv").exists() and (out / "centered.csv").exists()
+        diag, pairs = read_dump(out)
+        assert rebuild_joint(diag, pairs).shape == (6, 6)
+        assert sorted(path.name for path in out.iterdir()) == ["diag.csv", "pairs.csv", "probcheck.json"]
 
 
 @pytest.mark.parametrize("command", ["estimate", "probcheck"])
@@ -526,3 +570,26 @@ def test_half_specified_exposure_design_is_error(tmp_path, capsys, command, drop
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {command} needs config.mapping and config.neighborhood\n"
+
+
+@pytest.mark.parametrize("p_method", ["exact", {"kind": "mc", "samples": 500, "seed": 3}])
+def test_matrix_dump_rebuilds_the_profile(units_file, tmp_path, capsys, p_method):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(dict(CONFIG, p_method=p_method)))
+    out = tmp_path / "mats"
+    main(["estimate", "--config", str(config), "--data", str(units_file), "--out", str(out), "--dump-matrices"])
+    capsys.readouterr()
+    pop = pkgio.load_units(units_file, CONFIG["rho"])
+    nbhd = build_knn_neighborhoods(pop, CONFIG["neighborhood"]["d"])
+    mapping = ExposureMapping.threshold(CONFIG["mapping"]["d_min"])
+    if p_method == "exact":
+        profile = exact_profile(nbhd, mapping, CONFIG["rho"])
+    else:
+        profile = monte_carlo_profile(nbhd, mapping, CONFIG["rho"], p_method["samples"], p_method["seed"])
+    diag, pairs = read_dump(out)
+    assert np.array_equal(rebuild_joint(diag, pairs), profile.joint)
+    excess, _ = center_excess(profile.joint, profile.p)
+    assert np.array_equal(diag["excess"], np.diagonal(excess))
+    assert np.array_equal(pairs["excess"], excess[profile.rows, profile.cols])
+    assert np.array_equal(diag["row_excess"], profile.row_excess)
+    assert pairs["i"].size == profile.rows.size

@@ -61,7 +61,7 @@ class TestVarianceEstimates:
         profile = itf.exact_profile(nbhd, itf.ExposureMapping.product(), 0.5)
         expo = make_exposure([1, 1, 1])
         theta = np.full(3, 4.0)
-        ratio = profile.centered / profile.joint
+        ratio = itf.center_excess(profile.joint, profile.p)[1] / profile.joint
         assert itf.variance_estimate(theta, expo, profile) == pytest.approx(16.0 * ratio.sum(), rel=1e-12)
 
     def test_three_unit_hand_computed_values(self):
@@ -70,7 +70,7 @@ class TestVarianceEstimates:
         # two variance formulas evaluated by hand for Y=(5,2,9), all exposed.
         nbhd = itf.NeighborhoodSet.from_sets([{0, 1}, {0, 1}, {1, 2}])
         profile = itf.exact_profile(nbhd, itf.ExposureMapping.product(), 0.5)
-        assert profile.centered[0, 1] > 0
+        assert itf.center_excess(profile.joint, profile.p)[1][0, 1] > 0
         expo = make_exposure([1, 1, 1])
         y = np.array([5.0, 2.0, 9.0])
         assert itf.conservative_variance(y, expo, profile) == pytest.approx(
@@ -99,7 +99,7 @@ class TestVarianceEstimates:
         counts = zmat.sum(axis=1)
         assert counts.min() >= 1
         # vectorized replica of the estimator across draws
-        weights = theta[:, None] * theta[None, :] * (profile.centered / profile.joint)
+        weights = theta[:, None] * theta[None, :] * (itf.center_excess(profile.joint, profile.p)[1] / profile.joint)
         pair = np.einsum("ri,ij,rj->r", zmat, weights, zmat, optimize=True)
         means = (zmat @ theta) / counts
         lead = n * profile.p * (1 - profile.p) * ((zmat @ theta**2) / counts - means**2)
@@ -458,6 +458,6 @@ class TestVarianceDecomposition:
             quad = float(centered_theta @ profile.joint @ centered_theta)
             decomposed = (
                 profile.n * profile.p * (1 - profile.p) * (centered_theta**2).mean()
-                + float(theta @ profile.centered @ theta)
+                + float(theta @ itf.center_excess(profile.joint, profile.p)[1] @ theta)
             )
             assert math.isclose(quad, decomposed, rel_tol=1e-8, abs_tol=1e-8)

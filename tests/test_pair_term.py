@@ -75,7 +75,7 @@ def magnitude(values, exposure, profile, clip):
     u = profile.row_excess[idx] / n
     g = (profile.excess_total / (n * n) - u[:, None]) - u[None, :]
     joint = profile.joint[np.ix_(idx, idx)]
-    own = np.abs(h(g + profile.excess[np.ix_(idx, idx)]) / joint)
+    own = np.abs(h(g + itf.center_excess(profile.joint, profile.p)[0][np.ix_(idx, idx)]) / joint)
     rank = np.abs(h(g)) / (p * p)
     outer = np.abs(v[:, None] * v[None, :])
     return leading_term(values, exposure, profile) + float((outer * (own + 2.0 * rank)).sum())

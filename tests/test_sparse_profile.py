@@ -5,6 +5,7 @@ pair by pair from Python sets, centering by two projection matmuls, and the
 variance pair term on ``np.ix_`` blocks of the dense matrices.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import interfere as itf
+from interfere.cli import main
 from interfere.exposure import _binom_pmf_table, _binom_sf_table, _mc_shard_counts, _overlapping_pairs, _sf
 from interfere.monotone import conservative_variance, variance_estimate
 
@@ -108,8 +110,8 @@ def check_against_reference(nbhd, mapping, rho, gen, profile=None, x=None):
     else:
         joint, p = profile.joint, profile.p
     excess, centered = reference_center(joint, p)
-    assert np.abs(profile.excess - excess).max() <= 1e-15
-    assert np.abs(profile.centered - centered).max() <= 1e-15
+    assert np.abs(itf.center_excess(profile.joint, profile.p)[0] - excess).max() <= 1e-15
+    assert np.abs(itf.center_excess(profile.joint, profile.p)[1] - centered).max() <= 1e-15
     if x is None:
         x = (gen.random(nbhd.n) < rho).astype(np.int8)
     exposure = itf.evaluate_exposure(x, nbhd, mapping)
@@ -236,4 +238,37 @@ def test_exposure_split_contrast_memory_is_linear_in_n():
     finally:
         tracemalloc.stop()
     assert report.lambda_1 > 0
+    assert peak < 64 * 2**20
+
+
+def test_matrix_dump_memory_is_linear_in_n(tmp_path, capsys):
+    # The dump writes the diagonal and the pattern pairs; one dense (n, n)
+    # float matrix at n = 20 000 would be 3.2 GB.
+    n, d = 20_000, 6
+    gen = np.random.default_rng(5)
+    coords = itf.synthetic_layout("uniform_square", n, seed=5)
+    rows = [f"u{i},{x!r},{y!r},{t},{o!r}" for i, ((x, y), t, o) in enumerate(
+        zip(coords.tolist(), (gen.random(n) < 0.5).astype(int).tolist(), gen.gamma(2.0, 5.0, size=n).tolist())
+    )]
+    data = tmp_path / "units.csv"
+    data.write_text("id,x,y,treatment,outcome\n" + "\n".join(rows) + "\n")
+    config = tmp_path / "config.json"
+    design = {"rho": 0.5, "mapping": {"kind": "threshold", "d_min": 3}, "neighborhood": {"d": d}}
+    config.write_text(json.dumps(design))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["estimate", "--config", str(config), "--data", str(data), "--out", str(out), "--dump-matrices"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 4) and capsys.readouterr().out == ""
+    profile = itf.exact_profile(itf.build_knn_neighborhoods(coords, d), itf.ExposureMapping.threshold(3), 0.5)
+    with open(out / "pairs.csv") as handle:
+        header, *rows = handle.read().splitlines()
+    assert header == "i,j,joint,excess"
+    assert len(rows) == profile.rows.size > 1 << 16  # more than one chunk of rows
+    i, j, joint, _ = zip(*(row.split(",") for row in rows))
+    assert np.array_equal(np.array(i, dtype=int), profile.rows) and np.array_equal(np.array(j, dtype=int), profile.cols)
+    assert np.array_equal(np.array([float(v) for v in joint]), profile.values)
     assert peak < 64 * 2**20
