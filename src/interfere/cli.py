@@ -10,7 +10,8 @@ with round-trippable floats, and nothing emits timestamps.
 ``estimate``, ``contrast`` and ``probcheck`` build their one design with
 ``_neighborhoods`` (a mapping, and the ``--neighborhoods`` file or k-NN of
 size ``neighborhood.d``: one without the other is an error) and ``_profile``
-(Monte Carlo when ``p_method`` asks for it, with ``--seed`` as its seed).
+(Monte Carlo when ``p_method`` asks for it, with ``--seed`` as its seed), and
+write the chosen ``--format`` with ``_emit``. ``--dump-matrices`` needs ``--out``.
 """
 
 from __future__ import annotations
@@ -33,17 +34,23 @@ from .simulate import CoverageRow, Scenario, _southern_half, run_coverage_experi
 CONDITION_FAILED_EXIT = 4
 
 
-class _UsageError(Exception):
-    """A command-line usage error found after parsing; exits with code 2."""
+def _out_file(out_dir, filename: str) -> Path:
+    path = Path(out_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    return path / filename
 
 
 def _write_or_print(text: str, out_dir, filename: str) -> None:
     if out_dir is None:
         sys.stdout.write(text)
     else:
-        path = Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / filename).write_text(text)
+        _out_file(out_dir, filename).write_text(text)
+
+
+def _emit(args, name: str, **renderers) -> None:
+    """Write the ``args.format`` renderer's text to stdout or ``--out``/``<name>.json``, ``.csv`` or ``.txt``."""
+    suffix = "txt" if args.format == "text" else args.format
+    _write_or_print(renderers[args.format](), args.out, f"{name}.{suffix}")
 
 
 def _run_config(args) -> pkgio.RunConfig:
@@ -82,11 +89,12 @@ def _dump_matrices(profile, out_dir) -> None:
                          row_excess=profile.row_excess),
         "pairs.csv": dict(i=profile.rows, j=profile.cols, joint=profile.values, excess=profile.values - p * p),
     }
-    step = 1 << 16  # rows are made a chunk at a time, so no column becomes one list
+    step = 1 << 16  # rows are made and written a chunk at a time, so no column becomes one list
     for name, table in tables.items():
         rows = (row for lo in range(0, table["i"].size, step)
                 for row in zip(*(c[lo:lo + step].tolist() for c in table.values())))
-        _write_or_print(pkgio.dump_csv(list(table), rows), out_dir, name)
+        with _out_file(out_dir, name).open("w") as handle:
+            pkgio.write_csv(handle, list(table), rows)
 
 
 def _estimate_text(reports, bonferroni, alpha) -> str:
@@ -122,8 +130,6 @@ _REPORT_FIELDS = (
 
 
 def cmd_estimate(args) -> int:
-    if args.dump_matrices and args.out is None:
-        raise _UsageError("estimate: --dump-matrices needs --out")
     config = _run_config(args)
     if args.alpha is not None:
         config = dataclasses.replace(config, alpha=args.alpha)
@@ -156,13 +162,9 @@ def cmd_estimate(args) -> int:
     for entry in payload["configs"]:
         if entry["d"] == 1:
             entry["note"] = "singleton neighborhoods; spatial information is not used"
-    if args.format == "json":
-        _write_or_print(pkgio.dump_json(payload), args.out, "estimate.json")
-    elif args.format == "csv":
-        rows = ([getattr(r, f) for f in _REPORT_FIELDS] for r in reports)
-        _write_or_print(pkgio.dump_csv(_REPORT_FIELDS, rows), args.out, "estimate.csv")
-    else:
-        _write_or_print(_estimate_text(reports, bonferroni, config.alpha), args.out, "estimate.txt")
+    _emit(args, "estimate", json=lambda: pkgio.dump_json(payload),
+          csv=lambda: pkgio.dump_csv(_REPORT_FIELDS, ([getattr(r, f) for f in _REPORT_FIELDS] for r in reports)),
+          text=lambda: _estimate_text(reports, bonferroni, config.alpha))
     return 0 if payload["all_conditions_met"] else CONDITION_FAILED_EXIT
 
 
@@ -211,15 +213,11 @@ def cmd_contrast(args) -> int:
             exposure = evaluate_exposure(pop, nbhd, config.mapping)
             zreport = exposure_attributable_contrast(pop.outcome, exposure, profile, alpha)
             payload["exposure_split"] = pkgio.contrast_report_dict(zreport)
-    if args.format == "csv":
-        header = ("split", "delta", "one_sided_lower", "two_sided_low", "two_sided_high", "alpha")
-        blocks = [(key, payload[key]) for key in ("treatment_split", "exposure_split") if key in payload]
-        rows = [(key, b["delta"], b["one_sided_lower"], *b["two_sided"], b["alpha"]) for key, b in blocks]
-        _write_or_print(pkgio.dump_csv(header, rows), args.out, "contrast.csv")
-    elif args.format == "text":
-        _write_or_print(_contrast_text(payload), args.out, "contrast.txt")
-    else:
-        _write_or_print(pkgio.dump_json(payload), args.out, "contrast.json")
+    header = ("split", "delta", "one_sided_lower", "two_sided_low", "two_sided_high", "alpha")
+    blocks = [(key, payload[key]) for key in ("treatment_split", "exposure_split") if key in payload]
+    rows = [(key, b["delta"], b["one_sided_lower"], *b["two_sided"], b["alpha"]) for key, b in blocks]
+    _emit(args, "contrast", json=lambda: pkgio.dump_json(payload), csv=lambda: pkgio.dump_csv(header, rows),
+          text=lambda: _contrast_text(payload))
     return 0
 
 
@@ -261,9 +259,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _compare(exact, other) -> tuple:
+    """|``other`` - ``exact``| joint probabilities, and ``exact``'s, on the diagonal and then on each pair
+    of the all-pairs profile ``other`` (``np.triu_indices`` order; off its pattern ``exact`` has p^2)."""
+    n, i, j = exact.n, exact.rows, exact.cols
+    truth = np.full(n + other.rows.size, exact.p * exact.p)
+    truth[:n] = exact.diag
+    truth[n + i * (2 * n - i - 1) // 2 + j - i - 1] = exact.values
+    return np.abs(np.concatenate((other.diag, other.values)) - truth), truth
+
+
+def _probcheck_text(payload) -> str:
+    lines = [f"exposure probability check: n={payload['n_units']}, p={payload['p_exact']!r}"]
+    if payload["oracle"] is not None:
+        lines.append(f"  enumeration oracle: max |joint diff| = {payload['oracle']['max_abs_diff_joint']:.3e}")
+    if payload["mc"] is not None:
+        lines.append(
+            "  monte carlo ({samples} samples): max |joint diff| = {max_abs_diff_joint:.3e}, max diff/SE = "
+            "{max_se_ratio:.2f}, {n_within_4se}/{n_entries} entries within 4 SE".format(**payload["mc"])
+        )
+    return "\n".join(lines) + "\n"
+
+
 def cmd_probcheck(args) -> int:
-    if args.dump_matrices and args.out is None:
-        raise _UsageError("probcheck: --dump-matrices needs --out")
     config = _run_config(args)
     pop = pkgio.load_units(args.data, config.rho)
     nbhd = _neighborhoods("probcheck", config, pop)
@@ -280,41 +298,25 @@ def cmd_probcheck(args) -> int:
     if args.oracle:
         oracle = enumerated_profile(nbhd, config.mapping, config.rho)
         payload["oracle"] = {
-            "max_abs_diff_joint": float(np.abs(exact.joint - oracle.joint).max()),
+            "max_abs_diff_joint": float(_compare(exact, oracle)[0].max()),
             "abs_diff_p": abs(exact.p - oracle.p),
         }
     if config.mc_samples is not None:
-        mc = _profile(config, nbhd)
-        exact_joint = exact.joint
-        diff = np.abs(mc.joint - exact_joint)
-        se = np.sqrt(exact_joint * (1.0 - exact_joint) / config.mc_samples)
+        diff, truth = _compare(exact, _profile(config, nbhd))
+        se = np.sqrt(truth * (1.0 - truth) / config.mc_samples)
         positive = se > 0
+        within = (diff <= 4.0 * se) | ~positive
         payload["mc"] = {
             "samples": config.mc_samples,
             "seed": config.mc_seed,
             "max_abs_diff_joint": float(diff.max()),
             "max_se_ratio": float((diff[positive] / se[positive]).max()) if positive.any() else 0.0,
-            "n_entries": int(diff.size),
-            "n_within_4se": int((diff[positive] <= 4.0 * se[positive]).sum() + (~positive).sum()),
+            "n_entries": pop.n * pop.n,
+            "n_within_4se": int(within[: pop.n].sum() + 2 * within[pop.n :].sum()),
         }
     if args.dump_matrices:
         _dump_matrices(exact, args.out)
-    if args.format == "text":
-        lines = [f"exposure probability check: n={pop.n}, p={exact.p!r}"]
-        if payload["oracle"] is not None:
-            lines.append(
-                f"  enumeration oracle: max |joint diff| = {payload['oracle']['max_abs_diff_joint']:.3e}"
-            )
-        if payload["mc"] is not None:
-            mc_block = payload["mc"]
-            lines.append(
-                f"  monte carlo ({mc_block['samples']} samples): max |joint diff| = "
-                f"{mc_block['max_abs_diff_joint']:.3e}, max diff/SE = {mc_block['max_se_ratio']:.2f}, "
-                f"{mc_block['n_within_4se']}/{mc_block['n_entries']} entries within 4 SE"
-            )
-        _write_or_print("\n".join(lines) + "\n", args.out, "probcheck.txt")
-    else:
-        _write_or_print(pkgio.dump_json(payload), args.out, "probcheck.json")
+    _emit(args, "probcheck", json=lambda: pkgio.dump_json(payload), text=lambda: _probcheck_text(payload))
     return 0
 
 
@@ -370,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "dump_matrices", False) and args.out is None:
+        parser.error(f"{args.command}: --dump-matrices needs --out")
     try:
         return args.func(args)
-    except _UsageError as exc:
-        parser.error(str(exc))
     except (InterfereError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .design import EffectiveTreatment, evaluate_exposure_many
-from .errors import ValidationError, check_integer, check_seed
+from .errors import ValidationError, check_count, check_integer, check_probability, check_seed
 from .exposure import ExposureProfile, exact_profile
 from .normal import norm_ppf
 
@@ -107,11 +107,6 @@ def _check_binary(values, name: str) -> np.ndarray:
     return arr.astype(float)
 
 
-def _check_two_sided_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-
-
 def _treatment_scale(n1: int, n0: int) -> float:
     """Half-width per unit of z of the treatment split: sqrt(n / (n0 n1)) / 2."""
     return 0.5 * math.sqrt((n1 + n0) / (n0 * n1))
@@ -170,7 +165,7 @@ def attributable_contrast_from_counts(
     The interval half-widths depend on the data only through the group sizes,
     so aggregate counts are fully equivalent to unit-level rows.
     """
-    _check_two_sided_alpha(alpha)
+    check_probability(alpha, "alpha")
     n1, pos1, n0, pos0 = (
         check_integer(value, name)
         for value, name in (
@@ -197,7 +192,7 @@ def attributable_contrast(x, y, alpha: float) -> ContrastReport:
     n1, n = int(n1), x.size
     if n1 < 1 or n1 > n - 1:
         raise ValidationError("both a treated and a control group are required")
-    _check_two_sided_alpha(alpha)
+    check_probability(alpha, "alpha")
     return _report("treatment", delta, n1, n, _treatment_scale(n1, n - n1), alpha)
 
 
@@ -340,7 +335,7 @@ def exposure_attributable_contrast(
     alpha: float,
 ) -> ContrastReport:
     """Attributable contrast for the effective-treatment split of the units."""
-    _check_two_sided_alpha(alpha)
+    check_probability(alpha, "alpha")
     y = _check_binary(y, "outcome")
     n = profile.n
     if y.size != n or exposure.indicator.size != n:
@@ -371,10 +366,8 @@ def concentration_check(
     in simulations.
     """
     xi = _check_binary(xi, "full-control outcomes")
-    num_draws = check_integer(num_draws, "num_draws")
-    if num_draws < 1:
-        raise ValidationError("num_draws must be at least 1")
-    _check_two_sided_alpha(alpha)
+    num_draws = check_count(num_draws, "num_draws")
+    check_probability(alpha, "alpha")
     seed = check_seed(seed, philox=True)
     n = xi.size
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))

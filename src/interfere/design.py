@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_integer
+from .errors import ValidationError, check_integer, check_probability
 
 # Entries of the (rows, candidates, dim) difference block built per k-NN chunk.
 _KNN_CHUNK = 1 << 20
@@ -75,8 +75,7 @@ class Population:
         for name, values in (("treatment", treatment), ("outcome", outcome), ("enrollment", enrollment)):
             if values is not None and values.shape != (n,):
                 raise ValidationError(f"{name} must be a length-{n} vector, got shape {values.shape}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValidationError(f"treatment probability must lie in (0, 1), got {self.rho}")
+        check_probability(self.rho, "treatment probability")
         _check_units(ids, np.isfinite(coords).all(axis=1), "coordinates must be finite")
         _check_units(ids, (treatment == 0) | (treatment == 1), "treatment must be 0 or 1, got {}", treatment)
         _check_units(
@@ -119,7 +118,11 @@ class NeighborhoodSet:
     members: np.ndarray  # (n, k) int64, each row sorted ascending
 
     def __post_init__(self):
-        members = np.asarray(self.members, dtype=np.int64)
+        members = np.asarray(self.members)
+        if members.dtype.kind not in "iu":  # checked before the cast, which would truncate or parse
+            members = np.array(
+                [check_integer(j, "neighborhood index") for j in members.ravel().tolist()], dtype=object
+            ).reshape(members.shape)
         if members.ndim != 2:
             raise ValidationError("neighborhood members must form an (n, k) index array")
         n, k = members.shape
@@ -127,7 +130,7 @@ class NeighborhoodSet:
             raise ValidationError("neighborhoods must be nonempty")
         if members.min(initial=0) < 0 or members.max(initial=0) >= n:
             raise ValidationError("neighborhood indices out of range")
-        members = np.sort(members, axis=1)
+        members = np.sort(members.astype(np.int64, copy=False), axis=1)
         if (members[:, 1:] == members[:, :-1]).any():
             raise ValidationError("neighborhood sets must not contain repeated indices")
         rows = np.arange(n)
@@ -160,11 +163,7 @@ class NeighborhoodSet:
                 f"all neighborhoods must have the same size so that exposure "
                 f"probabilities are uniform; got sizes {sorted(sizes)}"
             )
-        try:
-            members = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            raise ValidationError("neighborhood indices out of range") from None
-        return cls(members=members)
+        return cls(members=rows)
 
     def as_sets(self) -> list:
         return [frozenset(int(j) for j in row) for row in self.members]
@@ -209,7 +208,7 @@ class EffectiveTreatment:
     count: int
 
     def __post_init__(self):
-        indicator = np.asarray(self.indicator, dtype=np.int8)
+        indicator = np.asarray(self.indicator)  # checked before the int8 cast, which would truncate or wrap
         if indicator.ndim != 1 or not ((indicator == 0) | (indicator == 1)).all():
             raise ValidationError("indicator must be a vector of 0/1 values")
         if int(indicator.sum()) != self.count:
@@ -362,11 +361,14 @@ def build_knn_neighborhoods(pop_or_coords, d: int) -> NeighborhoodSet:
     return NeighborhoodSet(members=members)
 
 
-def _check_mapping(nbhd: NeighborhoodSet, mapping: ExposureMapping) -> None:
+def _check_mapping(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: Optional[float] = None) -> None:
+    """The one design check: the mapping fits the sets, and ``rho`` (when given) is a probability."""
     if mapping.kind == "threshold" and mapping.d_min > nbhd.k:
         raise ValidationError(
             f"threshold d_min={mapping.d_min} exceeds the neighborhood size {nbhd.k}"
         )
+    if rho is not None:
+        check_probability(rho, "treatment probability")
 
 
 def evaluate_exposure_many(x, nbhd: NeighborhoodSet, mapping: ExposureMapping) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer and seed rules of inputs."""
+"""Exception types shared across the package, and the rules of integer, count, seed and probability inputs."""
 
 from typing import Optional
 
@@ -47,6 +47,20 @@ def check_integer(value, name: str) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def check_count(value, name: str) -> int:
+    """``value`` as an integer of at least 1, or a ValidationError naming ``name``."""
+    count = check_integer(value, name)
+    if count < 1:
+        raise ValidationError(f"{name} must be at least 1")
+    return count
+
+
+def check_probability(value, name: str) -> None:
+    """A ValidationError naming ``name`` unless 0 < ``value`` < 1 (so NaN is rejected)."""
+    if not 0.0 < value < 1.0:
+        raise ValidationError(f"{name} must lie in (0, 1), got {value}")
 
 
 def check_seed(value, name: str = "seed", *, philox: bool = False) -> int:

@@ -9,8 +9,8 @@ independence) that the variance estimators center with.
 Units whose neighborhoods are disjoint are independent, so their joint
 probability is exactly p^2 and their excess exactly 0. An exact profile
 therefore stores only the overlapping pairs, memory linear in n for bounded
-overlap. The dense ``joint`` property is built on demand only: for tests,
-``probcheck``, and the eigenvalue of an all-pairs (Monte Carlo) profile.
+overlap. The dense ``joint`` property is built on demand only: for tests and
+the eigenvalue of an all-pairs (Monte Carlo) profile.
 
 The exact pairwise computation partitions the union of two neighborhoods into
 the two private parts and the shared part and convolves binomial counts over
@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .design import ExposureMapping, NeighborhoodSet, _check_mapping, build_knn_neighborhoods, evaluate_exposure_many
-from .errors import ValidationError, check_integer, check_seed
+from .errors import ValidationError, check_count, check_seed
 
 _MC_SHARD = 1 << 16
 # Uniforms drawn and counted at once within a Monte Carlo shard (8 MiB of float64).
@@ -119,9 +119,7 @@ def _sf(sf_tables: list, n: int, t: int) -> float:
 
 def exact_marginal(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -> float:
     """Closed-form P(Z_i = 1), identical across units by size uniformity."""
-    _check_mapping(nbhd, mapping)
-    if not 0.0 < rho < 1.0:
-        raise ValidationError(f"treatment probability must lie in (0, 1), got {rho}")
+    _check_mapping(nbhd, mapping, rho)
     k = nbhd.k
     if mapping.kind == "product":
         return rho**k
@@ -295,12 +293,8 @@ def monte_carlo_profile(
     Sampling uses a counter-based generator keyed by (seed, shard index), so
     results are bit-identical for a given seed.
     """
-    _check_mapping(nbhd, mapping)
-    num_samples = check_integer(num_samples, "num_samples")
-    if num_samples < 1:
-        raise ValidationError("num_samples must be at least 1")
-    if not 0.0 < rho < 1.0:
-        raise ValidationError(f"treatment probability must lie in (0, 1), got {rho}")
+    _check_mapping(nbhd, mapping, rho)
+    num_samples = check_count(num_samples, "num_samples")
     seed = check_seed(seed, philox=True)
     counts = sum(
         _mc_shard_counts(nbhd, mapping, rho, seed, shard, min(_MC_SHARD, num_samples - start))
@@ -313,12 +307,10 @@ def monte_carlo_profile(
 
 def enumerated_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -> ExposureProfile:
     """Exact profile by enumerating all 2^n assignments (test oracle, n <= 20)."""
-    _check_mapping(nbhd, mapping)
+    _check_mapping(nbhd, mapping, rho)
     n = nbhd.n
     if n > 20:
         raise ValidationError(f"full enumeration supports at most 20 units, got {n}")
-    if not 0.0 < rho < 1.0:
-        raise ValidationError(f"treatment probability must lie in (0, 1), got {rho}")
     total = 1 << n
     x = ((np.arange(total)[:, None] >> np.arange(n)[None, :]) & 1).astype(np.int8)
     treated = x.sum(axis=1)

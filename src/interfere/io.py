@@ -31,7 +31,7 @@ import numpy as np
 
 from .contrast import ContrastReport
 from .design import ExposureMapping, NeighborhoodSet, Population
-from .errors import ValidationError, check_integer
+from .errors import ValidationError, check_integer, check_probability
 from .monotone import MonotoneCiReport
 from .simulate import LAYOUT_KINDS, SCENARIO_KINDS
 from .simulate import CoverageTable
@@ -236,10 +236,8 @@ class RunConfig:
     variance_floor: Optional[float] = None
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise ValidationError(f"config: rho must lie in (0, 1), got {self.rho}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError(f"config: alpha must lie in (0, 1), got {self.alpha}")
+        check_probability(self.rho, "config: rho")
+        check_probability(self.alpha, "config: alpha")
         if self.mc_samples is not None and self.mc_samples < 1:
             raise ValidationError("config: Monte Carlo p_method needs samples >= 1")
         if self.variance_floor is not None and not self.variance_floor > 0:
@@ -354,10 +352,15 @@ def dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def dump_csv(header, rows) -> str:
-    """CSV rendering: None is an empty cell and floats round-trip exactly."""
-    buffer = StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+def write_csv(handle, header, rows) -> None:
+    """CSV rendering, row by row, to an open text file: None is an empty cell and floats round-trip exactly."""
+    writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def dump_csv(header, rows) -> str:
+    """The ``write_csv`` rendering as a string."""
+    buffer = StringIO()
+    write_csv(buffer, header, rows)
     return buffer.getvalue()

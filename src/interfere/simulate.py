@@ -51,7 +51,7 @@ from .design import (
     build_knn_neighborhoods,
     evaluate_exposure_many,
 )
-from .errors import ValidationError, check_integer, check_seed
+from .errors import ValidationError, check_count, check_integer, check_probability, check_seed
 from .exposure import _threshold_designs
 from .monotone import _check_alpha, _score
 
@@ -117,8 +117,7 @@ class Scenario:
             layout = layout[:, None]
         if layout.ndim != 2 or layout.shape[0] < 2:
             raise ValidationError("layout must be an (n, dim) array with n >= 2")
-        if not 0.0 < self.rho < 1.0:
-            raise ValidationError(f"treatment probability must lie in (0, 1), got {self.rho}")
+        check_probability(self.rho, "treatment probability")
         object.__setattr__(self, "seed", check_seed(self.seed))
         if not (self.count_mean > 0 and self.count_dispersion > 0):
             raise ValidationError("count_mean and count_dispersion must be positive")
@@ -306,9 +305,7 @@ def run_coverage_experiment(
     Replicates are drawn in batches of ``_BATCH`` entries and scored in one
     array pass per design (see ``_replicate_outcomes``).
     """
-    replicates = check_integer(replicates, "replicates")
-    if replicates < 1:
-        raise ValidationError("replicates must be at least 1")
+    replicates = check_count(replicates, "replicates")
     _check_alpha(alpha)
     configs = [(check_integer(d_min, "d_min"), check_integer(d, "d")) for d_min, d in configs]
     if not configs:

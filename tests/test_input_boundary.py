@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import interfere as itf
 from interfere.cli import main
 from interfere.errors import ValidationError
+from interfere.io import RunConfig
 
 from conftest import dense_profile
 
@@ -263,6 +264,113 @@ def test_library_seeds_outside_the_generator_range_are_errors(case):
     for seed in rejected:
         with pytest.raises(ValidationError, match="seed must"):
             call(seed)
+
+
+# Library entry points that take a probability in (0, 1), each called with
+# the value under test, and the name their error gives it.
+LIBRARY_PROBABILITIES = {
+    "Population rho": (
+        lambda v: itf.Population(ids=(0, 1), coords=np.arange(2.0), treatment=[0, 1], outcome=[1.0, 2.0], rho=v),
+        "treatment probability",
+    ),
+    "Scenario rho": (
+        lambda v: itf.Scenario(kind="no_effect_no_clustering", layout=np.arange(10.0), rho=v),
+        "treatment probability",
+    ),
+    "RunConfig rho": (lambda v: RunConfig(rho=v), "config: rho"),
+    "RunConfig alpha": (lambda v: RunConfig(rho=0.5, alpha=v), "config: alpha"),
+    "exact_profile rho": (
+        lambda v: itf.exact_profile(_ring(), itf.ExposureMapping.threshold(2), v), "treatment probability"
+    ),
+    "monte_carlo_profile rho": (
+        lambda v: itf.monte_carlo_profile(_ring(), itf.ExposureMapping.threshold(2), v, 10),
+        "treatment probability",
+    ),
+    "enumerated_profile rho": (
+        lambda v: itf.enumerated_profile(_ring(), itf.ExposureMapping.threshold(2), v), "treatment probability"
+    ),
+    "attributable_contrast alpha": (lambda v: itf.attributable_contrast([0, 1, 1, 0], [1, 0, 1, 0], v), "alpha"),
+    "attributable_contrast_from_counts alpha": (
+        lambda v: itf.attributable_contrast_from_counts(4, 1, 4, 2, v), "alpha"
+    ),
+    "exposure_attributable_contrast alpha": (
+        lambda v: itf.exposure_attributable_contrast(
+            np.zeros(8), itf.EffectiveTreatment(np.eye(8, dtype=np.int8)[0], 1),
+            itf.exact_profile(_ring(), itf.ExposureMapping.threshold(2), 0.5), v,
+        ),
+        "alpha",
+    ),
+    "concentration_check alpha": (lambda v: itf.concentration_check(np.array([0, 1, 1, 0]), 5, 2, alpha=v), "alpha"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_PROBABILITIES))
+def test_library_probabilities_lie_strictly_between_0_and_1(case):
+    call, name = LIBRARY_PROBABILITIES[case]
+    call(0.25)
+    for bad in (0.0, 1.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValidationError) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must lie in (0, 1), got {bad}"
+
+
+# Library entry points that take a count of at least 1, and the name their error gives it.
+LIBRARY_COUNTS = {
+    "monte_carlo_profile num_samples": "num_samples",
+    "run_coverage_experiment replicates": "replicates",
+    "concentration_check num_draws": "num_draws",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_COUNTS))
+def test_library_counts_are_at_least_1(case):
+    for bad in (0, -3, 0.0):
+        with pytest.raises(ValidationError) as info:
+            LIBRARY_INTEGERS[case](bad)
+        assert str(info.value) == f"{LIBRARY_COUNTS[case]} must be at least 1"
+
+
+# Typed constructors given raw values that a cast would truncate, wrap or parse.
+RAW_CONSTRUCTOR_VALUES = {
+    "neighborhood index is not integral": lambda: itf.NeighborhoodSet(members=[[0, 1.5], [1, 0.2]]),
+    "neighborhood index is a string": lambda: itf.NeighborhoodSet(members=[["0", "1"], ["1", "0"]]),
+    "neighborhood index is a boolean": lambda: itf.NeighborhoodSet(members=[[True, False], [False, True]]),
+    "neighborhood index exceeds 64 bits": lambda: itf.NeighborhoodSet(members=[[0, 2**70], [1, 0]]),
+    "neighborhood index exceeds 63 bits": lambda: itf.NeighborhoodSet(members=[[0, 2**63], [1, 0]]),
+    "neighborhood index is nan": lambda: itf.NeighborhoodSet(members=[[0, math.nan], [1, 0]]),
+    "indicator entry is not integral": lambda: itf.EffectiveTreatment(indicator=[0.5, 1, 0], count=1),
+    "indicator entry exceeds int8": lambda: itf.EffectiveTreatment(indicator=[257, 0, 1], count=2),
+    "indicator entry is a string": lambda: itf.EffectiveTreatment(indicator=["1", "0"], count=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_CONSTRUCTOR_VALUES))
+def test_constructors_check_raw_values_before_the_cast(case):
+    with pytest.raises(ValidationError):
+        RAW_CONSTRUCTOR_VALUES[case]()
+
+
+def test_constructors_accept_integral_floats_and_boolean_indicators():
+    nbhd = itf.NeighborhoodSet(members=[[1.0, 0.0], [1.0, 2.0], [2.0, 0.0]])
+    assert nbhd.members.dtype == np.int64 and nbhd.members.tolist() == [[0, 1], [1, 2], [0, 2]]
+    exposure = itf.EffectiveTreatment(indicator=np.array([True, False, True]), count=2)
+    assert exposure.indicator.dtype == np.int8 and exposure.indicator.tolist() == [1, 0, 1]
+
+
+def test_malformed_json_config_is_an_error(tmp_path):
+    argv = estimate_config(tmp_path)
+    argv[2].write_text('{"rho": 0.5,')
+    code, out, err = run(argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {argv[2]}: not a valid JSON file: ")
+
+
+def test_coordinate_columns_must_be_consecutive(tmp_path):
+    argv = estimate_config(tmp_path)
+    argv[-1].write_text("id,x1,x3,treatment,outcome\na,0,0,1,4\nb,1,0,0,2\nc,2,0,1,3\n")
+    code, out, err = run(argv)
+    assert code == 1 and out == ""
+    assert err == "error: coordinate columns must be consecutive x1..xk, got ['x1', 'x3']\n"
 
 
 def test_error_names_the_key_path(tmp_path):

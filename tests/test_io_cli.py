@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import interfere.io as pkgio
-from interfere.cli import main
+from interfere.cli import _compare, main
 from interfere.design import ExposureMapping, build_knn_neighborhoods
 from interfere.errors import ValidationError
-from interfere.exposure import center_excess, exact_profile, monte_carlo_profile
+from interfere.exposure import center_excess, enumerated_profile, exact_profile, monte_carlo_profile
+
+from conftest import random_design
 
 UNITS_CSV = """id,x,y,treatment,outcome
 a,0.0,0.0,1,4
@@ -477,6 +479,23 @@ class TestCliSimulate:
         assert code == 1 and captured.out == ""
         assert captured.err == "error: replicates must be at least 1\n"
 
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_two_cluster_metadata_splits_at_the_median_latitude(self, tmp_path, capsys, n):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({
+            "scenario": "no_effect_clustering", "layout": {"kind": "two_cluster", "n": n, "seed": 7},
+            "configs": [[1, 1]], "replicates": 5,
+        }))
+        assert main(["simulate", "--config", str(path), "--format", "json"]) == 0
+        layout = json.loads(capsys.readouterr().out)["metadata"]["layout"]
+        assert layout == {"kind": "two_cluster", "n": n, "seed": 7, "south_north_split": [n - n // 2, n // 2]}
+
+    def test_other_layouts_have_no_split(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(self._config(tmp_path)), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["layout"] == {
+            "kind": "uniform_square", "n": 49, "seed": 7,
+        }
+
     def test_seed_override_changes_output(self, tmp_path, capsys):
         config = self._config(tmp_path)
         main(["simulate", "--config", str(config), "--format", "csv"])
@@ -517,6 +536,20 @@ class TestCliProbcheck:
         assert payload["mc"]["max_abs_diff_joint"] < 0.02
         assert payload["mc"]["n_within_4se"] == payload["mc"]["n_entries"]
         assert code == 0
+
+    def test_comparison_equals_the_dense_matrices(self, rng):
+        # The stored-form comparison reads the exact profile at the all-pairs
+        # profile's pairs; the dense matrices are the reference, entry by entry.
+        for _ in range(20):
+            nbhd, mapping, rho = random_design(rng)
+            exact = exact_profile(nbhd, mapping, rho)
+            rows, cols = np.triu_indices(nbhd.n, 1)
+            others = (monte_carlo_profile(nbhd, mapping, rho, 300, seed=4), enumerated_profile(nbhd, mapping, rho))
+            for other in others:
+                diff, truth = _compare(exact, other)
+                dense = np.abs(other.joint - exact.joint)
+                np.testing.assert_array_equal(diff, np.concatenate((np.diagonal(dense), dense[rows, cols])))
+                np.testing.assert_array_equal(truth, np.concatenate((exact.diag, exact.joint[rows, cols])))
 
     def test_oracle_rejected_above_20_units(self, tmp_path, capsys):
         rows = ["id,x,treatment,outcome"] + [f"u{i},{i}.0,0,1.0" for i in range(25)]

@@ -142,6 +142,17 @@ class TestVarianceEstimates:
         with pytest.raises(ZeroJointProbabilityError):
             itf.variance_estimate(np.ones(2), make_exposure([1, 1]), profile)
 
+    def test_zero_off_pattern_joint_probability_with_two_exposed(self):
+        # Singleton sets overlap nowhere, so every pair is off the pattern, where
+        # the joint probability p^2 = 1e-340 rounds to 0.
+        nbhd = itf.build_knn_neighborhoods(np.arange(3.0)[:, None], 1)
+        profile = itf.exact_profile(nbhd, itf.ExposureMapping.threshold(1), 1e-170)
+        assert profile.rows.size == 0 and profile.p > 0.0 and profile.p * profile.p == 0.0
+        for variance in (itf.variance_estimate, itf.conservative_variance):
+            variance(np.ones(3), make_exposure([1, 0, 0]), profile)
+            with pytest.raises(ZeroJointProbabilityError):
+                variance(np.ones(3), make_exposure([1, 1, 0]), profile)
+
 
 class TestValidityCondition:
     def test_zero_estimate_always_passes(self, line6_design):
