@@ -7,11 +7,19 @@ condition failed (the numeric output is still produced).
 All output is deterministic for fixed inputs and seeds: JSON is key-sorted
 with round-trippable floats, and nothing emits timestamps.
 
-``estimate``, ``contrast`` and ``probcheck`` build their one design with
-``_neighborhoods`` (a mapping, and the ``--neighborhoods`` file or k-NN of
-size ``neighborhood.d``: one without the other is an error) and ``_profile``
-(Monte Carlo when ``p_method`` asks for it, with ``--seed`` as its seed), and
-write the chosen ``--format`` with ``_emit``. ``--dump-matrices`` needs ``--out``.
+``estimate``, ``contrast`` and ``probcheck`` read their ``RunConfig`` with
+``_run_config``, which applies ``--seed`` and ``--alpha`` (``contrast``
+without ``--config`` starts from rho 0.5 and no design), and reject with
+``_unread`` a key that chooses an analysis they do not run: ``bonferroni``
+in ``contrast`` and ``probcheck``, a design in a bonferroni scan or in
+``contrast --count-mode``. ``simulate`` passes its file's ``Scenario``
+arguments on as given, so ``Scenario`` holds their defaults.
+
+They build their one design with ``_neighborhoods`` (a mapping, and the
+``--neighborhoods`` file or k-NN of size ``neighborhood.d``: one without the
+other is an error) and ``_profile`` (Monte Carlo when ``p_method`` asks for
+it, with ``--seed`` as its seed), and write the chosen ``--format`` with
+``_emit``. ``--dump-matrices`` needs ``--out``.
 """
 
 from __future__ import annotations
@@ -54,9 +62,19 @@ def _emit(args, name: str, **renderers) -> None:
 
 
 def _run_config(args) -> pkgio.RunConfig:
-    """The ``--config`` file, with ``--seed`` as its Monte Carlo seed when given."""
-    config = pkgio.load_run_config(args.config)
-    return config if args.seed is None else dataclasses.replace(config, mc_seed=args.seed)
+    """The ``--config`` file (for ``contrast`` without one, rho 0.5 and no
+    design), with ``--seed`` as its Monte Carlo seed and ``--alpha`` as its
+    level when given."""
+    config = pkgio.RunConfig(rho=0.5) if args.config is None else pkgio.load_run_config(args.config)
+    flags = {"mc_seed": args.seed, "alpha": getattr(args, "alpha", None)}
+    return dataclasses.replace(config, **{key: value for key, value in flags.items() if value is not None})
+
+
+def _unread(what: str, config: pkgio.RunConfig, *keys) -> None:
+    """An error when ``config`` sets one of the analysis ``keys``, which ``what`` does not read."""
+    given = {"mapping": config.mapping, "neighborhood": config.d, "bonferroni": config.bonferroni}
+    if any(given[key] is not None for key in keys):
+        raise ValidationError(f"{what} takes no " + " or ".join(f"config.{key}" for key in keys))
 
 
 def _neighborhoods(command: str, config: pkgio.RunConfig, pop, path=None):
@@ -131,8 +149,6 @@ _REPORT_FIELDS = (
 
 def cmd_estimate(args) -> int:
     config = _run_config(args)
-    if args.alpha is not None:
-        config = dataclasses.replace(config, alpha=args.alpha)
     pop = pkgio.load_units(args.data, config.rho)
     bonferroni = bool(config.bonferroni)
     if bonferroni:
@@ -142,6 +158,7 @@ def cmd_estimate(args) -> int:
             raise ValidationError("--dump-matrices cannot be combined with a bonferroni scan")
         if config.mc_samples is not None:
             raise ValidationError("Monte Carlo p_method is not supported in bonferroni scans")
+        _unread("a bonferroni scan", config, "mapping", "neighborhood")
         reports = bonferroni_scan(pop, config.bonferroni, config.alpha, config.variance_floor)
     else:
         nbhd = _neighborhoods("estimate", config, pop, args.neighborhoods)
@@ -189,30 +206,23 @@ def _contrast_text(payload) -> str:
 
 
 def cmd_contrast(args) -> int:
-    alpha = args.alpha if args.alpha is not None else 0.05
-    config = None
-    if args.config is not None:
-        config = _run_config(args)
-        if args.alpha is None:
-            alpha = config.alpha
-    design = config is not None and (config.mapping is not None or config.d is not None)
-    payload = {"command": "contrast", "alpha": alpha}
+    config = _run_config(args)
+    _unread("contrast", config, "bonferroni")
+    design = config.mapping is not None or config.d is not None
+    payload = {"command": "contrast", "alpha": config.alpha}
     if args.count_mode:
-        if design:
-            raise ValidationError("contrast --count-mode takes no config.mapping or config.neighborhood")
-        counts = pkgio.load_count_table(args.data)
-        report = attributable_contrast_from_counts(alpha=alpha, **counts)
-        payload["treatment_split"] = pkgio.contrast_report_dict(report)
+        _unread("contrast --count-mode", config, "mapping", "neighborhood")
+        report = attributable_contrast_from_counts(alpha=config.alpha, **pkgio.load_count_table(args.data))
     else:
-        pop = pkgio.load_units(args.data, config.rho if config else 0.5)
-        report = attributable_contrast(pop.treatment, pop.outcome, alpha)
-        payload["treatment_split"] = pkgio.contrast_report_dict(report)
+        pop = pkgio.load_units(args.data, config.rho)
+        report = attributable_contrast(pop.treatment, pop.outcome, config.alpha)
         if design:
             nbhd = _neighborhoods("contrast", config, pop)
             profile = _profile(config, nbhd)
             exposure = evaluate_exposure(pop, nbhd, config.mapping)
-            zreport = exposure_attributable_contrast(pop.outcome, exposure, profile, alpha)
+            zreport = exposure_attributable_contrast(pop.outcome, exposure, profile, config.alpha)
             payload["exposure_split"] = pkgio.contrast_report_dict(zreport)
+    payload["treatment_split"] = pkgio.contrast_report_dict(report)
     header = ("split", "delta", "one_sided_lower", "two_sided_low", "two_sided_high", "alpha")
     blocks = [(key, payload[key]) for key in ("treatment_split", "exposure_split") if key in payload]
     rows = [(key, b["delta"], b["one_sided_lower"], *b["two_sided"], b["alpha"]) for key, b in blocks]
@@ -223,21 +233,13 @@ def cmd_contrast(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = pkgio.load_sim_config(args.config)
-    seed = args.seed if args.seed is not None else config.seed
+    params = config.params if args.seed is None else dict(config.params, seed=args.seed)
     layout = synthetic_layout(config.layout_kind, config.n, config.layout_seed)
-    scenario = Scenario(
-        kind=config.scenario,
-        layout=layout,
-        rho=config.rho,
-        seed=seed,
-        count_mean=config.count_mean,
-        count_dispersion=config.count_dispersion,
-        spillover_max=config.spillover_max,
-    )
+    scenario = Scenario(kind=config.scenario, layout=layout, **params)
     table = run_coverage_experiment(scenario, config.configs, config.alpha, config.replicates)
     metadata = {
         "layout": {"kind": config.layout_kind, "n": config.n, "seed": config.layout_seed},
-        "seed": seed,
+        "seed": scenario.seed,
     }
     if config.layout_kind == "two_cluster":
         south = int(_southern_half(layout).sum())
@@ -283,6 +285,7 @@ def _probcheck_text(payload) -> str:
 
 def cmd_probcheck(args) -> int:
     config = _run_config(args)
+    _unread("probcheck", config, "bonferroni")
     pop = pkgio.load_units(args.data, config.rho)
     nbhd = _neighborhoods("probcheck", config, pop)
     exact = exact_profile(nbhd, config.mapping, config.rho)

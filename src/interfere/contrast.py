@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .design import EffectiveTreatment, evaluate_exposure_many
-from .errors import ValidationError, check_count, check_integer, check_probability, check_seed
+from .errors import ValidationError, check_count, check_integer, check_probability, check_seed, read_array
 from .exposure import ExposureProfile, exact_profile
 from .normal import norm_ppf
 
@@ -99,7 +99,7 @@ class ConcentrationSummary:
 
 
 def _check_binary(values, name: str) -> np.ndarray:
-    arr = np.asarray(values)
+    arr = read_array(values, name)
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be a vector")
     if not np.isin(arr, (0, 1)).all():

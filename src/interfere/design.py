@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_integer, check_probability
+from .errors import ValidationError, check_integer, check_probability, read_array
 
 # Entries of the (rows, candidates, dim) difference block built per k-NN chunk.
 _KNN_CHUNK = 1 << 20
@@ -30,6 +30,16 @@ def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _coordinates(values) -> np.ndarray:
+    """``values`` as an (n, dim) float array; a vector is n points on a line."""
+    coords = read_array(values, "coordinates", float)
+    if coords.ndim == 1:
+        coords = coords[:, None]
+    if coords.ndim != 2:
+        raise ValidationError("coordinates must form an (n, dim) array")
+    return coords
 
 
 def _check_units(ids: tuple, ok: np.ndarray, message: str, *values) -> None:
@@ -58,20 +68,16 @@ class Population:
     enrollment: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim == 1:
-            coords = coords[:, None]
-        if coords.ndim != 2:
-            raise ValidationError("coordinates must form an (n, dim) array")
+        coords = _coordinates(self.coords)
         n = coords.shape[0]
         if n < 2:
             raise ValidationError(f"a population needs at least 2 units, got {n}")
         ids = tuple(self.ids)
         if len(ids) != n:
             raise ValidationError(f"{len(ids)} ids for {n} coordinate rows")
-        treatment = np.asarray(self.treatment)
-        outcome = np.asarray(self.outcome, dtype=float)
-        enrollment = None if self.enrollment is None else np.asarray(self.enrollment, dtype=float)
+        treatment = read_array(self.treatment, "treatment")
+        outcome = read_array(self.outcome, "outcome", float)
+        enrollment = None if self.enrollment is None else read_array(self.enrollment, "enrollment", float)
         for name, values in (("treatment", treatment), ("outcome", outcome), ("enrollment", enrollment)):
             if values is not None and values.shape != (n,):
                 raise ValidationError(f"{name} must be a length-{n} vector, got shape {values.shape}")
@@ -118,7 +124,7 @@ class NeighborhoodSet:
     members: np.ndarray  # (n, k) int64, each row sorted ascending
 
     def __post_init__(self):
-        members = np.asarray(self.members)
+        members = read_array(self.members, "neighborhood members")
         if members.dtype.kind not in "iu":  # checked before the cast, which would truncate or parse
             members = np.array(
                 [check_integer(j, "neighborhood index") for j in members.ravel().tolist()], dtype=object
@@ -208,7 +214,8 @@ class EffectiveTreatment:
     count: int
 
     def __post_init__(self):
-        indicator = np.asarray(self.indicator)  # checked before the int8 cast, which would truncate or wrap
+        # checked before the int8 cast, which would truncate or wrap
+        indicator = read_array(self.indicator, "indicator")
         if indicator.ndim != 1 or not ((indicator == 0) | (indicator == 1)).all():
             raise ValidationError("indicator must be a vector of 0/1 values")
         if int(indicator.sum()) != self.count:
@@ -337,11 +344,7 @@ def build_knn_neighborhoods(pop_or_coords, d: int) -> NeighborhoodSet:
     candidate of every other, and the cost is the all-pairs O(n^2) in time,
     still not in memory.
     """
-    coords = np.asarray(getattr(pop_or_coords, "coords", pop_or_coords), dtype=float)
-    if coords.ndim == 1:
-        coords = coords[:, None]
-    if coords.ndim != 2:
-        raise ValidationError("coordinates must form an (n, dim) array")
+    coords = _coordinates(getattr(pop_or_coords, "coords", pop_or_coords))
     if not np.isfinite(coords).all():
         raise ValidationError("coordinates must be finite")
     n, dim = coords.shape
@@ -374,7 +377,7 @@ def _check_mapping(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: Optiona
 def evaluate_exposure_many(x, nbhd: NeighborhoodSet, mapping: ExposureMapping) -> np.ndarray:
     """Vectorized exposure evaluation for an (s, n) batch of assignments."""
     _check_mapping(nbhd, mapping)
-    x = np.asarray(x)
+    x = read_array(x, "assignment batch")
     if x.ndim != 2 or x.shape[1] != nbhd.n:
         raise ValidationError(f"assignment batch must have shape (s, {nbhd.n})")
     if not (((x == 0) | (x == 1)).all()):
@@ -392,7 +395,7 @@ def evaluate_exposure_many(x, nbhd: NeighborhoodSet, mapping: ExposureMapping) -
 
 def evaluate_exposure(pop_or_x, nbhd: NeighborhoodSet, mapping: ExposureMapping) -> EffectiveTreatment:
     """Apply the exposure mapping to one realized assignment."""
-    x = np.asarray(getattr(pop_or_x, "treatment", pop_or_x))
+    x = read_array(getattr(pop_or_x, "treatment", pop_or_x), "treatment assignment")
     if x.ndim != 1:
         raise ValidationError("treatment assignment must be a vector")
     z = evaluate_exposure_many(x[None, :], nbhd, mapping)[0]

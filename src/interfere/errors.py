@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the rules of integer, count, seed and probability inputs."""
+"""Exception types shared across the package, and the rules of integer, count, seed, probability and array inputs."""
 
 from typing import Optional
 
@@ -47,6 +47,21 @@ def check_integer(value, name: str) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def read_array(values, name: str, dtype=None) -> np.ndarray:
+    """``values`` as an array (of ``dtype`` when given), or a ValidationError
+    naming ``name`` when it is not one: ragged nested lists, or, for a
+    numeric ``dtype``, text, which numpy would otherwise parse."""
+    try:
+        arr = np.asarray(values)
+        if dtype is None:
+            return arr
+        if arr.dtype.kind not in "SUV":
+            return arr.astype(dtype, copy=False)
+    except (TypeError, ValueError):  # ragged nesting, or entries that do not cast
+        pass
+    raise ValidationError(f"{name} must be a rectangular array of numbers")
 
 
 def check_count(value, name: str) -> int:

@@ -17,8 +17,9 @@ the two private parts and the shared part and convolves binomial counts over
 the three regions, so cost per pair is O(k^2) rather than O(2^|union|). A
 full-enumeration oracle (n <= 20) is provided for testing and diagnostics.
 
-``_threshold_designs`` prepares the threshold (d_min, d) designs of the
-Bonferroni scan and the simulation harness, on one k-NN per distinct d.
+``_threshold_designs`` checks the design list of the Bonferroni scan and
+the simulation harness (nonempty, integer (d_min, d) pairs) and returns
+their threshold designs, on one k-NN per distinct d.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .design import ExposureMapping, NeighborhoodSet, _check_mapping, build_knn_neighborhoods, evaluate_exposure_many
-from .errors import ValidationError, check_count, check_seed
+from .errors import ValidationError, check_count, check_integer, check_seed, read_array
 
 _MC_SHARD = 1 << 16
 # Uniforms drawn and counted at once within a Monte Carlo shard (8 MiB of float64).
@@ -166,7 +167,7 @@ def center_excess(joint: np.ndarray, p: float) -> tuple:
     Centering is applied through the row sums r of the excess and their
     total s, ``excess[i, j] - r[i]/n - r[j]/n + s/n^2``, in O(n^2) time.
     """
-    joint = np.asarray(joint, dtype=float)
+    joint = read_array(joint, "joint probability matrix", float)
     n = joint.shape[0]
     if joint.ndim != 2 or joint.shape[1] != n:
         raise ValidationError("joint probability matrix must be square")
@@ -255,15 +256,26 @@ def exact_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -
     return _finalize(p, np.full(n, p), rows, cols, values, _degree(rows, cols, n), "exact")
 
 
-def _threshold_designs(coords, configs, rho):
-    """Yield (neighborhoods, mapping, exact profile) of each threshold
-    (d_min, d) design in ``configs``, on one k-NN per distinct d."""
-    neighborhoods = {}
-    for d_min, d in configs:
+def _threshold_designs(coords, configs, rho) -> list:
+    """The (neighborhoods, mapping, exact profile) of each threshold
+    (d_min, d) design in the nonempty list ``configs`` of integer pairs, on
+    one k-NN per distinct d; the mapping holds d_min and the sets' size is d."""
+    pairs = []
+    for entry in configs:
+        try:
+            d_min, d = entry
+        except (TypeError, ValueError):
+            raise ValidationError(f"a (d_min, d) configuration must be a pair, got {entry!r}") from None
+        pairs.append((check_integer(d_min, "d_min"), check_integer(d, "d")))
+    if not pairs:
+        raise ValidationError("at least one (d_min, d) configuration is required")
+    neighborhoods, designs = {}, []
+    for d_min, d in pairs:
         if d not in neighborhoods:
             neighborhoods[d] = build_knn_neighborhoods(coords, d)
         mapping = ExposureMapping.threshold(d_min)
-        yield neighborhoods[d], mapping, exact_profile(neighborhoods[d], mapping, rho)
+        designs.append((neighborhoods[d], mapping, exact_profile(neighborhoods[d], mapping, rho)))
+    return designs
 
 
 def _mc_shard_counts(nbhd, mapping, rho, seed, shard, shard_n):

@@ -12,7 +12,10 @@ integer is a JSON integer or an integral float; a number is a finite JSON
 integer or float; strings, booleans and null are neither. Value rules
 (ranges, cross-field checks, uniqueness) belong to the types built from the
 values: ``Population``, ``RunConfig``, ``NeighborhoodSet``, and the
-simulation's ``synthetic_layout`` and ``Scenario``.
+simulation's ``synthetic_layout`` and ``Scenario``. A default belongs to the
+type that uses the value: ``SimConfig.params`` holds only the ``Scenario``
+arguments a file gives, and which keys a command reads is the command's
+rule (``cli``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import dataclasses
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
 from typing import Optional
@@ -283,7 +286,9 @@ def load_run_config(path) -> RunConfig:
 @dataclass(frozen=True)
 class SimConfig:
     """Typed simulation configuration; its values are checked by the
-    layout, scenario and experiment built from it."""
+    layout, scenario and experiment built from it. ``params`` holds the
+    ``Scenario`` arguments the file gives (``rho``, ``seed`` and those of its
+    ``params`` block); ``Scenario`` holds their defaults."""
 
     scenario: str
     layout_kind: str
@@ -291,12 +296,8 @@ class SimConfig:
     configs: tuple
     replicates: int
     layout_seed: int = 0
-    rho: float = 0.5
     alpha: float = 0.05
-    seed: int = 0
-    count_mean: float = 10.0
-    count_dispersion: float = 3.0
-    spillover_max: float = 10.0
+    params: dict = field(default_factory=dict)
 
 
 def parse_sim_config(data: dict) -> SimConfig:
@@ -309,10 +310,11 @@ def parse_sim_config(data: dict) -> SimConfig:
     )
     layout = _object(data["layout"], {"kind", "n", "seed"}, where, "layout", required=("n",))
     params = _object(data.get("params", {}), {"count_mean", "count_dispersion", "spillover_max"}, where, "params")
-    fields = {key: _float(value, where, "params", key) for key, value in params.items()}
-    for key, read in (("rho", _float), ("alpha", _float), ("seed", _int)):
+    params = {key: _float(value, where, "params", key) for key, value in params.items()}
+    for key, read in (("rho", _float), ("seed", _int)):
         if key in data:
-            fields[key] = read(data[key], where, key)
+            params[key] = read(data[key], where, key)
+    fields = {"alpha": _float(data["alpha"], where, "alpha")} if "alpha" in data else {}
     if "seed" in layout:
         fields["layout_seed"] = _int(layout["seed"], where, "layout", "seed")
     return SimConfig(
@@ -321,6 +323,7 @@ def parse_sim_config(data: dict) -> SimConfig:
         n=_int(layout["n"], where, "layout", "n"),
         configs=_pairs(data["configs"], where, "configs"),
         replicates=_int(data["replicates"], where, "replicates"),
+        params=params,
         **fields,
     )
 

@@ -38,6 +38,7 @@ from .errors import (
     NoEffectiveUnitsError,
     ValidationError,
     ZeroJointProbabilityError,
+    read_array,
 )
 from .exposure import ExposureProfile, _threshold_designs
 from .normal import norm_ppf
@@ -71,7 +72,7 @@ def _one_row(values, exposure: EffectiveTreatment, profile=None, nonnegative=Fal
     ``_variances`` or ``_score``, after the checks of a single analysis: the
     sizes agree (the profile's too, when one is given), some unit is
     exposed, and with ``nonnegative`` no value is negative."""
-    values = np.asarray(values, dtype=float)
+    values = read_array(values, "values", float)
     if profile is not None and profile.n != exposure.indicator.shape[0]:
         raise ValidationError("profile and exposure sizes differ")
     if values.shape != exposure.indicator.shape:
@@ -368,14 +369,12 @@ def bonferroni_scan(
     Every report records its own effective level; exceptions from individual
     configurations propagate unchanged.
     """
-    configs = list(configs)
-    if not configs:
-        raise ValidationError("at least one (d_min, d) configuration is required")
     _check_alpha(alpha)
-    adjusted = alpha / len(configs)
+    designs = _threshold_designs(pop, configs, pop.rho)
+    adjusted = alpha / len(designs)
     reports = []
-    for (d_min, d), (nbhd, mapping, profile) in zip(configs, _threshold_designs(pop, configs, pop.rho)):
+    for nbhd, mapping, profile in designs:
         exposure = evaluate_exposure(pop, nbhd, mapping)
         report = upper_confidence_bound(pop, exposure, profile, adjusted, variance_floor)
-        reports.append(replace(report, d_min=int(d_min), d=int(d)))
+        reports.append(replace(report, d_min=mapping.d_min, d=nbhd.k))
     return reports

@@ -48,6 +48,8 @@ from .design import (
     ExposureMapping,
     NeighborhoodSet,
     Population,
+    _coordinates,
+    _frozen_array,
     build_knn_neighborhoods,
     evaluate_exposure_many,
 )
@@ -112,17 +114,13 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ValidationError(f"unknown scenario kind {self.kind!r}; choose from {SCENARIO_KINDS}")
-        layout = np.asarray(self.layout, dtype=float)
-        if layout.ndim == 1:
-            layout = layout[:, None]
-        if layout.ndim != 2 or layout.shape[0] < 2:
+        layout = _frozen_array(_coordinates(self.layout), float)
+        if layout.shape[0] < 2:
             raise ValidationError("layout must be an (n, dim) array with n >= 2")
         check_probability(self.rho, "treatment probability")
         object.__setattr__(self, "seed", check_seed(self.seed))
         if not (self.count_mean > 0 and self.count_dispersion > 0):
             raise ValidationError("count_mean and count_dispersion must be positive")
-        layout = layout.copy()
-        layout.setflags(write=False)
         object.__setattr__(self, "layout", layout)
         if self.kind == "exposure_model":
             if layout.shape[0] < 6:
@@ -307,11 +305,8 @@ def run_coverage_experiment(
     """
     replicates = check_count(replicates, "replicates")
     _check_alpha(alpha)
-    configs = [(check_integer(d_min, "d_min"), check_integer(d, "d")) for d_min, d in configs]
-    if not configs:
-        raise ValidationError("at least one (d_min, d) configuration is required")
-    prepared = list(_threshold_designs(scenario.layout, configs, scenario.rho))
-    counters = [dict(skipped=0, degenerate=0, met=0, covered_met=0, covered_all=0) for _ in configs]
+    prepared = _threshold_designs(scenario.layout, configs, scenario.rho)
+    counters = [dict(skipped=0, degenerate=0, met=0, covered_met=0, covered_all=0) for _ in prepared]
     step = max(1, _BATCH // scenario.n)
     for lo in range(0, replicates, step):
         x, y, theta = _draw(scenario, range(lo, min(lo + step, replicates)))
@@ -327,13 +322,13 @@ def run_coverage_experiment(
     estimand = float(estimands[-1])
 
     rows = []
-    for (d_min, d), (nbhd, mapping, profile), tally in zip(configs, prepared, counters):
+    for (nbhd, mapping, profile), tally in zip(prepared, counters):
         n_valid = replicates - tally["skipped"]
         met = tally["met"]
         rows.append(
             CoverageRow(
-                d_min=d_min,
-                d=d,
+                d_min=mapping.d_min,
+                d=nbhd.k,
                 replicates=replicates,
                 n_valid=n_valid,
                 n_skipped=tally["skipped"],

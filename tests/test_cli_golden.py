@@ -1,10 +1,12 @@
 """Exit codes and stdout of the analysis commands, pinned by sha256.
 
-Each case runs one ``estimate``, ``contrast`` or ``probcheck`` call on the
-small fixtures of ``test_io_cli`` and compares its exit code and the sha256
-of its stdout with recorded values, so a refactor of the command-line
-surface cannot change a byte of the output unnoticed. Error cases pin the
-exit code and the empty stdout.
+Each case runs one ``estimate``, ``contrast``, ``probcheck`` or ``simulate``
+call on the small fixtures of ``test_io_cli`` (and small simulation
+configs, n <= 49 with 20 replicates) and compares its exit code and the
+sha256 of its stdout with recorded values, so a refactor of the
+command-line surface cannot change a byte of the output unnoticed. Error
+cases pin the exit code and the empty stdout. ``simulate --out`` also pins
+the sha256 of each file it writes.
 """
 
 import hashlib
@@ -30,6 +32,27 @@ FILES = {
     "no_neighborhood.json": {"rho": 0.5, "mapping": {"kind": "threshold", "d_min": 2}},
     "no_mapping.json": {"rho": 0.5, "neighborhood": {"d": 3}},
     "nbhd.json": [[i, (i + 1) % 6] for i in range(6)],
+    "sim.json": {
+        "scenario": "exposure_model", "layout": {"kind": "uniform_square", "n": 30, "seed": 1},
+        "rho": 0.4, "alpha": 0.1, "configs": [[1, 1], [2, 3], [3, 6]], "replicates": 20, "seed": 2,
+    },
+    "sim_params.json": {
+        "scenario": "exposure_model", "layout": {"kind": "uniform_square", "n": 30, "seed": 1},
+        "configs": [[1, 1], [2, 3]], "replicates": 20,
+        "params": {"count_mean": 4.0, "count_dispersion": 1.5, "spillover_max": 2.0},
+    },
+    "sim_counts.json": {
+        "scenario": "no_effect_no_clustering", "layout": {"kind": "line", "n": 20},
+        "configs": [[2, 3]], "replicates": 20, "params": {"count_mean": 30.0},
+    },
+    "sim_cluster.json": {
+        "scenario": "no_effect_clustering", "layout": {"kind": "two_cluster", "n": 25, "seed": 4},
+        "configs": [[1, 1], [2, 2]], "replicates": 20,
+    },
+    "sim_adversarial.json": {
+        "scenario": "adversarial", "layout": {"kind": "uniform_square", "n": 49},
+        "configs": [[1, 1]], "replicates": 20,
+    },
 }
 
 # label -> (argv with file names for paths, formats)
@@ -57,6 +80,12 @@ CALLS = {
     "probcheck mc": ("probcheck --config mc.json --data units.csv", ("json", "text")),
     "probcheck mc seed": ("probcheck --config mc.json --data units.csv --oracle --seed 5", ("json", "text")),
     "probcheck no neighborhood": ("probcheck --config no_neighborhood.json --data units.csv", ("json",)),
+    "simulate": ("simulate --config sim.json", ("json", "text", "csv")),
+    "simulate seed": ("simulate --config sim.json --seed 7", ("json", "text", "csv")),
+    "simulate params": ("simulate --config sim_params.json", ("json", "text", "csv")),
+    "simulate counts": ("simulate --config sim_counts.json", ("json",)),
+    "simulate two_cluster": ("simulate --config sim_cluster.json", ("json", "text", "csv")),
+    "simulate adversarial": ("simulate --config sim_adversarial.json", ("json",)),
 }
 
 # "label format" -> (exit code, sha256 of stdout)
@@ -117,6 +146,20 @@ RECORDED = {
     "probcheck mc seed json": (0, "a35ada6d9e6bc8a4601050ba0b9144c5aabf40e2962e4a7cf54afb20d2fb56cc"),
     "probcheck mc seed text": (0, "0629f025b4b90c902a0992c28a712aa6d3ea16d75b28f2bbf6666d4e582a9b2c"),
     "probcheck no neighborhood json": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "simulate json": (0, "4234288607255b151b36b5936ef90e2490599f7f7c3795437c5d7a4133d93dfc"),
+    "simulate text": (0, "fe793038034de15f83fe206dfd64d74dca2724aeadffcd2c2477eb0d4089698c"),
+    "simulate csv": (0, "d9c336404e29b817c571afc095c8c41c66b401eda14f5cfc6e504199559e61b3"),
+    "simulate seed json": (0, "79e41f319033dc35c4c6808d73e80e2ede5aaf95ae8a742e344d11cce4cb62b7"),
+    "simulate seed text": (0, "6895c9c33b57bbfea51cf96dbb0e8e8cc65b636b2a5144271cad03481b834cc0"),
+    "simulate seed csv": (0, "6ba3edd45205eb088bdfbc89a84e7339bfdf95b3a6eaa1f311d8e7f45e479b1f"),
+    "simulate params json": (0, "6598ffdb7196159ff1bfd95924634b0a6b4a5776148421bbd5b66546aaec829c"),
+    "simulate params text": (0, "dab826ce27036ec8077f07b58c12ece5bdf464dbb4f2009aaf4e592b2e0e65e9"),
+    "simulate params csv": (0, "5b5438f88c76e289e20151e7cf8038dd72a0b70ec36e14f70897fbc18f46ba35"),
+    "simulate counts json": (0, "2ba2543d9b81e50c0a9d07f77d26df42b3068f64aa223c310a6df041aae18c8f"),
+    "simulate two_cluster json": (0, "2831c97a6fd1af67e0920a2640b645c9a0f3b54e2f3d906da353f9bee763d533"),
+    "simulate two_cluster text": (0, "53a257441e738c56417c31402f2f9ea56f743470164da477af9889515d4ab4c5"),
+    "simulate two_cluster csv": (0, "40d080a60d60e68c601d0f30825e219a0948d13700b40a5e53de30365820068d"),
+    "simulate adversarial json": (0, "942949f8d6e380ffcd825cbd0018bcb230595b90f5535a9147f553714ed0c79b"),
 }
 
 CASES = [(label, fmt) for label, (_, formats) in CALLS.items() for fmt in formats]
@@ -130,12 +173,32 @@ def fixture_dir(tmp_path_factory):
     return path
 
 
+def _run_argv(argv, capsys):
+    code = main(argv)
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
 def _run(fixture_dir, label, fmt, capsys):
     argv = [str(fixture_dir / word) if (fixture_dir / word).exists() else word for word in CALLS[label][0].split()]
-    code = main(argv + ["--format", fmt])
-    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return _run_argv(argv + ["--format", fmt], capsys)
 
 
 @pytest.mark.parametrize("label,fmt", CASES, ids=[f"{label} {fmt}" for label, fmt in CASES])
 def test_output_matches_recorded_sha256(fixture_dir, capsys, label, fmt):
     assert _run(fixture_dir, label, fmt, capsys) == RECORDED[f"{label} {fmt}"]
+
+
+# file -> sha256 of each file ``simulate --config sim.json --seed 7 --out`` writes
+RECORDED_OUT = {
+    "coverage.csv": "6ba3edd45205eb088bdfbc89a84e7339bfdf95b3a6eaa1f311d8e7f45e479b1f",
+    "coverage.json": "79e41f319033dc35c4c6808d73e80e2ede5aaf95ae8a742e344d11cce4cb62b7",
+    "coverage.txt": "6895c9c33b57bbfea51cf96dbb0e8e8cc65b636b2a5144271cad03481b834cc0",
+}
+
+
+@pytest.mark.parametrize("fmt", ("json", "text", "csv"))
+def test_simulate_out_files_match_recorded_sha256(fixture_dir, tmp_path, capsys, fmt):
+    argv = ["simulate", "--config", str(fixture_dir / "sim.json"), "--seed", "7", "--out", str(tmp_path)]
+    assert _run_argv(argv + ["--format", fmt], capsys) == RECORDED[f"simulate seed {fmt}"]
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.iterdir()}
+    assert digests == RECORDED_OUT

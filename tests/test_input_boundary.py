@@ -357,6 +357,64 @@ def test_constructors_accept_integral_floats_and_boolean_indicators():
     assert exposure.indicator.dtype == np.int8 and exposure.indicator.tolist() == [1, 0, 1]
 
 
+RING = _ring(6, 3)
+THRESHOLD = itf.ExposureMapping.threshold(2)
+PROFILE = itf.exact_profile(RING, THRESHOLD, 0.5)
+EXPOSED = itf.evaluate_exposure([1, 1, 0, 1, 1, 1], RING, THRESHOLD)
+BINARY = [0, 1, 1, 0, 1, 0]
+
+
+def _population(**arrays):
+    fields = dict(ids=tuple("abcdef"), coords=np.arange(6.0), treatment=[1, 1, 0, 1, 1, 1], outcome=np.arange(6.0))
+    return itf.Population(rho=0.5, **{**fields, **arrays})
+
+
+# Library entry points that read an array, each called with the value under test in its place.
+LIBRARY_ARRAYS = {
+    "NeighborhoodSet members": lambda v: itf.NeighborhoodSet(members=v),
+    "EffectiveTreatment indicator": lambda v: itf.EffectiveTreatment(indicator=v, count=1),
+    "Population coords": lambda v: _population(coords=v),
+    "Population treatment": lambda v: _population(treatment=v),
+    "Population outcome": lambda v: _population(outcome=v),
+    "Population enrollment": lambda v: _population(enrollment=v),
+    "build_knn_neighborhoods coords": lambda v: itf.build_knn_neighborhoods(v, 2),
+    "evaluate_exposure assignment": lambda v: itf.evaluate_exposure(v, RING, THRESHOLD),
+    "evaluate_exposure_many assignments": lambda v: itf.evaluate_exposure_many(v, RING, THRESHOLD),
+    "attributable_contrast treatment": lambda v: itf.attributable_contrast(v, BINARY, 0.05),
+    "attributable_contrast outcome": lambda v: itf.attributable_contrast(BINARY, v, 0.05),
+    "exposure_attributable_contrast outcome": lambda v: itf.exposure_attributable_contrast(v, EXPOSED, PROFILE, 0.05),
+    "conservative_variance values": lambda v: itf.conservative_variance(v, EXPOSED, PROFILE),
+    "variance_estimate values": lambda v: itf.variance_estimate(v, EXPOSED, PROFILE),
+    "point_estimate values": lambda v: itf.point_estimate(v, EXPOSED),
+    "ideal_upper_bound theta": lambda v: itf.ideal_upper_bound(v, EXPOSED, PROFILE, 0.05),
+    "Scenario layout": lambda v: itf.Scenario(kind="no_effect_clustering", layout=v),
+    "concentration_check outcomes": lambda v: itf.concentration_check(v, 5, 2),
+    "center_excess joint": lambda v: itf.center_excess(v, 0.5),
+}
+RAGGED = {"ragged integers": [[0, 1], [1]], "ragged floats": [[0.0, 1.0], [1.0]], "ragged depth": [[0.0], 1.0]}
+TEXT = {"text": list("abcdef"), "numeric text": list("101111"), "text matrix": [["a", "b"], ["c", "d"]]}
+
+
+@pytest.mark.parametrize("value", list(RAGGED.values()) + list(TEXT.values()), ids=list(RAGGED) + list(TEXT))
+@pytest.mark.parametrize("case", sorted(LIBRARY_ARRAYS))
+def test_library_arrays_are_rectangular_and_numeric(case, value):
+    with pytest.raises(ValidationError) as info:
+        LIBRARY_ARRAYS[case](value)
+    if value in RAGGED.values():
+        assert str(info.value).endswith("must be a rectangular array of numbers")
+
+
+@pytest.mark.parametrize("configs", [[(1, 2, 3)], [(1,)], [1], [None], [(1, 1), (2, 3, 4)]])
+def test_design_lists_hold_pairs(configs):
+    scenario = itf.Scenario(kind="no_effect_no_clustering", layout=np.arange(10.0))
+    for call in (
+        lambda: itf.bonferroni_scan(_population(), configs, 0.05),
+        lambda: itf.run_coverage_experiment(scenario, configs, 0.05, 1),
+    ):
+        with pytest.raises(ValidationError, match=r"a \(d_min, d\) configuration must be a pair, got "):
+            call()
+
+
 def test_malformed_json_config_is_an_error(tmp_path):
     argv = estimate_config(tmp_path)
     argv[2].write_text('{"rho": 0.5,')
@@ -403,13 +461,10 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def check_mutant(argv, replicates_mutated=False):
+def check_mutant(argv):
     code, out, err = run(argv)
     if code in (0, 4):
         json.loads(out)
-    elif code == 2:
-        # replicates below 1 is the one usage error a config file can cause
-        assert replicates_mutated and "replicates must be at least 1" in err
     else:
         assert code == 1
         assert err.startswith("error:")
@@ -435,7 +490,7 @@ def test_fuzz_json_field(fuzz_dir, case, value):
     document, command = JSON_BASES[base]
     config = fuzz_dir / f"{base}.json"
     config.write_text(json.dumps(with_field(document, path, value)))
-    check_mutant(command(fuzz_dir, config), replicates_mutated=path == ("replicates",))
+    check_mutant(command(fuzz_dir, config))
 
 
 CSV_BASES = {

@@ -605,6 +605,47 @@ def test_half_specified_exposure_design_is_error(tmp_path, capsys, command, drop
     assert captured.err == f"error: {command} needs config.mapping and config.neighborhood\n"
 
 
+SCAN = {"bonferroni": [[1, 1], [2, 3]]}
+DESIGN = {"mapping": {"kind": "threshold", "d_min": 9}, "neighborhood": {"d": 2}}
+SCAN_MESSAGE = "a bonferroni scan takes no config.mapping or config.neighborhood"
+
+
+@pytest.mark.parametrize(
+    "argv,config,message",
+    [
+        ("estimate --data units.csv", {**SCAN, **DESIGN}, SCAN_MESSAGE),
+        ("estimate --data units.csv", {**SCAN, "mapping": DESIGN["mapping"]}, SCAN_MESSAGE),
+        ("estimate --data units.csv", {**SCAN, "neighborhood": DESIGN["neighborhood"]}, SCAN_MESSAGE),
+        ("contrast --data binary.csv", SCAN, "contrast takes no config.bonferroni"),
+        ("contrast --data binary.csv", {**CONFIG, **SCAN}, "contrast takes no config.bonferroni"),
+        ("contrast --data counts.csv --count-mode", SCAN, "contrast takes no config.bonferroni"),
+        ("probcheck --data units.csv", {**CONFIG, **SCAN}, "probcheck takes no config.bonferroni"),
+    ],
+)
+def test_config_keys_the_command_would_ignore_are_errors(tmp_path, capsys, argv, config, message):
+    for name, text in (("units.csv", UNITS_CSV), ("binary.csv", BINARY_CSV), ("counts.csv", COUNTS_CSV)):
+        (tmp_path / name).write_text(text)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"rho": 0.5, **config}))
+    words = [str(tmp_path / word) if word.endswith(".csv") else word for word in argv.split()]
+    code = main(words + ["--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", ["contrast --data binary.csv", "estimate --config c.json --data units.csv"])
+def test_alpha_flag_is_checked_as_a_config_value(tmp_path, capsys, argv):
+    (tmp_path / "units.csv").write_text(UNITS_CSV)
+    (tmp_path / "binary.csv").write_text(BINARY_CSV)
+    (tmp_path / "c.json").write_text(json.dumps(CONFIG))
+    words = [str(tmp_path / word) if "." in word else word for word in argv.split()]
+    code = main(words + ["--alpha", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: config: alpha must lie in (0, 1), got 2.0\n"
+
+
 @pytest.mark.parametrize("p_method", ["exact", {"kind": "mc", "samples": 500, "seed": 3}])
 def test_matrix_dump_rebuilds_the_profile(units_file, tmp_path, capsys, p_method):
     config = tmp_path / "c.json"
