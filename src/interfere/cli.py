@@ -7,19 +7,29 @@ condition failed (the numeric output is still produced).
 All output is deterministic for fixed inputs and seeds: JSON is key-sorted
 with round-trippable floats, and nothing emits timestamps.
 
+Every subcommand's parser comes from ``_subcommand``, which declares the
+shared flags, each once: ``--config``, ``--data`` (not in ``simulate``),
+``--out``, ``--seed`` and ``--format`` for all four, and ``--alpha`` and
+``--dump-matrices`` for the two commands that take each. ``_SUFFIXES`` names
+each format's file in ``--out``. ``estimate``, ``contrast`` and
+``probcheck`` write the chosen format with ``_emit``, to stdout or to
+``--out``/``<command>.<suffix>``; ``simulate --out`` writes all three
+``coverage`` files and still prints the chosen format. ``--dump-matrices``
+needs ``--out``.
+
 ``estimate``, ``contrast`` and ``probcheck`` read their ``RunConfig`` with
 ``_run_config``, which applies ``--seed`` and ``--alpha`` (``contrast``
 without ``--config`` starts from rho 0.5 and no design), and reject with
-``_unread`` a key that chooses an analysis they do not run: ``bonferroni``
-in ``contrast`` and ``probcheck``, a design in a bonferroni scan or in
-``contrast --count-mode``. ``simulate`` passes its file's ``Scenario``
-arguments on as given, so ``Scenario`` holds their defaults.
+``_unread`` a key they do not read: ``bonferroni`` and ``diagnostics`` in
+``contrast`` and ``probcheck``, a design in a bonferroni scan, and a design
+or a Monte Carlo ``p_method`` in ``contrast --count-mode``. ``simulate``
+passes its file's ``Scenario`` arguments on as given, so ``Scenario`` holds
+their defaults.
 
 They build their one design with ``_neighborhoods`` (a mapping, and the
 ``--neighborhoods`` file or k-NN of size ``neighborhood.d``: one without the
 other is an error) and ``_profile`` (Monte Carlo when ``p_method`` asks for
-it, with ``--seed`` as its seed), and write the chosen ``--format`` with
-``_emit``. ``--dump-matrices`` needs ``--out``.
+it, with ``--seed`` as its seed).
 """
 
 from __future__ import annotations
@@ -48,17 +58,17 @@ def _out_file(out_dir, filename: str) -> Path:
     return path / filename
 
 
-def _write_or_print(text: str, out_dir, filename: str) -> None:
-    if out_dir is None:
-        sys.stdout.write(text)
-    else:
-        _out_file(out_dir, filename).write_text(text)
+# --format -> the suffix of its file in --out, in the order --format lists its choices
+_SUFFIXES = {"json": "json", "text": "txt", "csv": "csv"}
 
 
 def _emit(args, name: str, **renderers) -> None:
-    """Write the ``args.format`` renderer's text to stdout or ``--out``/``<name>.json``, ``.csv`` or ``.txt``."""
-    suffix = "txt" if args.format == "text" else args.format
-    _write_or_print(renderers[args.format](), args.out, f"{name}.{suffix}")
+    """Write the ``args.format`` renderer's text to stdout or ``--out``/``<name>.json``, ``.txt`` or ``.csv``."""
+    text = renderers[args.format]()
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        _out_file(args.out, f"{name}.{_SUFFIXES[args.format]}").write_text(text)
 
 
 def _run_config(args) -> pkgio.RunConfig:
@@ -70,11 +80,14 @@ def _run_config(args) -> pkgio.RunConfig:
     return dataclasses.replace(config, **{key: value for key, value in flags.items() if value is not None})
 
 
-def _unread(what: str, config: pkgio.RunConfig, *keys) -> None:
-    """An error when ``config`` sets one of the analysis ``keys``, which ``what`` does not read."""
-    given = {"mapping": config.mapping, "neighborhood": config.d, "bonferroni": config.bonferroni}
-    if any(given[key] is not None for key in keys):
-        raise ValidationError(f"{what} takes no " + " or ".join(f"config.{key}" for key in keys))
+def _unread(what: str, config: pkgio.RunConfig, *groups) -> None:
+    """An error naming the first of the ``groups`` of analysis keys (space-separated) that ``config``
+    sets, which ``what`` does not read."""
+    given = {"mapping": config.mapping, "neighborhood": config.d, "bonferroni": config.bonferroni,
+             "p_method": config.mc_samples, "diagnostics": config.variance_floor}
+    for keys in map(str.split, groups):
+        if any(given[key] is not None for key in keys):
+            raise ValidationError(f"{what} takes no " + " or ".join(f"config.{key}" for key in keys))
 
 
 def _neighborhoods(command: str, config: pkgio.RunConfig, pop, path=None):
@@ -115,29 +128,28 @@ def _dump_matrices(profile, out_dir) -> None:
             pkgio.write_csv(handle, list(table), rows)
 
 
-def _estimate_text(reports, bonferroni, alpha) -> str:
+def _estimate_text(payload) -> str:
     lines = [
         f"upper confidence bounds on the full-treatment mean outcome "
-        f"(nominal alpha={alpha}, bonferroni={'yes' if bonferroni else 'no'})",
+        f"(nominal alpha={payload['alpha']}, bonferroni={'yes' if payload['bonferroni'] else 'no'})",
         f"{'d_min':>5} {'d':>3} {'alpha_eff':>10} {'estimate':>10} {'upper':>10} "
         f"{'condition':>9} {'n_eff':>5} {'p':>8} {'min_joint':>10} {'overlap':>7}",
     ]
-    for r in reports:
+    for r in payload["configs"]:
+        d_min, d = ("-" if r[key] is None else r[key] for key in ("d_min", "d"))
         lines.append(
-            f"{r.d_min if r.d_min is not None else '-':>5} "
-            f"{r.d if r.d is not None else '-':>3} {r.alpha:>10.5f} "
-            f"{r.estimate:>10.4f} {r.upper_bound:>10.4f} "
-            f"{'met' if r.condition_ok else 'FAILED':>9} {r.n_effective:>5} "
-            f"{r.p:>8.4f} {r.min_joint:>10.3g} {r.overlap_degree:>7}"
+            f"{d_min:>5} {d:>3} {r['alpha']:>10.5f} {r['estimate']:>10.4f} {r['upper_bound']:>10.4f} "
+            f"{'met' if r['condition_ok'] else 'FAILED':>9} {r['n_effective']:>5} "
+            f"{r['p']:>8.4f} {r['min_joint']:>10.3g} {r['overlap_degree']:>7}"
         )
-        lines.append(f"      interval: [0, {r.upper_bound:.6g}]")
-        if not r.condition_ok:
+        lines.append(f"      interval: [0, {r['upper_bound']:.6g}]")
+        if not r["condition_ok"]:
             lines.append(
                 "      warning: validity condition failed; the bound is reported "
                 "for diagnostics but its coverage guarantee does not apply"
             )
-        if r.d == 1:
-            lines.append("      note: singleton neighborhoods; spatial information is not used")
+        if "note" in r:
+            lines.append(f"      note: {r['note']}")
     return "\n".join(lines) + "\n"
 
 
@@ -158,7 +170,7 @@ def cmd_estimate(args) -> int:
             raise ValidationError("--dump-matrices cannot be combined with a bonferroni scan")
         if config.mc_samples is not None:
             raise ValidationError("Monte Carlo p_method is not supported in bonferroni scans")
-        _unread("a bonferroni scan", config, "mapping", "neighborhood")
+        _unread("a bonferroni scan", config, "mapping neighborhood")
         reports = bonferroni_scan(pop, config.bonferroni, config.alpha, config.variance_floor)
     else:
         nbhd = _neighborhoods("estimate", config, pop, args.neighborhoods)
@@ -181,7 +193,7 @@ def cmd_estimate(args) -> int:
             entry["note"] = "singleton neighborhoods; spatial information is not used"
     _emit(args, "estimate", json=lambda: pkgio.dump_json(payload),
           csv=lambda: pkgio.dump_csv(_REPORT_FIELDS, ([getattr(r, f) for f in _REPORT_FIELDS] for r in reports)),
-          text=lambda: _estimate_text(reports, bonferroni, config.alpha))
+          text=lambda: _estimate_text(payload))
     return 0 if payload["all_conditions_met"] else CONDITION_FAILED_EXIT
 
 
@@ -207,11 +219,11 @@ def _contrast_text(payload) -> str:
 
 def cmd_contrast(args) -> int:
     config = _run_config(args)
-    _unread("contrast", config, "bonferroni")
+    _unread("contrast", config, "bonferroni", "diagnostics")
     design = config.mapping is not None or config.d is not None
     payload = {"command": "contrast", "alpha": config.alpha}
     if args.count_mode:
-        _unread("contrast --count-mode", config, "mapping", "neighborhood")
+        _unread("contrast --count-mode", config, "mapping neighborhood", "p_method")
         report = attributable_contrast_from_counts(alpha=config.alpha, **pkgio.load_count_table(args.data))
     else:
         pop = pkgio.load_units(args.data, config.rho)
@@ -245,19 +257,13 @@ def cmd_simulate(args) -> int:
         south = int(_southern_half(layout).sum())
         metadata["layout"]["south_north_split"] = [south, config.n - south]
     payload = dict(pkgio.coverage_table_dict(table), metadata=metadata)
-    coverage_csv = pkgio.dump_csv(
-        [f.name for f in dataclasses.fields(CoverageRow)], map(dataclasses.astuple, table.rows)
-    )
-    if args.out is not None:
-        _write_or_print(coverage_csv, args.out, "coverage.csv")
-        _write_or_print(table.to_text(), args.out, "coverage.txt")
-        _write_or_print(pkgio.dump_json(payload), args.out, "coverage.json")
-    if args.format == "csv":
-        sys.stdout.write(coverage_csv)
-    elif args.format == "json":
-        sys.stdout.write(pkgio.dump_json(payload))
-    else:
-        sys.stdout.write(table.to_text())
+    header = [f.name for f in dataclasses.fields(CoverageRow)]
+    renderers = dict(json=lambda: pkgio.dump_json(payload), text=table.to_text,
+                     csv=lambda: pkgio.dump_csv(header, map(dataclasses.astuple, table.rows)))
+    if args.out is not None:  # every format's file, and the chosen one on stdout as well
+        for fmt, render in renderers.items():
+            _out_file(args.out, f"coverage.{_SUFFIXES[fmt]}").write_text(render())
+    sys.stdout.write(renderers[args.format]())
     return 0
 
 
@@ -285,7 +291,7 @@ def _probcheck_text(payload) -> str:
 
 def cmd_probcheck(args) -> int:
     config = _run_config(args)
-    _unread("probcheck", config, "bonferroni")
+    _unread("probcheck", config, "bonferroni", "diagnostics")
     pop = pkgio.load_units(args.data, config.rho)
     nbhd = _neighborhoods("probcheck", config, pop)
     exact = exact_profile(nbhd, config.mapping, config.rho)
@@ -323,12 +329,24 @@ def cmd_probcheck(args) -> int:
     return 0
 
 
-def _add_common(parser, *, data=True):
-    parser.add_argument("--config", required=True, help="JSON configuration file")
-    if data:
-        parser.add_argument("--data", required=True, help="unit table CSV")
+def _subcommand(sub, func, summary: str, *, config=True, data="unit table CSV", formats=tuple(_SUFFIXES),
+                default="json", alpha=False, dump=False):
+    """The parser of ``func`` (``cmd_<name>``). Every command takes ``--config`` (required when ``config``),
+    ``--data`` (unless ``data`` is None), ``--out``, ``--seed`` and ``--format``; with ``alpha`` and ``dump``
+    it also takes ``--alpha`` and ``--dump-matrices``."""
+    parser = sub.add_parser(func.__name__.removeprefix("cmd_"), help=summary)
+    parser.add_argument("--config", required=config, help="JSON configuration file")
+    if data is not None:
+        parser.add_argument("--data", required=True, help=data)
     parser.add_argument("--out", default=None, help="directory for output files (default: stdout)")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
+    parser.add_argument("--format", choices=formats, default=default, help=f"output format (default: {default})")
+    if alpha:
+        parser.add_argument("--alpha", type=float, default=None, help="significance level override")
+    if dump:
+        parser.add_argument("--dump-matrices", action="store_true", help="write the profile as diag.csv and pairs.csv")
+    parser.set_defaults(func=func)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,37 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_est = sub.add_parser("estimate", help="upper bounds on the full-treatment mean outcome")
-    _add_common(p_est)
-    p_est.add_argument("--alpha", type=float, default=None, help="significance level override")
+    p_est = _subcommand(sub, cmd_estimate, "upper bounds on the full-treatment mean outcome", alpha=True, dump=True)
     p_est.add_argument("--neighborhoods", default=None, help="explicit adjacency JSON instead of k-NN")
-    p_est.add_argument("--format", choices=("json", "text", "csv"), default="json")
-    p_est.add_argument("--dump-matrices", action="store_true", help="write the profile as diag.csv and pairs.csv")
-    p_est.set_defaults(func=cmd_estimate)
 
-    p_con = sub.add_parser("contrast", help="attributable-contrast intervals (binary outcomes)")
-    p_con.add_argument("--config", default=None, help="JSON configuration file")
-    p_con.add_argument("--data", required=True, help="unit table CSV, or count table with --count-mode")
+    p_con = _subcommand(sub, cmd_contrast, "attributable-contrast intervals (binary outcomes)", config=False,
+                        data="unit table CSV, or count table with --count-mode", alpha=True)
     p_con.add_argument("--count-mode", action="store_true", help="data is an aggregate two-arm count table")
-    p_con.add_argument("--out", default=None)
-    p_con.add_argument("--seed", type=int, default=None)
-    p_con.add_argument("--alpha", type=float, default=None)
-    p_con.add_argument("--format", choices=("json", "text", "csv"), default="json")
-    p_con.set_defaults(func=cmd_contrast)
 
-    p_sim = sub.add_parser("simulate", help="coverage and condition-met tables")
-    p_sim.add_argument("--config", required=True, help="JSON simulation configuration")
-    p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--format", choices=("json", "text", "csv"), default="text")
-    p_sim.set_defaults(func=cmd_simulate)
+    _subcommand(sub, cmd_simulate, "coverage and condition-met tables", data=None, default="text")
 
-    p_prob = sub.add_parser("probcheck", help="exposure probability diagnostics")
-    _add_common(p_prob)
+    p_prob = _subcommand(sub, cmd_probcheck, "exposure probability diagnostics", formats=("json", "text"), dump=True)
     p_prob.add_argument("--oracle", action="store_true", help="compare against full enumeration (n <= 20)")
-    p_prob.add_argument("--format", choices=("json", "text"), default="json")
-    p_prob.add_argument("--dump-matrices", action="store_true")
-    p_prob.set_defaults(func=cmd_probcheck)
     return parser
 
 

@@ -311,6 +311,8 @@ def largest_centered_eigenvalue(profile: ExposureProfile, seed: int = 0) -> Eige
     a fully reorthogonalized Lanczos run of a few hundred steps. Breakdown
     is declared at a residual no larger than the same allowance.
     """
+    if not isinstance(profile, ExposureProfile):
+        raise ValidationError(f"profile must be an ExposureProfile, got {type(profile).__name__}")
     seed = check_seed(seed)
     matvec, n, row_sum = _centered_operator(profile)
     if n <= 1:

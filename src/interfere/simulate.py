@@ -116,7 +116,7 @@ class Scenario:
             raise ValidationError(f"unknown scenario kind {self.kind!r}; choose from {SCENARIO_KINDS}")
         layout = _frozen_array(_coordinates(self.layout), float)
         if layout.shape[0] < 2:
-            raise ValidationError("layout must be an (n, dim) array with n >= 2")
+            raise ValidationError(f"a layout needs at least 2 points, got {layout.shape[0]}")
         check_probability(self.rho, "treatment probability")
         object.__setattr__(self, "seed", check_seed(self.seed))
         if not (self.count_mean > 0 and self.count_dispersion > 0):
@@ -162,9 +162,8 @@ def _adversarial_pool(n: int) -> np.ndarray:
         counts = [c for _, c in _ADVERSARIAL_BASE]
     else:
         counts = [max(1, round(c * n / base_total)) for _, c in _ADVERSARIAL_BASE]
+        # Never negative: each scaled count is at most c n / 49 + 1, and 5n/49 + 2 <= n for n >= 3 (n = 2 gives 1 + 1).
         counts[1] = n - counts[0] - counts[2]
-        if counts[1] < 0:
-            raise ValidationError(f"adversarial scenario cannot be scaled to n = {n}")
         warnings.warn(
             f"adversarial scenario is defined at 49 units; scaling pool counts "
             f"proportionally to n = {n}",

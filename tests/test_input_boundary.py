@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import interfere as itf
+import interfere.io as pkgio
+from interfere import cli
 from interfere.cli import main
-from interfere.errors import ValidationError
+from interfere.errors import DegenerateVarianceError, ValidationError
 from interfere.io import RunConfig
 
 from conftest import dense_profile
@@ -413,6 +415,143 @@ def test_design_lists_hold_pairs(configs):
     ):
         with pytest.raises(ValidationError, match=r"a \(d_min, d\) configuration must be a pair, got "):
             call()
+
+
+def _file(tmp_path, text, name="input.csv"):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+UNITS_HEADER = "id,x,treatment,outcome\n"
+RING_8 = itf.exact_profile(_ring(8, 3), THRESHOLD, 0.5)
+
+# One call per rule that no other test breaks, each given the path of a scratch
+# directory, and the error and exact message it raises.
+REJECTIONS = {
+    "neighborhood file of another size": (
+        lambda t: cli._neighborhoods("estimate", RunConfig(rho=0.5, mapping=THRESHOLD), _population(),
+                                     write_json(t / "nbhd.json", [[0, 1], [1, 0]])),
+        ValidationError, "neighborhood file and unit table differ in unit count",
+    ),
+    "empty treated arm": (
+        lambda t: itf.attributable_contrast_from_counts(0, 0, 5, 1, 0.05),
+        ValidationError, "treated arm is empty; both arms are required",
+    ),
+    "treated positives above the total": (
+        lambda t: itf.attributable_contrast_from_counts(5, 6, 5, 1, 0.05),
+        ValidationError, "treated positives must lie in [0, 5], got 6",
+    ),
+    "treatment and outcome lengths": (
+        lambda t: itf.attributable_contrast([0, 1, 1], [0, 1], 0.05),
+        ValidationError, "treatment and outcome vectors differ in length",
+    ),
+    "treated-group size": (
+        lambda t: itf.concentration_check([0, 1, 1, 0], 5, 4),
+        ValidationError, "treated-group size must lie in [1, 3], got 4",
+    ),
+    "coordinates of 3 dimensions": (
+        lambda t: itf.build_knn_neighborhoods(np.zeros((3, 2, 2)), 2),
+        ValidationError, "coordinates must form an (n, dim) array",
+    ),
+    "population of one unit": (
+        lambda t: itf.Population(ids=("a",), coords=[0.0], treatment=[1], outcome=[1.0], rho=0.5),
+        ValidationError, "a population needs at least 2 units, got 1",
+    ),
+    "ids and coordinates": (
+        lambda t: _population(ids=("a", "b")),
+        ValidationError, "2 ids for 6 coordinate rows",
+    ),
+    "neighborhood members of one dimension": (
+        lambda t: itf.NeighborhoodSet(members=[0, 1]),
+        ValidationError, "neighborhood members must form an (n, k) index array",
+    ),
+    "empty neighborhoods": (
+        lambda t: itf.NeighborhoodSet(members=np.zeros((3, 0), dtype=int)),
+        ValidationError, "neighborhoods must be nonempty",
+    ),
+    "mapping kind": (
+        lambda t: itf.ExposureMapping("majority"),
+        ValidationError, "unknown exposure mapping kind 'majority'",
+    ),
+    "coordinate is nan": (
+        lambda t: itf.build_knn_neighborhoods([0.0, math.nan, 1.0], 2),
+        ValidationError, "coordinates must be finite",
+    ),
+    "joint matrix is not square": (
+        lambda t: itf.center_excess(np.zeros((2, 3)), 0.5),
+        ValidationError, "joint probability matrix must be square",
+    ),
+    "eigenvalue of a list": (
+        lambda t: itf.largest_centered_eigenvalue([[1, 0], [0, 1]]),
+        ValidationError, "profile must be an ExposureProfile, got list",
+    ),
+    "empty unit table": (
+        lambda t: pkgio.load_units(_file(t, ""), 0.5),
+        ValidationError, "{t}/input.csv: empty file",
+    ),
+    "unreadable unit table": (
+        lambda t: pkgio.load_units(_file(t, UNITS_HEADER + "x" * 200_000), 0.5),
+        ValidationError, "{t}/input.csv: not a readable CSV file: field larger than field limit (131072)",
+    ),
+    "unit table of one row": (
+        lambda t: pkgio.load_units(_file(t, UNITS_HEADER + "a,0,1,1\n"), 0.5),
+        ValidationError, "a population needs at least 2 units, got 1",
+    ),
+    "count table repeats an arm": (
+        lambda t: pkgio.load_count_table(_file(t, COUNTS_CSV + "control,5,1\n")),
+        ValidationError, "row 4: duplicate arm 'control'",
+    ),
+    "count table without a treated row": (
+        lambda t: pkgio.load_count_table(_file(t, "arm,total,positive\ncontrol,5,1\n")),
+        ValidationError, "{t}/input.csv: count table needs exactly one control and one treated row",
+    ),
+    "Monte Carlo p_method without samples": (
+        lambda t: pkgio.parse_run_config({"rho": 0.5, "p_method": {"kind": "mc"}}),
+        ValidationError, "config: Monte Carlo p_method needs samples >= 1",
+    ),
+    "diagnostics c is 0": (
+        lambda t: pkgio.parse_run_config({"rho": 0.5, "diagnostics": {"c": 0}}),
+        ValidationError, "config: diagnostics.c must be positive, got 0.0",
+    ),
+    "profile of another size": (
+        lambda t: itf.conservative_variance(np.ones(6), EXPOSED, RING_8),
+        ValidationError, "profile and exposure sizes differ",
+    ),
+    "negative variance": (
+        lambda t: itf.validity_condition(1.0, -1.0, PROFILE, 0.05, 3),
+        DegenerateVarianceError, "negative variance estimate -1.0",
+    ),
+    "scenario kind": (
+        lambda t: itf.Scenario(kind="storm", layout=np.arange(6.0)),
+        ValidationError, f"unknown scenario kind 'storm'; choose from {itf.SCENARIO_KINDS}",
+    ),
+    "synthetic layout of one point": (
+        lambda t: itf.synthetic_layout("line", 1),
+        ValidationError, "a layout needs at least 2 points, got 1",
+    ),
+    "scenario layout of one point": (
+        lambda t: itf.Scenario(kind="adversarial", layout=[[0.0, 0.0]]),
+        ValidationError, "a layout needs at least 2 points, got 1",
+    ),
+    "exposure_model scenario of 5 units": (
+        lambda t: itf.Scenario(kind="exposure_model", layout=np.arange(5.0)),
+        ValidationError, "the exposure_model scenario needs at least 6 units",
+    ),
+    "exposure_model spillover_max is 0": (
+        lambda t: itf.Scenario(kind="exposure_model", layout=np.arange(6.0), spillover_max=0.0),
+        ValidationError, "spillover_max must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_each_rule_raises_its_message(tmp_path, case):
+    call, error, message = REJECTIONS[case]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(t=tmp_path)
 
 
 def test_malformed_json_config_is_an_error(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import interfere.io as pkgio
-from interfere.cli import _compare, main
+from interfere.cli import _compare, build_parser, main
 from interfere.design import ExposureMapping, build_knn_neighborhoods
 from interfere.errors import ValidationError
 from interfere.exposure import center_excess, enumerated_profile, exact_profile, monte_carlo_profile
@@ -607,7 +607,10 @@ def test_half_specified_exposure_design_is_error(tmp_path, capsys, command, drop
 
 SCAN = {"bonferroni": [[1, 1], [2, 3]]}
 DESIGN = {"mapping": {"kind": "threshold", "d_min": 9}, "neighborhood": {"d": 2}}
-SCAN_MESSAGE = "a bonferroni scan takes no config.mapping or config.neighborhood"
+DESIGN_KEYS = "config.mapping or config.neighborhood"
+SCAN_MESSAGE = f"a bonferroni scan takes no {DESIGN_KEYS}"
+DIAGNOSTICS = {"diagnostics": {"c": 1.0}}
+MC = {"p_method": {"kind": "mc", "samples": 100, "seed": 1}}
 
 
 @pytest.mark.parametrize(
@@ -620,6 +623,12 @@ SCAN_MESSAGE = "a bonferroni scan takes no config.mapping or config.neighborhood
         ("contrast --data binary.csv", {**CONFIG, **SCAN}, "contrast takes no config.bonferroni"),
         ("contrast --data counts.csv --count-mode", SCAN, "contrast takes no config.bonferroni"),
         ("probcheck --data units.csv", {**CONFIG, **SCAN}, "probcheck takes no config.bonferroni"),
+        ("contrast --data binary.csv", DIAGNOSTICS, "contrast takes no config.diagnostics"),
+        ("contrast --data binary.csv", {**CONFIG, **DIAGNOSTICS}, "contrast takes no config.diagnostics"),
+        ("contrast --data counts.csv --count-mode", DIAGNOSTICS, "contrast takes no config.diagnostics"),
+        ("probcheck --data units.csv", {**CONFIG, **DIAGNOSTICS}, "probcheck takes no config.diagnostics"),
+        ("contrast --data counts.csv --count-mode", MC, "contrast --count-mode takes no config.p_method"),
+        ("contrast --data counts.csv --count-mode", {**DESIGN, **MC}, f"contrast --count-mode takes no {DESIGN_KEYS}"),
     ],
 )
 def test_config_keys_the_command_would_ignore_are_errors(tmp_path, capsys, argv, config, message):
@@ -667,3 +676,38 @@ def test_matrix_dump_rebuilds_the_profile(units_file, tmp_path, capsys, p_method
     assert np.array_equal(pairs["excess"], excess[profile.rows, profile.cols])
     assert np.array_equal(diag["row_excess"], profile.row_excess)
     assert pairs["i"].size == profile.rows.size
+
+
+def _option(action) -> tuple:
+    """An option's default, choices, whether it is required, and what it reads: a type name, or "flag"."""
+    kind = "flag" if action.nargs == 0 else getattr(action.type, "__name__", "str")
+    return action.default, action.choices, action.required, kind
+
+
+REQUIRED, OPTIONAL, SEED = (None, None, True, "str"), (None, None, False, "str"), (None, None, False, "int")
+ALPHA, FLAG = (None, None, False, "float"), (False, None, False, "flag")
+FORMATS = ("json", "text", "csv")
+OPTIONS = {
+    "estimate": {
+        "--config": REQUIRED, "--data": REQUIRED, "--out": OPTIONAL, "--seed": SEED, "--alpha": ALPHA,
+        "--neighborhoods": OPTIONAL, "--format": ("json", FORMATS, False, "str"), "--dump-matrices": FLAG,
+    },
+    "contrast": {
+        "--config": OPTIONAL, "--data": REQUIRED, "--count-mode": FLAG, "--out": OPTIONAL, "--seed": SEED,
+        "--alpha": ALPHA, "--format": ("json", FORMATS, False, "str"),
+    },
+    "simulate": {"--config": REQUIRED, "--out": OPTIONAL, "--seed": SEED, "--format": ("text", FORMATS, False, "str")},
+    "probcheck": {
+        "--config": REQUIRED, "--data": REQUIRED, "--out": OPTIONAL, "--seed": SEED, "--oracle": FLAG,
+        "--format": ("json", ("json", "text"), False, "str"), "--dump-matrices": FLAG,
+    },
+}
+
+
+def test_each_subcommand_takes_its_recorded_options():
+    (commands,) = (action for action in build_parser()._actions if action.dest == "command")
+    found = {
+        name: {action.option_strings[-1]: _option(action) for action in sub._actions if action.dest != "help"}
+        for name, sub in commands.choices.items()
+    }
+    assert found == OPTIONS
