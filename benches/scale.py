@@ -7,11 +7,14 @@ Run from anywhere; the package is imported from this checkout's ``src/``:
 
 For each layout (``uniform_square`` and ``two_cluster`` from
 ``synthetic_layout``) and each n, one threshold design (d_min=3, d=6,
-rho=0.5, alpha=0.05) is analysed in three timed stages:
+rho=0.5, alpha=0.05) is analysed in three timed stages, and a fourth up to
+n = ``MC_MAX_N``:
 
 - ``knn``: ``build_knn_neighborhoods``;
 - ``profile``: ``exact_profile``;
-- ``bound``: ``evaluate_exposure`` and ``upper_confidence_bound``.
+- ``bound``: ``evaluate_exposure`` and ``upper_confidence_bound``;
+- ``mc_profile``: ``monte_carlo_profile`` with ``MC_SAMPLES`` draws and seed
+  ``MC_SEED``. It holds all n(n-1)/2 pairs, so its memory is O(n^2).
 
 Each stage's wall time (``perf_counter``, one untraced call) and its peak
 ``tracemalloc`` memory (a second, traced call) are recorded with the problem
@@ -45,6 +48,7 @@ LAYOUTS = ("uniform_square", "two_cluster")
 LAYOUT_SEED = 20180611
 DATA_SEED = 7
 D_MIN, D, RHO, ALPHA = 3, 6, 0.5, 0.05
+MC_SAMPLES, MC_SEED, MC_MAX_N = 8192, 11, 3_000
 
 
 def _git(*args: str) -> str:
@@ -90,6 +94,9 @@ def measure(itf, layout: str, n: int) -> dict:
     nbhd, knn = _stage(itf.build_knn_neighborhoods, pop, D)
     profile, exact = _stage(itf.exact_profile, nbhd, mapping, RHO)
     (exposure, report), scored = _stage(bound, nbhd, profile)
+    stages = {"knn": knn, "profile": exact, "bound": scored}
+    if n <= MC_MAX_N:
+        stages["mc_profile"] = _stage(itf.monte_carlo_profile, nbhd, mapping, RHO, MC_SAMPLES, MC_SEED)[1]
     return {
         "layout": layout,
         "n": n,
@@ -97,7 +104,7 @@ def measure(itf, layout: str, n: int) -> dict:
         "pairs": int(profile.rows.size),
         "exposed": exposure.count,
         "upper_bound": report.upper_bound,
-        "stages": {"knn": knn, "profile": exact, "bound": scored},
+        "stages": stages,
     }
 
 
@@ -128,6 +135,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "design": {"d_min": D_MIN, "d": D, "rho": RHO, "alpha": ALPHA},
+        "monte_carlo": {"samples": MC_SAMPLES, "seed": MC_SEED, "max_n": MC_MAX_N},
         "rows": rows,
     })
     args.out.write_text(json.dumps(history, indent=1, sort_keys=True) + "\n")

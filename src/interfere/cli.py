@@ -21,8 +21,9 @@ needs ``--out``.
 ``_run_config``, which applies ``--seed`` and ``--alpha`` (``contrast``
 without ``--config`` starts from rho 0.5 and no design), and reject with
 ``_unread`` a key they do not read: ``bonferroni`` and ``diagnostics`` in
-``contrast`` and ``probcheck``, a design in a bonferroni scan, and a design
-or a Monte Carlo ``p_method`` in ``contrast --count-mode``. ``simulate``
+``contrast`` and ``probcheck``, a design in a bonferroni scan, a design or a
+Monte Carlo ``p_method`` in ``contrast --count-mode``, and a Monte Carlo
+``p_method`` in ``contrast`` without a design. ``simulate``
 passes its file's ``Scenario`` arguments on as given, so ``Scenario`` holds
 their defaults.
 
@@ -226,6 +227,8 @@ def cmd_contrast(args) -> int:
         _unread("contrast --count-mode", config, "mapping neighborhood", "p_method")
         report = attributable_contrast_from_counts(alpha=config.alpha, **pkgio.load_count_table(args.data))
     else:
+        if not design:
+            _unread("contrast without a design", config, "p_method")
         pop = pkgio.load_units(args.data, config.rho)
         report = attributable_contrast(pop.treatment, pop.outcome, config.alpha)
         if design:

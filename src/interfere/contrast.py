@@ -30,7 +30,7 @@ import numpy as np
 
 from .design import EffectiveTreatment, evaluate_exposure_many
 from .errors import ValidationError, check_count, check_integer, check_probability, check_seed, read_array
-from .exposure import ExposureProfile, exact_profile
+from .exposure import ExposureProfile, _check_profile, exact_profile
 from .normal import norm_ppf
 
 _TREATMENT_ASSUMPTIONS = (
@@ -311,8 +311,7 @@ def largest_centered_eigenvalue(profile: ExposureProfile, seed: int = 0) -> Eige
     a fully reorthogonalized Lanczos run of a few hundred steps. Breakdown
     is declared at a residual no larger than the same allowance.
     """
-    if not isinstance(profile, ExposureProfile):
-        raise ValidationError(f"profile must be an ExposureProfile, got {type(profile).__name__}")
+    _check_profile(profile)
     seed = check_seed(seed)
     matvec, n, row_sum = _centered_operator(profile)
     if n <= 1:
@@ -339,7 +338,7 @@ def exposure_attributable_contrast(
     """Attributable contrast for the effective-treatment split of the units."""
     check_probability(alpha, "alpha")
     y = _check_binary(y, "outcome")
-    n = profile.n
+    n = _check_profile(profile).n
     if y.size != n or exposure.indicator.size != n:
         raise ValidationError("outcome vector, exposure and profile differ in length")
     count = exposure.count

@@ -374,23 +374,31 @@ def _check_mapping(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: Optiona
         check_probability(rho, "treatment probability")
 
 
+def _exposed_by_unit(xt: np.ndarray, nbhd: NeighborhoodSet, mapping: ExposureMapping) -> np.ndarray:
+    """(n, s) int8 exposures of the unchecked (n, s) 0/1 assignments ``xt``,
+    unit by unit: a unit's treated count adds the rows of its set's members,
+    each a contiguous run of s entries when ``xt`` is C-ordered."""
+    xt = xt.astype(np.min_scalar_type(nbhd.k), copy=False)
+    treated_in_set = xt[nbhd.members[:, 0]]
+    for column in nbhd.members.T[1:]:
+        treated_in_set += xt[column]
+    if mapping.kind == "product":
+        z = treated_in_set == nbhd.k
+    else:
+        z = (xt == 1) & (treated_in_set >= mapping.d_min)
+    return z.view(np.int8)
+
+
 def evaluate_exposure_many(x, nbhd: NeighborhoodSet, mapping: ExposureMapping) -> np.ndarray:
-    """Vectorized exposure evaluation for an (s, n) batch of assignments."""
+    """Vectorized exposure evaluation for an (s, n) batch of assignments,
+    returned as a C-ordered (s, n) int8 array."""
     _check_mapping(nbhd, mapping)
     x = read_array(x, "assignment batch")
     if x.ndim != 2 or x.shape[1] != nbhd.n:
         raise ValidationError(f"assignment batch must have shape (s, {nbhd.n})")
     if not (((x == 0) | (x == 1)).all()):
         raise ValidationError("treatment assignments must be 0/1")
-    x = x.astype(np.min_scalar_type(nbhd.k), copy=False)
-    treated_in_set = x[:, nbhd.members[:, 0]]
-    for column in nbhd.members.T[1:]:
-        treated_in_set += x[:, column]
-    if mapping.kind == "product":
-        z = treated_in_set == nbhd.k
-    else:
-        z = (x == 1) & (treated_in_set >= mapping.d_min)
-    return z.astype(np.int8)
+    return np.ascontiguousarray(_exposed_by_unit(np.ascontiguousarray(x.T), nbhd, mapping).T)
 
 
 def evaluate_exposure(pop_or_x, nbhd: NeighborhoodSet, mapping: ExposureMapping) -> EffectiveTreatment:

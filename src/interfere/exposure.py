@@ -17,6 +17,14 @@ the two private parts and the shared part and convolves binomial counts over
 the three regions, so cost per pair is O(k^2) rather than O(2^|union|). A
 full-enumeration oracle (n <= 20) is provided for testing and diagnostics.
 
+A Monte Carlo profile counts co-exposure over all pairs, one shard of at
+most 2^16 draws at a time. A shard's draws come in row chunks of one Philox
+stream; each chunk is evaluated unit by unit (unit-major, ``(n, chunk)``)
+and fills the next columns of an (n, batch) float32 buffer, whose product
+``b @ b.T`` is added to the shard's counts. Every product and running sum is
+an integer count of at most 2^16, below 2^24, so the float32 sums are exact
+in any order and the counts do not depend on the chunk or batch sizes.
+
 ``_threshold_designs`` checks the design list of the Bonferroni scan and
 the simulation harness (nonempty, integer (d_min, d) pairs) and returns
 their threshold designs, on one k-NN per distinct d.
@@ -30,12 +38,21 @@ from typing import Optional
 
 import numpy as np
 
-from .design import ExposureMapping, NeighborhoodSet, _check_mapping, build_knn_neighborhoods, evaluate_exposure_many
+from .design import (
+    ExposureMapping,
+    NeighborhoodSet,
+    _check_mapping,
+    _exposed_by_unit,
+    build_knn_neighborhoods,
+    evaluate_exposure_many,
+)
 from .errors import ValidationError, check_count, check_integer, check_seed, read_array
 
 _MC_SHARD = 1 << 16
-# Uniforms drawn and counted at once within a Monte Carlo shard (8 MiB of float64).
+# Uniforms drawn and evaluated at once within a Monte Carlo shard (8 MiB of float64).
 _MC_DRAW = 1 << 20
+# Exposures counted with one product within a Monte Carlo shard (16 MiB of float32).
+_MC_BATCH = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -87,6 +104,13 @@ class ExposureProfile:
         joint[self.rows, self.cols] = self.values
         joint[self.cols, self.rows] = self.values
         return joint
+
+
+def _check_profile(profile) -> ExposureProfile:
+    """``profile``, after the one type check of the functions that take a profile."""
+    if not isinstance(profile, ExposureProfile):
+        raise ValidationError(f"profile must be an ExposureProfile, got {type(profile).__name__}")
+    return profile
 
 
 def _binom_pmf_table(k: int, rho: float) -> list:
@@ -279,17 +303,32 @@ def _threshold_designs(coords, configs, rho) -> list:
 
 
 def _mc_shard_counts(nbhd, mapping, rho, seed, shard, shard_n):
-    """Joint exposure counts of at most 2^16 draws: exact in float32 (< 2^24),
-    widened to float64 for the sum over shards. The draws are made and
-    counted in row chunks of about ``_MC_DRAW`` uniforms; the chunks continue
-    one Philox stream, so the counts equal those of the whole shard at once."""
+    """Joint exposure counts of at most 2^16 draws, widened to float64 for
+    the sum over shards.
+
+    The draws are made in row chunks of about ``_MC_DRAW`` uniforms; the
+    chunks continue one Philox stream, so the counts equal those of the whole
+    shard at once. Each chunk is evaluated unit by unit and its (n, chunk)
+    exposures go into the columns of an (n, batch) float32 buffer of about
+    ``_MC_BATCH`` entries; ``b @ b.T`` of the filled columns is added to the
+    counts when the next chunk would not fit, and once at the end. Every
+    product and running sum is a count of at most 2^16 draws, an integer
+    below 2^24, so the float32 sums are exact in any order."""
     rng = np.random.Generator(np.random.Philox(key=[seed, shard]))
-    counts = np.zeros((nbhd.n, nbhd.n), dtype=np.float32)
-    step = max(1, _MC_DRAW // nbhd.n)
+    n = nbhd.n
+    counts = np.zeros((n, n), dtype=np.float32)
+    step = max(1, _MC_DRAW // n)
+    batch = np.empty((n, min(shard_n, max(step, _MC_BATCH // n))), dtype=np.float32)
+    filled = 0
     for lo in range(0, shard_n, step):  # Philox fills rows in stream order
-        x = (rng.random((min(step, shard_n - lo), nbhd.n)) < rho).astype(np.int8)
-        z = evaluate_exposure_many(x, nbhd, mapping).astype(np.float32)
-        counts += z.T @ z
+        size = min(step, shard_n - lo)
+        if filled + size > batch.shape[1]:
+            counts += batch[:, :filled] @ batch[:, :filled].T
+            filled = 0
+        xt = np.ascontiguousarray((rng.random((size, n)) < rho).T)
+        batch[:, filled:filled + size] = _exposed_by_unit(xt, nbhd, mapping)
+        filled += size
+    counts += batch[:, :filled] @ batch[:, :filled].T
     return counts.astype(np.float64)
 
 
@@ -308,11 +347,11 @@ def monte_carlo_profile(
     _check_mapping(nbhd, mapping, rho)
     num_samples = check_count(num_samples, "num_samples")
     seed = check_seed(seed, philox=True)
-    counts = sum(
-        _mc_shard_counts(nbhd, mapping, rho, seed, shard, min(_MC_SHARD, num_samples - start))
-        for shard, start in enumerate(range(0, num_samples, _MC_SHARD))
-    )
-    joint = counts / num_samples
+    # Shard counts are integers below 2^53, so summing them in place is exact.
+    joint = _mc_shard_counts(nbhd, mapping, rho, seed, 0, min(_MC_SHARD, num_samples))
+    for shard, start in enumerate(range(_MC_SHARD, num_samples, _MC_SHARD), 1):
+        joint += _mc_shard_counts(nbhd, mapping, rho, seed, shard, min(_MC_SHARD, num_samples - start))
+    joint /= num_samples
     p = float(np.diagonal(joint).mean())
     return _dense_finalize(joint, p, nbhd, "monte_carlo", num_samples=num_samples)
 

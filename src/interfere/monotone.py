@@ -40,7 +40,7 @@ from .errors import (
     ZeroJointProbabilityError,
     read_array,
 )
-from .exposure import ExposureProfile, _threshold_designs
+from .exposure import ExposureProfile, _check_profile, _threshold_designs
 from .normal import norm_ppf
 
 # Entries of the (rows, n + pairs) arrays that ``_variances`` builds per step:
@@ -67,13 +67,14 @@ class MonotoneCiReport:
     d: Optional[int] = None
 
 
-def _one_row(values, exposure: EffectiveTreatment, profile=None, nonnegative=False) -> tuple:
+def _one_row(values, exposure: EffectiveTreatment, profile=..., nonnegative=False) -> tuple:
     """``values`` and the exposure indicator as the one row of a call to
     ``_variances`` or ``_score``, after the checks of a single analysis: the
-    sizes agree (the profile's too, when one is given), some unit is
-    exposed, and with ``nonnegative`` no value is negative."""
+    sizes agree (the profile's too, when one is passed, and it is a profile;
+    only ``point_estimate`` passes none, so a ``None`` profile is an error),
+    some unit is exposed, and with ``nonnegative`` no value is negative."""
     values = read_array(values, "values", float)
-    if profile is not None and profile.n != exposure.indicator.shape[0]:
+    if profile is not ... and _check_profile(profile).n != exposure.indicator.shape[0]:
         raise ValidationError("profile and exposure sizes differ")
     if values.shape != exposure.indicator.shape:
         raise ValidationError("values and exposure indicator differ in length")
@@ -236,6 +237,7 @@ def validity_condition(
     nonnegative the observed outcomes maximize the bound, so the computable
     bound dominates the idealized one.
     """
+    _check_profile(profile)
     if variance < 0:
         raise DegenerateVarianceError(f"negative variance estimate {variance}")
     if variance == 0:

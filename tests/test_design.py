@@ -205,6 +205,21 @@ class TestExposureEvaluation:
         with pytest.raises(ValidationError, match="exceeds"):
             itf.evaluate_exposure(np.array([1, 1]), nbhd, itf.ExposureMapping.threshold(3))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, bool])
+    @pytest.mark.parametrize("mapping", [itf.ExposureMapping.product(), itf.ExposureMapping.threshold(2)],
+                             ids=["product", "threshold"])
+    def test_many_matches_a_per_unit_loop(self, rng, mapping, dtype, order):
+        nbhd = itf.build_knn_neighborhoods(rng.random((30, 2)), 3)
+        x = np.asarray(rng.random((17, 30)) < 0.7, dtype=dtype, order=order)
+        z = evaluate_exposure_many(x, nbhd, mapping)
+        assert z.dtype == np.int8 and z.shape == (17, 30) and z.flags.c_contiguous
+        for s in range(17):
+            for i, members in enumerate(nbhd.as_sets()):
+                treated = sum(int(x[s, j]) for j in members)
+                exposed = treated == nbhd.k if mapping.kind == "product" else x[s, i] and treated >= mapping.d_min
+                assert z[s, i] == exposed
+
     def test_many_matches_single(self, rng):
         nbhd = itf.build_knn_neighborhoods(rng.random((8, 2)), 3)
         mapping = itf.ExposureMapping.threshold(2)

@@ -10,6 +10,8 @@ from interfere.exposure import _MC_SHARD, _mc_shard_counts
 
 from conftest import random_design
 
+MAPPINGS = (itf.ExposureMapping.product(), itf.ExposureMapping.threshold(2))
+
 
 class TestExactMarginal:
     def test_product_is_rho_to_k(self):
@@ -188,6 +190,40 @@ class TestMonteCarloProfile:
         z = itf.evaluate_exposure_many(x, nbhd, mapping).astype(np.float32)
         monkeypatch.setattr(exposure, "_MC_DRAW", 300 * 777 + 5)
         assert np.array_equal(_mc_shard_counts(nbhd, mapping, 0.4, 9, 2, 1000), (z.T @ z).astype(np.float64))
+
+    @pytest.mark.parametrize("mapping", MAPPINGS, ids=["product", "threshold"])
+    def test_batched_counts_equal_one_product(self, monkeypatch, mapping):
+        # 250 draws of 53 units in chunks of 40 rows; a batch holds three
+        # chunks (130 columns), so the counts flush after draws 120 and 240
+        # and once more for the ragged last chunk of 10.
+        nbhd = itf.build_knn_neighborhoods(itf.synthetic_layout("uniform_square", 53, seed=4), 3)
+        rng = np.random.Generator(np.random.Philox(key=[6, 3]))
+        z = itf.evaluate_exposure_many(rng.random((250, 53)) < 0.7, nbhd, mapping).astype(np.int64)
+        monkeypatch.setattr(exposure, "_MC_DRAW", 40 * 53)
+        monkeypatch.setattr(exposure, "_MC_BATCH", 130 * 53)
+        counts = _mc_shard_counts(nbhd, mapping, 0.7, 6, 3, 250)
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, z.T @ z)
+
+    @pytest.mark.parametrize("mapping", MAPPINGS, ids=["product", "threshold"])
+    def test_two_shard_profile_equals_the_sum_of_shard_products(self, monkeypatch, mapping):
+        # 170 draws in shards of 100 and 70, each drawn in chunks of 30 rows
+        # and counted in batches of two chunks.
+        nbhd = itf.build_knn_neighborhoods(itf.synthetic_layout("uniform_square", 41, seed=5), 3)
+        counts = np.zeros((41, 41), dtype=np.int64)
+        for shard, size in enumerate((100, 70)):
+            rng = np.random.Generator(np.random.Philox(key=[8, shard]))
+            z = itf.evaluate_exposure_many(rng.random((size, 41)) < 0.7, nbhd, mapping).astype(np.int64)
+            counts += z.T @ z
+        monkeypatch.setattr(exposure, "_MC_SHARD", 100)
+        monkeypatch.setattr(exposure, "_MC_DRAW", 30 * 41)
+        monkeypatch.setattr(exposure, "_MC_BATCH", 65 * 41)
+        profile = itf.monte_carlo_profile(nbhd, mapping, 0.7, 170, seed=8)
+        joint = counts / 170
+        rows, cols = np.triu_indices(41, 1)
+        assert np.array_equal(profile.diag, np.diagonal(joint))
+        assert np.array_equal(profile.values, joint[rows, cols])
+        assert profile.p == float(np.diagonal(joint).mean())
 
     def test_records_method_and_samples(self):
         nbhd = itf.build_knn_neighborhoods(np.arange(4.0)[:, None], 1)

@@ -393,6 +393,20 @@ LIBRARY_ARRAYS = {
     "concentration_check outcomes": lambda v: itf.concentration_check(v, 5, 2),
     "center_excess joint": lambda v: itf.center_excess(v, 0.5),
 }
+# Public functions that take a profile, each called with the value under test in its place.
+PROFILE_ARGUMENTS = {
+    "variance_estimate": lambda v: itf.variance_estimate(np.arange(6.0), EXPOSED, v),
+    "conservative_variance": lambda v: itf.conservative_variance(np.arange(6.0), EXPOSED, v),
+    "validity_condition": lambda v: itf.validity_condition(1.0, 1.0, v, 0.05, 5),
+    "upper_confidence_bound": lambda v: itf.upper_confidence_bound(_population(), EXPOSED, v, 0.05),
+    "ideal_upper_bound": lambda v: itf.ideal_upper_bound(np.arange(6.0), EXPOSED, v, 0.05),
+    "full_control_lower_bound": lambda v: itf.full_control_lower_bound(
+        _population(enrollment=np.arange(6.0) + 1.0), EXPOSED, v, 0.05
+    ),
+    "exposure_attributable_contrast": lambda v: itf.exposure_attributable_contrast(BINARY, EXPOSED, v, 0.05),
+    "largest_centered_eigenvalue": lambda v: itf.largest_centered_eigenvalue(v),
+}
+NOT_PROFILES = {"list": [[1, 0], [0, 1]], "text": "x", "none": None, "identity": np.eye(6), "dense joint": PROFILE.joint}
 RAGGED = {"ragged integers": [[0, 1], [1]], "ragged floats": [[0.0, 1.0], [1.0]], "ragged depth": [[0.0], 1.0]}
 TEXT = {"text": list("abcdef"), "numeric text": list("101111"), "text matrix": [["a", "b"], ["c", "d"]]}
 
@@ -404,6 +418,16 @@ def test_library_arrays_are_rectangular_and_numeric(case, value):
         LIBRARY_ARRAYS[case](value)
     if value in RAGGED.values():
         assert str(info.value).endswith("must be a rectangular array of numbers")
+
+
+@pytest.mark.parametrize("value", list(NOT_PROFILES.values()), ids=list(NOT_PROFILES))
+@pytest.mark.parametrize("case", sorted(PROFILE_ARGUMENTS))
+def test_profile_arguments_are_profiles(case, value):
+    # The profile itself works in each call.
+    PROFILE_ARGUMENTS[case](PROFILE)
+    with pytest.raises(ValidationError) as info:
+        PROFILE_ARGUMENTS[case](value)
+    assert str(info.value) == f"profile must be an ExposureProfile, got {type(value).__name__}"
 
 
 @pytest.mark.parametrize("configs", [[(1, 2, 3)], [(1,)], [1], [None], [(1, 1), (2, 3, 4)]])

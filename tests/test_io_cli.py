@@ -628,6 +628,7 @@ MC = {"p_method": {"kind": "mc", "samples": 100, "seed": 1}}
         ("contrast --data counts.csv --count-mode", DIAGNOSTICS, "contrast takes no config.diagnostics"),
         ("probcheck --data units.csv", {**CONFIG, **DIAGNOSTICS}, "probcheck takes no config.diagnostics"),
         ("contrast --data counts.csv --count-mode", MC, "contrast --count-mode takes no config.p_method"),
+        ("contrast --data binary.csv", MC, "contrast without a design takes no config.p_method"),
         ("contrast --data counts.csv --count-mode", {**DESIGN, **MC}, f"contrast --count-mode takes no {DESIGN_KEYS}"),
     ],
 )
