@@ -1,4 +1,4 @@
-"""Scaling record of the estimate path at several n, appended to BENCH_scale.json.
+"""Scaling record of the estimate path and the contrast eigenvalue at several n, appended to BENCH_scale.json.
 
 Run from anywhere; the package is imported from this checkout's ``src/``:
 
@@ -7,12 +7,14 @@ Run from anywhere; the package is imported from this checkout's ``src/``:
 
 For each layout (``uniform_square`` and ``two_cluster`` from
 ``synthetic_layout``) and each n, one threshold design (d_min=3, d=6,
-rho=0.5, alpha=0.05) is analysed in three timed stages, and a fourth up to
+rho=0.5, alpha=0.05) is analysed in four timed stages, and a fifth up to
 n = ``MC_MAX_N``:
 
 - ``knn``: ``build_knn_neighborhoods``;
 - ``profile``: ``exact_profile``;
 - ``bound``: ``evaluate_exposure`` and ``upper_confidence_bound``;
+- ``eigen``: ``largest_centered_eigenvalue`` of the exact profile, the
+  lambda_1 bound of the exposure-split contrast;
 - ``mc_profile``: ``monte_carlo_profile`` with ``MC_SAMPLES`` draws and seed
   ``MC_SEED``. It holds all n(n-1)/2 pairs, so its memory is O(n^2).
 
@@ -94,7 +96,8 @@ def measure(itf, layout: str, n: int) -> dict:
     nbhd, knn = _stage(itf.build_knn_neighborhoods, pop, D)
     profile, exact = _stage(itf.exact_profile, nbhd, mapping, RHO)
     (exposure, report), scored = _stage(bound, nbhd, profile)
-    stages = {"knn": knn, "profile": exact, "bound": scored}
+    lam, eigen = _stage(itf.largest_centered_eigenvalue, profile)
+    stages = {"knn": knn, "profile": exact, "bound": scored, "eigen": eigen}
     if n <= MC_MAX_N:
         stages["mc_profile"] = _stage(itf.monte_carlo_profile, nbhd, mapping, RHO, MC_SAMPLES, MC_SEED)[1]
     return {
@@ -104,6 +107,7 @@ def measure(itf, layout: str, n: int) -> dict:
         "pairs": int(profile.rows.size),
         "exposed": exposure.count,
         "upper_bound": report.upper_bound,
+        "lambda_1": {"value": lam.value, "certificate": lam.certificate, "steps": lam.steps},
         "stages": stages,
     }
 

@@ -48,7 +48,7 @@ def main():
     print(f"synthetic exposure split (n={n}, threshold d_min=2, d=3):")
     print(
         f"  delta = {zreport.delta:.4f}, lambda_1 = {zreport.lambda_1:.4f} "
-        f"({zreport.lambda_1_certificate} bound, {zreport.lambda_1_steps} Lanczos steps)"
+        f"({zreport.lambda_1_certificate} bound, {zreport.lambda_1_steps} iterations)"
     )
     print(f"  two-sided: [{zreport.two_sided[0]:.4f}, {zreport.two_sided[1]:.4f}]")
 

@@ -212,7 +212,7 @@ def _contrast_text(payload) -> str:
         if block.get("lambda_1") is not None:
             lines.append(
                 f"  lambda_1:         {block['lambda_1']:.6g} ({block['lambda_1_certificate']} bound; "
-                f"Ritz value {block['lambda_1_ritz']:.6g} after {block['lambda_1_steps']} Lanczos steps)"
+                f"Ritz value {block['lambda_1_ritz']:.6g} after {block['lambda_1_steps']} iterations)"
             )
         lines.append(f"  assumptions:      {block['assumptions']}")
     return "\n".join(lines) + "\n"

@@ -17,7 +17,10 @@ report text.
 ``_split_deltas`` scores (R, n) rows of 0/1 groups: a unit-level split is its
 one-row case, and ``concentration_check`` scores all its drawn groups in one
 call, so it measures the reported statistic. ``_report`` builds every interval.
-The exposure split's eigenvalue bound takes a profile and runs on its pattern.
+The exposure split's eigenvalue bound takes a profile. A small or all-pairs
+profile gets the dense eigenvalue (``_dense_bound``); any other gets a
+deterministic Collatz-Wielandt bound computed on its pattern
+(``_pattern_bound``), in O(n + pairs) memory.
 """
 
 from __future__ import annotations
@@ -45,14 +48,23 @@ _EXPOSURE_ASSUMPTIONS = (
 )
 # The top centered eigenvalue is returned as an upper bound; see
 # largest_centered_eigenvalue for how each constant enters it.
-_DELTA = 1e-12     # failure probability of the random-start certificate
-_SLACK = 0.005     # relative slack the Lanczos step count is chosen for
-_ROUNDING = 1e-12  # rounding allowance, relative to the row-sum bound
+_DENSE_MAX_N = 225          # largest n always decomposed densely (a 0.4 MB matrix)
+_ROUNDING = 1e-12           # rounding allowance, relative to the row-sum bound
+_CW_TOLERANCE = 1e-3        # relative gap to the lower bound that ends the iteration
+_CW_MAX_ITERATIONS = 1000   # about 8 s of iterations at n = 100 000
 
 
 @dataclass(frozen=True)
 class ContrastReport:
-    """Point contrast with one-sided and symmetric two-sided intervals."""
+    """Point contrast with one-sided and symmetric two-sided intervals.
+
+    An exposure split also carries its eigenvalue bound (an
+    :class:`EigenvalueBound`): ``lambda_1`` is the upper bound the interval
+    uses, ``lambda_1_certificate`` says how it was certified (``exact`` or
+    ``collatz_wielandt``), ``lambda_1_ritz`` is a lower bound on the
+    eigenvalue, and ``lambda_1_steps`` the number of iterations behind them
+    (0 for ``exact``). A treatment split leaves all four None.
+    """
 
     kind: str                    # "treatment" or "exposure" split
     delta: float
@@ -61,7 +73,7 @@ class ContrastReport:
     alpha: float
     n_exposed: int
     n_unexposed: int
-    lambda_1: Optional[float] = None      # exposure split: upper bound on the eigenvalue
+    lambda_1: Optional[float] = None
     lambda_1_certificate: Optional[str] = None
     lambda_1_ritz: Optional[float] = None
     lambda_1_steps: Optional[int] = None
@@ -72,10 +84,11 @@ class ContrastReport:
 class EigenvalueBound:
     """Upper bound on the top eigenvalue of a doubly centered matrix.
 
-    ``value`` is the bound, certified as ``certificate`` says: ``exact``,
-    ``random_start`` or ``row_sum`` (see :func:`largest_centered_eigenvalue`).
-    ``ritz`` is the top Ritz value, never above the eigenvalue but for
-    rounding, and ``steps`` the number of Lanczos steps behind it.
+    ``value`` is the bound, certified as ``certificate`` says: ``exact`` or
+    ``collatz_wielandt`` (see :func:`largest_centered_eigenvalue`).
+    ``ritz`` is a Rayleigh quotient of the centered matrix, never above the
+    eigenvalue but for rounding, and ``steps`` the number of Collatz-Wielandt
+    iterations behind both (0 for ``exact``, where ``ritz`` is the eigenvalue).
     """
 
     value: float
@@ -196,137 +209,98 @@ def attributable_contrast(x, y, alpha: float) -> ContrastReport:
     return _report("treatment", delta, n1, n, _treatment_scale(n1, n - n1), alpha)
 
 
-def _log_ratio(n: int) -> float:
-    return math.log(1.648 * math.sqrt(n) / _DELTA)
+def _dense_bound(profile: ExposureProfile) -> EigenvalueBound:
+    """``eigvalsh`` of the dense P M P, M = J - p^2 11'; certificate ``exact``."""
+    shifted = profile.joint
+    shifted -= profile.p * profile.p
+    allowance = _ROUNDING * float(np.abs(shifted).sum(axis=1).max())
+    means = shifted.mean(axis=1)  # also the column means: M is symmetric
+    shifted -= means[:, None]
+    shifted -= means
+    shifted += means.mean()
+    low, *_, top = np.linalg.eigvalsh(shifted).tolist()
+    if low < -allowance:
+        raise ValidationError(f"matrix is not positive semidefinite; its centered form has eigenvalue {low:.6g}")
+    return EigenvalueBound(value=max(top, 0.0) + allowance, ritz=top, steps=0, certificate="exact")
 
 
-def _lanczos_steps(n: int) -> int:
-    """Krylov dimension k at which the random-start slack reaches ``_SLACK``."""
-    return math.ceil((_log_ratio(n) / math.sqrt(_SLACK) + 1.0) / 2.0)
-
-
-def _random_start_slack(n: int, k: int) -> float:
-    """The eps solving 1.648 sqrt(n) exp(-sqrt(eps) (2k - 1)) = ``_DELTA``."""
-    return (_log_ratio(n) / (2 * k - 1)) ** 2
-
-
-def _centered(product):
-    """v -> P product(P v), P = I - 11'/n."""
-
-    def matvec(v):
-        w = product(v - v.mean())
-        return w - w.mean()
-
-    return matvec
-
-
-def _centered_operator(profile: ExposureProfile) -> tuple:
-    """``(matvec, n, row_sum)`` for P M P with P = I - 11'/n.
-
-    M is the joint matrix J less p^2 11', so P M P = P J P, and ``row_sum``
-    is the largest absolute row sum of M. M is zero off the profile's
-    pattern: the product costs O(n + pairs) and J is never built. A profile
-    whose pattern is every pair (Monte Carlo, enumeration) already holds
-    O(n^2) values and takes the dense product.
-    """
+def _pattern_bound(profile: ExposureProfile) -> EigenvalueBound:
+    """Collatz-Wielandt bound on rho(|M|), M = J - p^2 11' on the profile's
+    pattern; certificate ``collatz_wielandt``."""
     n, shift = profile.n, profile.p * profile.p
-    if profile.off_pattern:
-        diag, pair = profile.diag - shift, profile.values - shift
-        rows, cols = profile.rows, profile.cols
-        row_sum = np.abs(diag) + np.bincount(rows, np.abs(pair), n) + np.bincount(cols, np.abs(pair), n)
+    rows, cols = profile.rows, profile.cols
+    diag, pair = profile.diag - shift, profile.values - shift
 
-        def product(u):
-            return diag * u + np.bincount(rows, pair * u[cols], n) + np.bincount(cols, pair * u[rows], n)
+    def product(d, e, u):
+        """The product with the symmetric matrix of diagonal d and pattern entries e."""
+        return d * u + np.bincount(rows, e * u[cols], n) + np.bincount(cols, e * u[rows], n)
 
-        return _centered(product), n, float(row_sum.max())
-    dense = profile.joint
-    dense -= shift
-    return _centered(dense.__matmul__), n, float(np.abs(dense).sum(axis=1).max(initial=0.0))
-
-
-def _lanczos(matvec, n: int, steps: int, seed: int, tiny: float) -> tuple:
-    """Top Ritz value of at most ``steps`` Lanczos steps, the steps taken, and
-    whether the Krylov space ran out (a residual norm of ``tiny`` or less).
-
-    The start vector is a seeded Gaussian made mean-zero and normalized, so
-    it is uniform on the unit sphere of the centered subspace. Every new
-    vector is reorthogonalized against the whole basis.
-    """
-    start = np.random.default_rng(seed).standard_normal(n)
-    start -= start.mean()
-    basis = np.empty((steps, n))
-    basis[0] = start / np.linalg.norm(start)
-    alpha, beta = np.empty(steps), np.empty(steps)
-    k, exhausted = 0, False
-    while True:
-        w = matvec(basis[k])
-        alpha[k] = basis[k] @ w
-        k += 1
-        if k == steps:
+    abs_diag, abs_pair = np.abs(diag), np.abs(pair)
+    w, bound = np.ones(n), math.inf
+    for steps in range(1, _CW_MAX_ITERATIONS + 1):
+        image = product(abs_diag, abs_pair, w)
+        if steps == 1:
+            row_sum = float(image.max())
+        bound = min(bound, float(np.max(image / w)))
+        if bound - float(w @ image) / float(w @ w) <= _CW_TOLERANCE * bound:
             break
-        w -= alpha[k - 1] * basis[k - 1]
-        if k > 1:
-            w -= beta[k - 2] * basis[k - 2]
-        w -= (basis[:k] @ w) @ basis[:k]
-        beta[k - 1] = np.linalg.norm(w)
-        if beta[k - 1] <= tiny:
-            exhausted = True
-            break
-        basis[k] = w / beta[k - 1]
-    off = beta[: k - 1]
-    tridiagonal = np.diag(alpha[:k]) + np.diag(off, 1) + np.diag(off, -1)
-    return float(np.linalg.eigvalsh(tridiagonal)[-1]), k, exhausted
+        w = np.maximum(image / image.max(), np.finfo(float).tiny)
+    centered = w - w.mean()
+    norm = float(centered @ centered)
+    ritz = float(centered @ product(diag, pair, centered)) / norm if norm > 0 else 0.0
+    return EigenvalueBound(
+        value=bound + _ROUNDING * row_sum, ritz=ritz, steps=steps, certificate="collatz_wielandt",
+    )
 
 
-def largest_centered_eigenvalue(profile: ExposureProfile, seed: int = 0) -> EigenvalueBound:
-    """Certified upper bound on the largest eigenvalue of P J P, P = I - 11'/n.
+def largest_centered_eigenvalue(profile: ExposureProfile) -> EigenvalueBound:
+    """Upper bound on the largest eigenvalue of P J P, P = I - 11'/n.
 
     J is the joint matrix of ``profile``, positive semidefinite as a second
-    moment matrix. Lanczos with full reorthogonalization runs on the
-    implicit centered operator from a random start drawn from ``seed`` (see
-    :func:`_centered_operator` and :func:`_lanczos`) for
-    k = min(n - 1, ``_lanczos_steps(n)``) steps, and the top Ritz value
-    theta, which never exceeds lambda_1, becomes an upper bound:
+    moment matrix, and P J P = P M P for M = J - c11' with c = p^2 (the
+    float ``p * p`` that fills J off the pattern). M is zero off the pattern.
+    Two branches, chosen by the profile:
 
-    * ``exact``: the Krylov space ran out, either by breakdown or because k
-      reached n - 1, the dimension of the centered subspace. theta is then
-      lambda_1 itself (for every start vector with a component along the top
-      eigenvector, which a random start has with probability 1).
-    * ``random_start``: otherwise the bound is theta / (1 - eps), where eps
-      solves 1.648 sqrt(n) exp(-sqrt(eps) (2k - 1)) = delta (Kuczynski and
-      Wozniakowski 1992, *SIAM J. Matrix Anal. Appl.*, for the Lanczos
-      algorithm on a PSD matrix from a start uniform on the sphere).
-      It fails with probability at most delta = ``_DELTA`` = 1e-12 over the
-      start vector. The n in the formula over-counts the n - 1 dimensions
-      of the centered subspace, which only makes eps larger. k is the least
-      step count with eps <= ``_SLACK`` = 0.005, so the bound is at most
-      theta / 0.995 (about 227 steps at n = 2000, 235 at n = 20 000).
-    * ``row_sum``: the largest absolute row sum of M = J - c11' caps either
-      bound, deterministically: lambda_1(P M P) <= max(lambda_max(M), 0),
-      and lambda_max(M) is at most that row sum. It is taken when smaller.
+    * ``exact``: for n <= ``_DENSE_MAX_N`` = 225 (a 0.4 MB matrix), or when
+      the pattern is every pair (Monte Carlo, enumeration), so that the
+      profile already holds O(n^2) values. The value is the top eigenvalue
+      of the dense P M P from ``numpy.linalg.eigvalsh``; ``ritz`` is that
+      eigenvalue and ``steps`` is 0. An eigenvalue below minus the rounding
+      allowance is an error: P J P, and so J, is not positive semidefinite.
+    * ``collatz_wielandt``: every other profile, in O(n + pairs) time per
+      iteration and O(n + pairs) memory. For any positive w,
 
-    Rounding: ``_ROUNDING`` = 1e-12 times the row sum, a bound on the norm of
-    the centered operator, is added to the result. That is over 4 000 units
-    in the last place of the norm, far above the O(k eps) relative error of
-    a fully reorthogonalized Lanczos run of a few hundred steps. Breakdown
-    is declared at a residual no larger than the same allowance.
+          lambda_1(P M P) <= lambda_max(M) <= rho(|M|) <= max_i (|M| w)_i / w_i,
+
+      the last being the Collatz-Wielandt bound (Horn and Johnson, *Matrix
+      Analysis*, Thm 8.1.26). The iteration starts at w = 1, whose ratio
+      is the largest absolute row sum of M, and continues with the power
+      iterates w <- |M| w / max(|M| w), floored at the smallest normal float
+      so that they stay positive. The value is the least max ratio over all
+      iterates. It stops once that value is within ``_CW_TOLERANCE`` = 1e-3,
+      relative, of the Rayleigh quotient w'|M|w / w'w, a lower bound on
+      rho(|M|), or after ``_CW_MAX_ITERATIONS``; either way the value is a
+      bound. The bound holds for any sign of M's entries; those of the
+      threshold and product mappings are nonnegative (Harris 1960), and then
+      rho(|M|) = lambda_max(M) and the bound is tight up to the centering.
+      ``ritz`` is the Rayleigh quotient on P M P of the centered final
+      iterate, a lower bound on lambda_1 up to rounding (0 when that iterate
+      is constant), and ``steps`` the number of iterates.
+
+    Rounding: ``_ROUNDING`` = 1e-12 times the largest absolute row sum of M,
+    which bounds the norm of M, is added in both branches. That is over
+    4 000 units in the last place of the norm. It covers the backward error
+    of ``eigvalsh``, and the rounding of each Collatz-Wielandt ratio: a sum
+    of nonnegative terms over a unit and its pattern pairs, divided by w_i,
+    with relative error below (degree + 3) eps, under 1e-12 for a unit with
+    fewer than 4 000 pattern pairs.
     """
-    _check_profile(profile)
-    seed = check_seed(seed)
-    matvec, n, row_sum = _centered_operator(profile)
+    n = _check_profile(profile).n
     if n <= 1:
         return EigenvalueBound(value=0.0, ritz=0.0, steps=0, certificate="exact")
-    allowance = _ROUNDING * row_sum
-    ritz, steps, exhausted = _lanczos(matvec, n, min(n - 1, _lanczos_steps(n)), seed, allowance)
-    if ritz < -allowance:
-        raise ValidationError("matrix is not positive semidefinite; dominant eigenvalue is negative")
-    if exhausted or steps == n - 1:
-        value, certificate = ritz, "exact"
-    else:
-        value, certificate = ritz / (1.0 - _random_start_slack(n, steps)), "random_start"
-    if row_sum < value:
-        value, certificate = row_sum, "row_sum"
-    return EigenvalueBound(value=max(value, 0.0) + allowance, ritz=ritz, steps=steps, certificate=certificate)
+    if n <= _DENSE_MAX_N or not profile.off_pattern:
+        return _dense_bound(profile)
+    return _pattern_bound(profile)
 
 
 def exposure_attributable_contrast(

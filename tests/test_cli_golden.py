@@ -121,17 +121,17 @@ RECORDED = {
     "contrast plain json": (0, "9c49f68877f4cc22784ec02e4e9715a8c5342f8d496d155198ab1a274ca7cdba"),
     "contrast plain text": (0, "b20ef21ef9ab91314e75ae0f2b39ec9d5a65823cc354e219751e3d88f8594fb1"),
     "contrast plain csv": (0, "01468450daabda31bf327ac70adf92d9b1a4b0cd9b0235a82588d8d2fc0a188b"),
-    "contrast exact json": (0, "a716e0a4b4d01e01879b8d2c3a3fb11e9183634945bb1a603c5f1ce2919e305f"),
-    "contrast exact text": (0, "433eca743dd9f61d4c6c5ce794c6f5d98dc562da84daebe04230911ab5c4dfe7"),
-    "contrast exact csv": (0, "778a6f1e340ea40d37efe9237edd356908d137af5697f11dd1c65aab2f994fdb"),
-    "contrast alpha json": (0, "c073112098af8bf88bd91fa1f5151139f4318c09222b07f785ff3e11b6fa3969"),
-    "contrast alpha text": (0, "3e270f40eb4c8df615e5e3f537b304391b329334a2ccdf4755f59787092d2822"),
-    "contrast alpha csv": (0, "10886a1c90a74f66871aa21464ed0b251808f12f7c7d9b33715d47e9bbbb5bb5"),
-    "contrast mc json": (0, "a4d2c10353443c643593995ede80a0d41bec34baf90d08e0d26f9a8cbac23120"),
-    "contrast mc text": (0, "67d7774d848d4b03c153f5fc11976b6221b3bc09307377dab90f42a60ae7f7e6"),
-    "contrast mc csv": (0, "5412d179a50ad888e959178d742fbd36ee2200613bac5eaf40d2b3cb824beb0a"),
-    "contrast mc seed json": (0, "0477bf322dbdd8ded8aef44dd51208a2b473c154dca972a2c8f48e39b8198714"),
-    "contrast mc seed text": (0, "6232bb0d189c5888df5923fd8ef165d23eda8ef30c1d3b79bf2ebad04179faeb"),
+    "contrast exact json": (0, "1e4d183ab810a14c4a2d1cc81a33b8690921a2e08fc7668aa0d235dd1c032784"),
+    "contrast exact text": (0, "a71631baa12d48341a3229f2c25428e9c4210e7237e6dc2f12dc7f31dfc75d43"),
+    "contrast exact csv": (0, "e334a85c37ff54dc130da4d16f5b2d3cbe97382f88bd9133b20f4d39e30eb3f8"),
+    "contrast alpha json": (0, "a7adb0b68ddb083332c7f6523f676408781faad85bb77d19fe7eaeaeac051529"),
+    "contrast alpha text": (0, "22300f2b8e3d48a8c9bddb9c9b71c610c2d58773c1811a6748ab514569eb8d09"),
+    "contrast alpha csv": (0, "21a92af04c62e5fe816cb86ff2649bf6245452a74076cd491f6e3c7e2e70ce5e"),
+    "contrast mc json": (0, "a75703eda8f7c43853c748dce40c203cfb9935aef4d03b3949b8a882d1d3d089"),
+    "contrast mc text": (0, "8faf0b1e26f1fc99c01b38c40d7754866fc6ca458cb70a5ccd55983383877709"),
+    "contrast mc csv": (0, "20525eedd379616d501a0e91ad2618b6b35adf08c62b5f004393779184c9d96c"),
+    "contrast mc seed json": (0, "d0007d66143c5c82c736c22a5beb9f59733a34ee86f4ce61bbd6e74d711c7ef3"),
+    "contrast mc seed text": (0, "97c031b64f414e8741415551420e99ce5e64c0b2c0bcbbdd8f0508757c099d86"),
     "contrast mc seed csv": (0, "6e79d25019edfc8fda2c03959f8364b5103876ec2b0e03b58696a313e0ad280d"),
     "contrast counts json": (0, "ca1a38bf3eddeeeb38adb5b42736300d8e6282ea07f6257acd53d8a489bc5381"),
     "contrast counts text": (0, "70d45e4e451df8f76d28b1a8b54bf8dcb640aebe23187d289e70f0255ff1a120"),

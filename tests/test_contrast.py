@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,9 @@ from scipy.sparse.linalg import eigsh
 
 import interfere as itf
 from interfere import contrast
-from interfere.contrast import (
-    _ROUNDING, _SLACK, _centered_operator, _lanczos_steps, _random_start_slack, _split_deltas,
-)
+from interfere.contrast import _CW_MAX_ITERATIONS, _CW_TOLERANCE, _DENSE_MAX_N, _ROUNDING, _split_deltas
 from interfere.errors import ValidationError
+from interfere.exposure import _finalize
 from interfere.normal import norm_ppf
 
 from conftest import dense_profile
@@ -74,28 +74,66 @@ class TestTreatmentSplitContrast:
 
 
 def centered_top(joint):
-    """numpy.linalg.eigvalsh's largest eigenvalue of (I - 11'/n) J (I - 11'/n)."""
-    n = joint.shape[0]
-    proj = np.eye(n) - np.ones((n, n)) / n
-    return float(np.linalg.eigvalsh(proj @ joint @ proj)[-1])
+    """numpy.linalg.eigvalsh's largest eigenvalue of (I - 11'/n) J (I - 11'/n)
+    for a symmetric J, whose row and column means agree."""
+    means = joint.mean(axis=1)
+    return float(np.linalg.eigvalsh(joint - means[:, None] - means + means.mean())[-1])
 
 
-def check_bound(result, reference, row_sum, n):
-    """The bound is at least lambda_1 and at most the documented slack above it."""
+def check_bound(result, profile):
+    """The bound is at least lambda_1 and the Ritz value at most lambda_1, up
+    to rounding. The exact certificate is lambda_1; a Collatz-Wielandt bound
+    lies between rho(|M|) and rho(|M|) / (1 - tolerance), by its stopping rule."""
+    shifted = profile.joint - profile.p * profile.p
+    reference = centered_top(shifted)
+    allowance = _ROUNDING * np.abs(shifted).sum(axis=1).max()
     assert result.value >= reference
-    assert result.value <= reference / (1.0 - _SLACK) + _ROUNDING * row_sum
-    assert result.ritz <= reference * (1 + 1e-12) + 1e-15
-    if result.certificate == "random_start":
-        widened = result.ritz / (1.0 - _random_start_slack(n, result.steps))
-        assert result.value == pytest.approx(widened + _ROUNDING * row_sum, rel=1e-15)
+    assert result.ritz <= reference + allowance
+    if result.certificate == "exact":
+        assert result.value == pytest.approx(max(reference, 0.0) + allowance, rel=1e-10, abs=1e-15)
+        assert result.steps == 0
+    else:
+        assert result.certificate == "collatz_wielandt"
+        perron = float(np.linalg.eigvalsh(np.abs(shifted))[-1])
+        assert perron <= result.value <= perron / (1.0 - _CW_TOLERANCE) + allowance
+        assert 1 <= result.steps < _CW_MAX_ITERATIONS
+    return reference
 
 
-def knn_profile(n, d, mapping, method, seed):
-    layout = itf.synthetic_layout("uniform_square", n, seed=seed)
-    nbhd = itf.build_knn_neighborhoods(layout, d)
+def knn_profile(n, d, mapping, method, seed, layout="uniform_square"):
+    nbhd = itf.build_knn_neighborhoods(itf.synthetic_layout(layout, n, seed=seed), d)
     if method == "exact":
         return itf.exact_profile(nbhd, mapping, 0.5)
     return itf.monte_carlo_profile(nbhd, mapping, 0.5, 2000, seed=seed)
+
+
+def pattern_profile(p, diag, joint):
+    """A profile whose pattern is the nonzero off-diagonal upper entries of
+    ``joint - p^2``, which need not come from a design."""
+    rows, cols = np.nonzero(np.triu(joint - p * p, 1))
+    return _finalize(p, diag, rows, cols, joint[rows, cols], 0, "exact")
+
+
+def paired_profile(n=300, p=0.5, covariance=-0.2):
+    """Units 2k and 2k+1 with covariance ``covariance``, all others independent.
+    M is block diagonal with blocks [[a, c], [c, a]], a = p(1 - p), so with c < 0
+    lambda_1 = a - c belongs to the mean-zero vector (1, -1, 1, -1, ...), while
+    M's signed row sums are a + c."""
+    joint = np.full((n, n), p * p)
+    np.fill_diagonal(joint, p)
+    pairs = np.arange(0, n, 2)
+    joint[pairs, pairs + 1] = joint[pairs + 1, pairs] = p * p + covariance
+    return pattern_profile(p, np.full(n, p), joint)
+
+
+def signed_profile(n=300, p=0.5, seed=0):
+    """J = p^2 11' + B B' / 4 for a sparse B with random signs: positive
+    semidefinite, with negative excess entries on a sparse pattern."""
+    gen = np.random.default_rng(seed)
+    b = np.zeros((n, n))
+    b[np.repeat(np.arange(n), 3), gen.integers(0, n, 3 * n)] = gen.choice([-1.0, 1.0], 3 * n)
+    joint = p * p + b @ b.T / 4
+    return pattern_profile(p, np.diagonal(joint).copy(), joint)
 
 
 class TestLargestCenteredEigenvalue:
@@ -108,6 +146,12 @@ class TestLargestCenteredEigenvalue:
             lam = itf.largest_centered_eigenvalue(matrix)
             assert lam.value == pytest.approx(0.3 * 0.7, rel=1e-10)
             assert lam.certificate == "exact"
+        # Above the dense cutoff |M| = M = p(1-p) I, so the first
+        # Collatz-Wielandt iterate is exact too.
+        nbhd = itf.build_knn_neighborhoods(np.arange(300.0)[:, None], 1)
+        lam = itf.largest_centered_eigenvalue(itf.exact_profile(nbhd, itf.ExposureMapping.threshold(1), 0.3))
+        assert lam.value == pytest.approx(0.3 * 0.7, rel=1e-10)
+        assert (lam.certificate, lam.steps) == ("collatz_wielandt", 1)
 
     def test_identity_matrix(self):
         assert itf.largest_centered_eigenvalue(dense_profile(np.eye(4))).value == pytest.approx(1.0, rel=1e-10)
@@ -123,68 +167,105 @@ class TestLargestCenteredEigenvalue:
             n = int(rng.integers(2, 9))
             a = rng.standard_normal((n, n))
             psd = a @ a.T
-            lam = itf.largest_centered_eigenvalue(dense_profile(psd), seed=3)
+            lam = itf.largest_centered_eigenvalue(dense_profile(psd))
             reference = centered_top(psd)
             assert lam.value == pytest.approx(reference, rel=1e-8, abs=1e-12)
             assert lam.value >= reference
             assert lam.certificate == "exact"
 
     def test_bound_on_random_psd_up_to_400_units(self, rng):
+        # An all-pairs profile takes the dense branch at every n.
         for n in (2, 5, 30, 150, 240, 400):
             a = rng.standard_normal((n, n + 5))
             psd = a @ a.T / n
-            result = itf.largest_centered_eigenvalue(dense_profile(psd), seed=n)
-            reference = centered_top(psd)
+            profile = dense_profile(psd)
+            result = itf.largest_centered_eigenvalue(profile)
+            reference = check_bound(result, profile)
             proj = np.eye(n) - np.ones((n, n)) / n
             if n > 2:
                 assert eigsh(proj @ psd @ proj, k=1, which="LA")[0][0] == pytest.approx(reference, rel=1e-10)
-            check_bound(result, reference, np.abs(psd).sum(axis=1).max(), n)
-            exact = n - 1 <= _lanczos_steps(n)
-            assert result.certificate == ("exact" if exact else "random_start")
-            assert result.steps == min(n - 1, _lanczos_steps(n))
+            assert result.certificate == "exact"
 
     @pytest.mark.parametrize("method", ["exact", "monte_carlo"])
     @pytest.mark.parametrize("mapping", [itf.ExposureMapping.product(), itf.ExposureMapping.threshold(2)])
     def test_bound_on_knn_designs(self, method, mapping):
         for n, d in ((2, 2), (9, 3), (60, 3), (250, 4), (400, 3)):
             profile = knn_profile(n, d, mapping, method, seed=n)
-            joint = profile.joint
-            reference = centered_top(joint)
+            result = itf.largest_centered_eigenvalue(profile)
+            reference = check_bound(result, profile)
             if n > 2:
+                joint = profile.joint
                 proj = np.eye(n) - np.ones((n, n)) / n
                 assert eigsh(proj @ joint @ proj, k=1, which="LA")[0][0] == pytest.approx(reference, rel=1e-10)
-            _, _, row_sum = _centered_operator(profile)
-            assert row_sum >= reference
+            pattern = method == "exact" and n > _DENSE_MAX_N
+            assert result.certificate == ("collatz_wielandt" if pattern else "exact")
+
+    @pytest.mark.parametrize("layout", ["uniform_square", "two_cluster"])
+    @pytest.mark.parametrize("mapping", [itf.ExposureMapping.product(), itf.ExposureMapping.threshold(3)])
+    @pytest.mark.parametrize("n", [300, 500, 2000])
+    def test_bound_on_exact_knn_profiles(self, n, mapping, layout):
+        profile = knn_profile(n, 6, mapping, "exact", seed=n, layout=layout)
+        result = itf.largest_centered_eigenvalue(profile)
+        assert result.certificate == "collatz_wielandt"
+        check_bound(result, profile)
+
+    @pytest.mark.parametrize("profile", [paired_profile(), signed_profile()], ids=["paired", "signed"])
+    def test_bound_on_pattern_profiles_with_negative_excess(self, profile):
+        assert (profile.values < profile.p * profile.p).any()
+        result = itf.largest_centered_eigenvalue(profile)
+        assert result.certificate == "collatz_wielandt"
+        check_bound(result, profile)
+
+    def test_first_iterate_is_the_row_sum_bound(self, monkeypatch):
+        profile = signed_profile()
+        monkeypatch.setattr(contrast, "_CW_MAX_ITERATIONS", 1)
+        result = itf.largest_centered_eigenvalue(profile)
+        row_sum = np.abs(profile.joint - profile.p * profile.p).sum(axis=1).max()
+        assert result.value == pytest.approx(row_sum * (1 + _ROUNDING), rel=1e-13)
+        assert result.steps == 1
+        assert result.value >= centered_top(profile.joint)
+
+    def test_branch_follows_size_and_pattern(self):
+        mapping = itf.ExposureMapping.threshold(2)
+        for n, method, certificate in (
+            (_DENSE_MAX_N, "exact", "exact"),
+            (_DENSE_MAX_N + 1, "exact", "collatz_wielandt"),
+            (_DENSE_MAX_N + 1, "monte_carlo", "exact"),
+        ):
+            profile = knn_profile(n, 3, mapping, method, seed=1)
+            assert itf.largest_centered_eigenvalue(profile).certificate == certificate
+
+    @pytest.mark.parametrize("n", [20, 300])
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_degenerate_exposure_probability_is_finite(self, p, n):
+        # p in {0, 1}: every joint probability is p = p^2, so M = 0.
+        rows, cols = np.triu_indices(n, 1)
+        keep = cols - rows <= 3
+        profile = _finalize(p, np.full(n, p), rows[keep], cols[keep], np.full(keep.sum(), p), 6, "exact")
+        with np.errstate(all="raise"):
             result = itf.largest_centered_eigenvalue(profile)
-            check_bound(result, reference, row_sum, n)
-            if result.certificate == "exact":
-                assert result.value == pytest.approx(reference, rel=1e-8)
+        assert result == itf.EigenvalueBound(0.0, 0.0, result.steps, result.certificate)
 
-    def test_sparse_and_dense_operators_agree(self):
-        profile = knn_profile(120, 5, itf.ExposureMapping.threshold(3), "exact", seed=2)
-        matvec, n, row_sum = _centered_operator(profile)
-        dense_matvec, _, _ = _centered_operator(dense_profile(profile.joint))
-        shifted = profile.joint - profile.p**2
-        assert row_sum == pytest.approx(np.abs(shifted).sum(axis=1).max(), rel=1e-12)
-        v = np.random.default_rng(0).standard_normal(n)
-        proj = np.eye(n) - np.ones((n, n)) / n
-        assert np.allclose(matvec(v), proj @ profile.joint @ proj @ v, rtol=0, atol=1e-14)
-        assert np.allclose(dense_matvec(v), matvec(v), rtol=0, atol=1e-14)
-
-    def test_row_sum_caps_the_random_start_bound(self):
-        # lambda_1(P D P) lies between the top two entries of D, both 1, which
-        # is also D's largest row sum; the random-start bound would exceed it.
-        n = 400
-        diag = np.linspace(0.5, 1.0, n)
-        diag[-2] = 1.0
-        result = itf.largest_centered_eigenvalue(dense_profile(np.diag(diag)))
-        assert result.certificate == "row_sum"
-        assert result.value == pytest.approx(1.0, rel=1e-11)
-        assert result.value >= centered_top(np.diag(diag))
+    def test_pattern_bound_memory_is_linear(self):
+        # A 227-step basis at n = 20 000 alone would take 36 MB, the dense
+        # matrix 3.2 GB; the iteration holds a few pattern-length arrays.
+        profile = knn_profile(20_000, 6, itf.ExposureMapping.threshold(3), "exact", seed=1)
+        n, pairs = profile.n, profile.rows.size
+        tracemalloc.start()
+        try:
+            result = itf.largest_centered_eigenvalue(profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.certificate == "collatz_wielandt"
+        assert peak <= 8 * (10 * n + 6 * pairs)
 
     def test_not_positive_semidefinite_rejected(self):
-        with pytest.raises(ValidationError, match="positive semidefinite"):
-            itf.largest_centered_eigenvalue(dense_profile(-np.eye(5)))
+        # -I and diag(1, ..., 1, -1): the centered form of each has a negative
+        # eigenvalue, although the top one of the first is 0 (along 1).
+        for diag in (-np.ones(5), np.append(np.ones(4), -1.0)):
+            with pytest.raises(ValidationError, match="positive semidefinite"):
+                itf.largest_centered_eigenvalue(dense_profile(np.diag(diag)))
 
 
 class TestExposureSplitContrast:

@@ -24,7 +24,6 @@ from interfere.cli import main
 from interfere.errors import DegenerateVarianceError, ValidationError
 from interfere.io import RunConfig
 
-from conftest import dense_profile
 
 UNITS_CSV = """id,x,y,treatment,outcome,enrollment
 a,0.0,0.0,1,4,9
@@ -223,7 +222,6 @@ LIBRARY_INTEGERS = {
     "Scenario seed": lambda v: itf.run_coverage_experiment(
         itf.Scenario(kind="no_effect_no_clustering", layout=np.arange(10.0), seed=v), [(1, 2)], 0.05, 1
     ),
-    "largest_centered_eigenvalue seed": lambda v: itf.largest_centered_eigenvalue(dense_profile(np.eye(4)), seed=v),
 }
 
 
@@ -238,7 +236,7 @@ def test_library_integers_are_not_truncated(case):
 
 # Library entry points that take a seed: (call, seeds its generator accepts, seeds it rejects).
 # A Philox seed lies in [-2**63, 2**63), where numpy converts the key
-# [seed, shard] exactly; a default_rng seed is nonnegative.
+# [seed, shard] exactly.
 LIBRARY_SEEDS = {
     "monte_carlo_profile": (
         lambda v: itf.monte_carlo_profile(_ring(), itf.ExposureMapping.threshold(2), 0.5, 10, v),
@@ -249,11 +247,6 @@ LIBRARY_SEEDS = {
         lambda v: itf.concentration_check(np.array([0, 1, 1, 0]), 5, 2, seed=v),
         (-(2**63), 2**63 - 1),
         (-(2**63) - 1, 2**63, 2**64 - 1),
-    ),
-    "largest_centered_eigenvalue": (
-        lambda v: itf.largest_centered_eigenvalue(dense_profile(np.eye(4)), seed=v),
-        (0, 2**70),
-        (-1,),
     ),
 }
 

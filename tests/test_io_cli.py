@@ -397,7 +397,7 @@ class TestCliContrast:
         block = json.loads(capsys.readouterr().out)["exposure_split"]
         assert block["lambda_1_certificate"] == "exact"
         assert block["lambda_1_ritz"] <= block["lambda_1"]
-        assert block["lambda_1_steps"] >= 1
+        assert block["lambda_1_steps"] == 0  # the dense branch: n is below its cutoff
         main(["contrast", "--config", str(config), "--data", str(data), "--format", "text"])
         assert f"({block['lambda_1_certificate']} bound; Ritz value" in capsys.readouterr().out
 

@@ -26,14 +26,16 @@ def test_script_runs(script, flags, first_line):
 
 
 def test_scale_bench_records_every_stage(tmp_path):
-    # The bench appends one record; at n=300 it times the Monte Carlo profile too.
+    # The bench appends one record; at n=300 it times the Monte Carlo profile too,
+    # and the eigenvalue takes the Collatz-Wielandt branch.
     out = tmp_path / "scale.json"
     _run(ROOT / "benches" / "scale.py", "--sizes", "300", "--out", str(out))
     (record,) = json.loads(out.read_text())["records"]
     assert record["monte_carlo"] == {"samples": 8192, "seed": 11, "max_n": 3000}
     assert [(row["layout"], row["n"]) for row in record["rows"]] == [("uniform_square", 300), ("two_cluster", 300)]
     for row in record["rows"]:
-        assert sorted(row["stages"]) == ["bound", "knn", "mc_profile", "profile"]
+        assert sorted(row["stages"]) == ["bound", "eigen", "knn", "mc_profile", "profile"]
+        assert row["lambda_1"]["certificate"] == "collatz_wielandt" and row["lambda_1"]["value"] > 0
         assert row["stages"]["mc_profile"]["seconds"] > 0 and row["stages"]["mc_profile"]["peak_mb"] > 0
 
 
