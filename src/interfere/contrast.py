@@ -126,7 +126,9 @@ def _treatment_scale(n1: int, n0: int) -> float:
 
 
 def _exposure_scale(lam: float, n: int, p: float) -> float:
-    """Half-width per unit of z of the exposure split: sqrt(lambda_1 / n) / (2 p (1 - p))."""
+    """Half-width per unit of z of the exposure split: sqrt(lambda_1 / n) / (2 p (1 - p)),
+    for an exposure probability p in (0, 1)."""
+    p = check_probability(p, "exposure probability")
     return math.sqrt(lam / n) / (2.0 * p * (1.0 - p))
 
 
@@ -178,7 +180,7 @@ def attributable_contrast_from_counts(
     The interval half-widths depend on the data only through the group sizes,
     so aggregate counts are fully equivalent to unit-level rows.
     """
-    check_probability(alpha, "alpha")
+    alpha = check_probability(alpha, "alpha")
     n1, pos1, n0, pos0 = (
         check_integer(value, name)
         for value, name in (
@@ -205,7 +207,7 @@ def attributable_contrast(x, y, alpha: float) -> ContrastReport:
     n1, n = int(n1), x.size
     if n1 < 1 or n1 > n - 1:
         raise ValidationError("both a treated and a control group are required")
-    check_probability(alpha, "alpha")
+    alpha = check_probability(alpha, "alpha")
     return _report("treatment", delta, n1, n, _treatment_scale(n1, n - n1), alpha)
 
 
@@ -310,7 +312,7 @@ def exposure_attributable_contrast(
     alpha: float,
 ) -> ContrastReport:
     """Attributable contrast for the effective-treatment split of the units."""
-    check_probability(alpha, "alpha")
+    alpha = check_probability(alpha, "alpha")
     y = _check_binary(y, "outcome")
     n = _check_profile(profile).n
     if y.size != n or exposure.indicator.size != n:
@@ -342,7 +344,7 @@ def concentration_check(
     """
     xi = _check_binary(xi, "full-control outcomes")
     num_draws = check_count(num_draws, "num_draws")
-    check_probability(alpha, "alpha")
+    alpha = check_probability(alpha, "alpha")
     seed = check_seed(seed, philox=True)
     n = xi.size
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
@@ -355,12 +357,16 @@ def concentration_check(
         np.put_along_axis(groups, treated, 1, axis=1)
         scale = _treatment_scale(n1, n - n1)
         kind = "treatment"
-    else:
+    elif isinstance(design, (tuple, list)) and len(design) == 3:
         nbhd, mapping, rho = design
         profile = exact_profile(nbhd, mapping, rho)
         groups = evaluate_exposure_many((rng.random((num_draws, n)) < rho).astype(np.int8), nbhd, mapping)
         scale = _exposure_scale(largest_centered_eigenvalue(profile).value, n, profile.p)
         kind = "exposure"
+    else:
+        raise ValidationError(
+            f"design must be a treated-group size or a (neighborhoods, mapping, rho) triple, got {type(design).__name__}"
+        )
     counts, deltas = _split_deltas(xi, groups)
     valid = (counts > 0) & (counts < n)
     bound = norm_ppf(1.0 - alpha) * scale

@@ -81,7 +81,7 @@ class Population:
         for name, values in (("treatment", treatment), ("outcome", outcome), ("enrollment", enrollment)):
             if values is not None and values.shape != (n,):
                 raise ValidationError(f"{name} must be a length-{n} vector, got shape {values.shape}")
-        check_probability(self.rho, "treatment probability")
+        object.__setattr__(self, "rho", check_probability(self.rho, "treatment probability"))
         _check_units(ids, np.isfinite(coords).all(axis=1), "coordinates must be finite")
         _check_units(ids, (treatment == 0) | (treatment == 1), "treatment must be 0 or 1, got {}", treatment)
         _check_units(
@@ -218,8 +218,10 @@ class EffectiveTreatment:
         indicator = read_array(self.indicator, "indicator")
         if indicator.ndim != 1 or not ((indicator == 0) | (indicator == 1)).all():
             raise ValidationError("indicator must be a vector of 0/1 values")
-        if int(indicator.sum()) != self.count:
+        count = check_integer(self.count, "count")
+        if int(indicator.sum()) != count:
             raise ValidationError("count does not match the indicator sum")
+        object.__setattr__(self, "count", count)
         object.__setattr__(self, "indicator", _frozen_array(indicator, np.int8))
 
 
@@ -364,14 +366,17 @@ def build_knn_neighborhoods(pop_or_coords, d: int) -> NeighborhoodSet:
     return NeighborhoodSet(members=members)
 
 
-def _check_mapping(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: Optional[float] = None) -> None:
-    """The one design check: the mapping fits the sets, and ``rho`` (when given) is a probability."""
+def _check_mapping(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho=...) -> Optional[float]:
+    """The one design check: ``nbhd`` and ``mapping`` are of their types, the
+    mapping fits the sets, and ``rho`` (when passed) is a probability, returned as a float."""
+    for value, kind, name in ((nbhd, NeighborhoodSet, "neighborhoods"), (mapping, ExposureMapping, "mapping")):
+        if not isinstance(value, kind):
+            raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
     if mapping.kind == "threshold" and mapping.d_min > nbhd.k:
         raise ValidationError(
             f"threshold d_min={mapping.d_min} exceeds the neighborhood size {nbhd.k}"
         )
-    if rho is not None:
-        check_probability(rho, "treatment probability")
+    return None if rho is ... else check_probability(rho, "treatment probability")
 
 
 def _exposed_by_unit(xt: np.ndarray, nbhd: NeighborhoodSet, mapping: ExposureMapping) -> np.ndarray:

@@ -1,5 +1,16 @@
-"""Exception types shared across the package, and the rules of integer, count, seed, probability and array inputs."""
+"""Exception types shared across the package, and the one rule of each kind
+of input: numbers, integers, counts, seeds, probabilities, levels, positive
+parameters and arrays.
 
+Every public function reads each of its scalar arguments through one of the
+functions below, once. A number is an int, a float or a numpy scalar, and a
+finite one; a boolean, a string or None is not a number, and neither is NaN,
+an infinity or an int beyond the float range. The range rules
+(``check_probability``, ``check_level``) keep their own message for every
+number outside their range, NaN included.
+"""
+
+import sys
 from typing import Optional
 
 import numpy as np
@@ -64,18 +75,59 @@ def read_array(values, name: str, dtype=None) -> np.ndarray:
     raise ValidationError(f"{name} must be a rectangular array of numbers")
 
 
+def _real(value) -> bool:
+    """Whether ``value`` is an int, a float or a numpy integer or floating scalar, and not a boolean."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, (bool, np.bool_))
+
+
+def read_number(value, name: str) -> float:
+    """``value`` as a finite float, or a ValidationError naming ``name``.
+
+    A boolean, a string, None, NaN, an infinity and an int too large for a
+    float are rejected, not coerced.
+    """
+    # Comparing first keeps huge integers from overflowing float(), and rejects NaN.
+    if _real(value) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
+
 def check_count(value, name: str) -> int:
-    """``value`` as an integer of at least 1, or a ValidationError naming ``name``."""
+    """``value`` as an integer in [1, 2**53], or a ValidationError naming ``name``.
+
+    Every count enters float arithmetic (a mean, a rate or a ratio), where
+    integers up to 2**53 are exact.
+    """
     count = check_integer(value, name)
     if count < 1:
         raise ValidationError(f"{name} must be at least 1")
+    if count > 2**53:
+        raise ValidationError(f"{name} must be at most 2**53, got {count}")
     return count
 
 
-def check_probability(value, name: str) -> None:
-    """A ValidationError naming ``name`` unless 0 < ``value`` < 1 (so NaN is rejected)."""
-    if not 0.0 < value < 1.0:
+def check_probability(value, name: str) -> float:
+    """``value`` as a float in (0, 1), or a ValidationError naming ``name``:
+    the rule of a treatment probability and of a two-sided level."""
+    if _real(value) and not 0.0 < value < 1.0:  # NaN included
         raise ValidationError(f"{name} must lie in (0, 1), got {value}")
+    return read_number(value, name)
+
+
+def check_level(value, name: str) -> float:
+    """``value`` as a float in (0, 0.5], or a ValidationError naming ``name``:
+    the rule of the level of a one-sided bound."""
+    if _real(value) and not 0.0 < value <= 0.5:  # NaN included
+        raise ValidationError(f"{name} must lie in (0, 0.5] for a one-sided upper bound, got {value}")
+    return read_number(value, name)
+
+
+def check_positive(value, name: str) -> float:
+    """``value`` as a finite float above 0, or a ValidationError naming ``name``."""
+    number = read_number(value, name)
+    if not number > 0.0:
+        raise ValidationError(f"{name} must be positive, got {value}")
+    return number
 
 
 def check_seed(value, name: str = "seed", *, philox: bool = False) -> int:

@@ -46,7 +46,7 @@ from .design import (
     build_knn_neighborhoods,
     evaluate_exposure_many,
 )
-from .errors import ValidationError, check_count, check_integer, check_seed, read_array
+from .errors import ValidationError, check_count, check_integer, check_seed, read_array, read_number
 
 _MC_SHARD = 1 << 16
 # Uniforms drawn and evaluated at once within a Monte Carlo shard (8 MiB of float64).
@@ -144,8 +144,11 @@ def _sf(sf_tables: list, n: int, t: int) -> float:
 
 def exact_marginal(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -> float:
     """Closed-form P(Z_i = 1), identical across units by size uniformity."""
-    _check_mapping(nbhd, mapping, rho)
-    k = nbhd.k
+    return _marginal(nbhd.k, mapping, _check_mapping(nbhd, mapping, rho))
+
+
+def _marginal(k: int, mapping: ExposureMapping, rho: float) -> float:
+    """P(Z_i = 1) under ``mapping`` on sets of size k, for a checked ``rho``."""
     if mapping.kind == "product":
         return rho**k
     pmf = _binom_pmf_table(k, rho)
@@ -192,6 +195,7 @@ def center_excess(joint: np.ndarray, p: float) -> tuple:
     total s, ``excess[i, j] - r[i]/n - r[j]/n + s/n^2``, in O(n^2) time.
     """
     joint = read_array(joint, "joint probability matrix", float)
+    p = read_number(p, "p")
     n = joint.shape[0]
     if joint.ndim != 2 or joint.shape[1] != n:
         raise ValidationError("joint probability matrix must be square")
@@ -262,8 +266,9 @@ def exact_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -
     probability is p^2; only overlapping pairs are stored, and the region
     convolution runs once per distinct tuple of region sizes.
     """
-    p = exact_marginal(nbhd, mapping, rho)
+    rho = _check_mapping(nbhd, mapping, rho)
     n, k = nbhd.members.shape
+    p = _marginal(k, mapping, rho)
     pairs = _overlapping_pairs(nbhd)
     rows, cols, shared = pairs[:, 0].copy(), pairs[:, 1].copy(), pairs[:, 2]
     if mapping.kind == "product":
@@ -284,8 +289,12 @@ def _threshold_designs(coords, configs, rho) -> list:
     """The (neighborhoods, mapping, exact profile) of each threshold
     (d_min, d) design in the nonempty list ``configs`` of integer pairs, on
     one k-NN per distinct d; the mapping holds d_min and the sets' size is d."""
+    try:
+        entries = list(configs)
+    except TypeError:
+        raise ValidationError(f"configs must be a list of (d_min, d) pairs, got {configs!r}") from None
     pairs = []
-    for entry in configs:
+    for entry in entries:
         try:
             d_min, d = entry
         except (TypeError, ValueError):
@@ -344,7 +353,7 @@ def monte_carlo_profile(
     Sampling uses a counter-based generator keyed by (seed, shard index), so
     results are bit-identical for a given seed.
     """
-    _check_mapping(nbhd, mapping, rho)
+    rho = _check_mapping(nbhd, mapping, rho)
     num_samples = check_count(num_samples, "num_samples")
     seed = check_seed(seed, philox=True)
     # Shard counts are integers below 2^53, so summing them in place is exact.
@@ -358,7 +367,7 @@ def monte_carlo_profile(
 
 def enumerated_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -> ExposureProfile:
     """Exact profile by enumerating all 2^n assignments (test oracle, n <= 20)."""
-    _check_mapping(nbhd, mapping, rho)
+    rho = _check_mapping(nbhd, mapping, rho)
     n = nbhd.n
     if n > 20:
         raise ValidationError(f"full enumeration supports at most 20 units, got {n}")

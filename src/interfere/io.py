@@ -7,9 +7,12 @@ strictly: unknown keys are rejected so typos fail loudly instead of being
 ignored.
 
 This module only turns text into typed values, through a few field readers
-that name the CSV row and column or the JSON key path of a bad field. An
-integer is a JSON integer or an integral float; a number is a finite JSON
-integer or float; strings, booleans and null are neither. Value rules
+that name the CSV row and column or the JSON key path of a bad field. A JSON
+integer is read by ``errors.check_integer`` (an integer or an integral
+float) and a JSON number by ``errors.read_number`` (a finite integer or
+float), the readers of the library's own arguments, so a config file and a
+library call accept the same values; strings, booleans and null are
+neither. Value rules
 (ranges, cross-field checks, uniqueness) belong to the types built from the
 values: ``Population``, ``RunConfig``, ``NeighborhoodSet``, and the
 simulation's ``synthetic_layout`` and ``Scenario``. A default belongs to the
@@ -24,7 +27,6 @@ import csv
 import dataclasses
 import json
 import re
-import sys
 from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
@@ -34,7 +36,7 @@ import numpy as np
 
 from .contrast import ContrastReport
 from .design import ExposureMapping, NeighborhoodSet, Population
-from .errors import ValidationError, check_integer, check_probability
+from .errors import ValidationError, check_integer, check_positive, check_probability, read_number
 from .monotone import MonotoneCiReport
 from .simulate import LAYOUT_KINDS, SCENARIO_KINDS
 from .simulate import CoverageTable
@@ -70,10 +72,10 @@ def _int(value, *where) -> int:
 
 
 def _float(value, *where) -> float:
-    # Comparing first keeps huge JSON integers from overflowing float().
-    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise _mismatch(where, "a finite number", value)
+    try:
+        return read_number(value, _path(where))
+    except ValidationError:
+        raise _mismatch(where, "a finite number", value) from None
 
 
 def _choice(value, options: tuple, *where) -> str:
@@ -239,12 +241,12 @@ class RunConfig:
     variance_floor: Optional[float] = None
 
     def __post_init__(self):
-        check_probability(self.rho, "config: rho")
-        check_probability(self.alpha, "config: alpha")
-        if self.mc_samples is not None and self.mc_samples < 1:
+        object.__setattr__(self, "rho", check_probability(self.rho, "config: rho"))
+        object.__setattr__(self, "alpha", check_probability(self.alpha, "config: alpha"))
+        if self.mc_samples is not None and check_integer(self.mc_samples, "config: p_method.samples") < 1:
             raise ValidationError("config: Monte Carlo p_method needs samples >= 1")
-        if self.variance_floor is not None and not self.variance_floor > 0:
-            raise ValidationError(f"config: diagnostics.c must be positive, got {self.variance_floor}")
+        if self.variance_floor is not None:
+            object.__setattr__(self, "variance_floor", check_positive(self.variance_floor, "config: diagnostics.c"))
 
 
 def parse_run_config(data: dict) -> RunConfig:

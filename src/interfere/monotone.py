@@ -38,7 +38,11 @@ from .errors import (
     NoEffectiveUnitsError,
     ValidationError,
     ZeroJointProbabilityError,
+    check_count,
+    check_level,
+    check_positive,
     read_array,
+    read_number,
 )
 from .exposure import ExposureProfile, _check_profile, _threshold_designs
 from .normal import norm_ppf
@@ -86,9 +90,14 @@ def _one_row(values, exposure: EffectiveTreatment, profile=..., nonnegative=Fals
 
 
 def point_estimate(values, exposure: EffectiveTreatment) -> float:
-    """Average of ``values`` over effectively treated units."""
+    """Average of ``values`` over effectively treated units; one that
+    overflows is a ValidationError, not an infinity."""
     values, indicator = _one_row(values, exposure)
-    return float(values[indicator > 0].mean())
+    with np.errstate(over="ignore"):
+        estimate = float(values[indicator > 0].mean())
+    if not math.isfinite(estimate):
+        raise ValidationError("the point estimate overflows: outcomes this large exceed double precision")
+    return estimate
 
 
 def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -> tuple:
@@ -116,6 +125,8 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
 
     Every sum runs along a row, over index sets that depend on the profile
     alone, so a row's results do not depend on the other rows of the call.
+    A variance that overflows (outcomes near the square root of the largest
+    float) is a ValidationError, not a NaN or an infinity.
     """
     n, p = profile.n, profile.p
     pp = p * p
@@ -173,27 +184,34 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
     variance = np.empty(count.shape)
     npq = n * p * (1.0 - p)
     step = max(1, _BLOCK // (n + first.size))
-    for lo in range(0, count.size, step):
-        at = slice(lo, lo + step)
-        y, z = values[at], indicator[at]
-        v = y * z
-        estimate[at] = v.sum(axis=1) / per[at]
-        leading = npq * ((((y - estimate[at, None]) * z) ** 2).sum(axis=1) / per[at])
-        both = np.take(v, first, axis=1) * np.take(v, second, axis=1)
-        pair = (both * w[0]).sum(axis=1)
-        if off_pattern:
-            if clip:
-                ahead = np.take(v, order, axis=1)
-                prefix = np.take(np.cumsum(ahead, axis=1), last, axis=1)
-                moment = np.take(np.cumsum(ahead * u_sorted, axis=1), last, axis=1)
-                term = np.maximum(head * prefix - moment, 0.0) + slack * prefix
-                rank = (np.take(v, lead, axis=1) * term).sum(axis=1)
-            else:
-                total = v.sum(axis=1)
-                rank = t * total * total - 2.0 * total * (v * u).sum(axis=1)
-            off = rank / pp - (both * w[1]).sum(axis=1)
-            pair += np.maximum(off, 0.0) if clip else off
-        variance[at] = leading + pair
+    try:  # an overflow, and any variance that is not finite, is an error
+        with np.errstate(over="raise", invalid="raise"):
+            for lo in range(0, count.size, step):
+                at = slice(lo, lo + step)
+                y, z = values[at], indicator[at]
+                v = y * z
+                estimate[at] = v.sum(axis=1) / per[at]
+                leading = npq * ((((y - estimate[at, None]) * z) ** 2).sum(axis=1) / per[at])
+                both = np.take(v, first, axis=1) * np.take(v, second, axis=1)
+                pair = (both * w[0]).sum(axis=1)
+                if off_pattern:
+                    if clip:
+                        ahead = np.take(v, order, axis=1)
+                        prefix = np.take(np.cumsum(ahead, axis=1), last, axis=1)
+                        moment = np.take(np.cumsum(ahead * u_sorted, axis=1), last, axis=1)
+                        term = np.maximum(head * prefix - moment, 0.0) + slack * prefix
+                        rank = (np.take(v, lead, axis=1) * term).sum(axis=1)
+                    else:
+                        total = v.sum(axis=1)
+                        rank = t * total * total - 2.0 * total * (v * u).sum(axis=1)
+                    off = rank / pp - (both * w[1]).sum(axis=1)
+                    pair += np.maximum(off, 0.0) if clip else off
+                variance[at] = leading + pair
+        finite = bool(np.isfinite(variance).all())
+    except FloatingPointError:
+        finite = False
+    if not finite:
+        raise ValidationError("the variance estimate overflows: outcomes this large exceed double precision")
     return count, estimate, variance
 
 
@@ -237,7 +255,11 @@ def validity_condition(
     nonnegative the observed outcomes maximize the bound, so the computable
     bound dominates the idealized one.
     """
+    estimate = read_number(estimate, "estimate")
+    variance = read_number(variance, "variance")
     _check_profile(profile)
+    alpha = check_level(alpha, "alpha")
+    count = check_count(count, "count")
     if variance < 0:
         raise DegenerateVarianceError(f"negative variance estimate {variance}")
     if variance == 0:
@@ -249,15 +271,12 @@ def variance_fallback_ok(variance: float, n: int, alpha: float, variance_floor: 
     """Chebyshev fallback: with variance/n >= floor / (z^2 alpha), the bound
     stays level-(1-alpha) valid even if the true randomization variance sits
     below the floor the normal approximation assumes."""
-    if not variance_floor > 0:
-        raise ValidationError("variance_floor must be positive")
+    variance = read_number(variance, "variance")
+    n = check_count(n, "n")
+    alpha = check_level(alpha, "alpha")
+    variance_floor = check_positive(variance_floor, "variance_floor")
     z = norm_ppf(1.0 - alpha)
     return variance / n >= variance_floor / (z * z * alpha)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha <= 0.5:
-        raise ValidationError(f"alpha must lie in (0, 0.5] for a one-sided upper bound, got {alpha}")
 
 
 def _score(values, indicator, profile: ExposureProfile, alpha: float) -> tuple:
@@ -265,8 +284,9 @@ def _score(values, indicator, profile: ExposureProfile, alpha: float) -> tuple:
     ``values`` and 0/1 ``indicator``: arrays (count, estimate, variance,
     condition, upper).
 
-    The variance sums nonnegative terms, so it is never negative. A row with
-    zero variance is degenerate: its upper bound is its estimate and its
+    The variance sums nonnegative terms, so it is never negative, and a
+    variance that is not finite raises (``_variances``). A row with zero
+    variance is degenerate: its upper bound is its estimate and its
     condition fails.
     """
     count, estimate, variance = _variances(values, indicator, profile)
@@ -305,7 +325,7 @@ def upper_confidence_bound(
     the report flags it as not covered by the dominance guarantee rather than
     discarding it, since the number remains useful for diagnostics.
     """
-    _check_alpha(alpha)
+    alpha = check_level(alpha, "alpha")
     estimate, variance, condition_ok, upper = _bound_from_values(
         pop.outcome, exposure, profile, alpha
     )
@@ -332,7 +352,7 @@ def ideal_upper_bound(theta, exposure: EffectiveTreatment, profile: ExposureProf
     Only evaluable in simulations or tests where the counterfactual is known;
     it is the quantity the observable bound dominates.
     """
-    _check_alpha(alpha)
+    alpha = check_level(alpha, "alpha")
     variance = variance_estimate(theta, exposure, profile)
     if variance <= 0.0:
         raise DegenerateVarianceError(f"variance estimate {variance} is not positive")
@@ -352,7 +372,7 @@ def full_control_lower_bound(
     enrollment - Y then satisfy the monotone setup, and the bound is
     mean(enrollment) minus the upper bound computed on them.
     """
-    _check_alpha(alpha)
+    alpha = check_level(alpha, "alpha")
     if pop.enrollment is None:
         raise ValidationError("full-control bound needs enrollment for every unit")
     transformed = pop.enrollment - pop.outcome
@@ -371,7 +391,7 @@ def bonferroni_scan(
     Every report records its own effective level; exceptions from individual
     configurations propagate unchanged.
     """
-    _check_alpha(alpha)
+    alpha = check_level(alpha, "alpha")
     designs = _threshold_designs(pop, configs, pop.rho)
     adjusted = alpha / len(designs)
     reports = []

@@ -9,18 +9,16 @@ because ``NormalDist.cdf`` underflows to 0.0 already at x = -8.7.
 import math
 from statistics import NormalDist
 
-from .errors import ValidationError
+from .errors import check_probability, read_number
 
 _STANDARD = NormalDist()
 
 
 def norm_ppf(q: float) -> float:
     """Quantile (inverse CDF) of the standard normal distribution."""
-    if not 0.0 < q < 1.0:
-        raise ValidationError(f"quantile level must lie strictly in (0, 1), got {q}")
-    return _STANDARD.inv_cdf(q)
+    return _STANDARD.inv_cdf(check_probability(q, "quantile level"))
 
 
 def norm_cdf(x: float) -> float:
     """CDF of the standard normal distribution."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    return 0.5 * math.erfc(-read_number(x, "x") / math.sqrt(2.0))

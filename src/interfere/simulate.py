@@ -53,9 +53,10 @@ from .design import (
     build_knn_neighborhoods,
     evaluate_exposure_many,
 )
-from .errors import ValidationError, check_count, check_integer, check_probability, check_seed
+from .errors import ValidationError, check_count, check_integer, check_level, check_positive
+from .errors import check_probability, check_seed
 from .exposure import _threshold_designs
-from .monotone import _check_alpha, _score
+from .monotone import _score
 
 SCENARIO_KINDS = (
     "no_effect_no_clustering",
@@ -117,16 +118,14 @@ class Scenario:
         layout = _frozen_array(_coordinates(self.layout), float)
         if layout.shape[0] < 2:
             raise ValidationError(f"a layout needs at least 2 points, got {layout.shape[0]}")
-        check_probability(self.rho, "treatment probability")
+        object.__setattr__(self, "rho", check_probability(self.rho, "treatment probability"))
         object.__setattr__(self, "seed", check_seed(self.seed))
-        if not (self.count_mean > 0 and self.count_dispersion > 0):
-            raise ValidationError("count_mean and count_dispersion must be positive")
+        for name in ("count_mean", "count_dispersion", "spillover_max"):
+            object.__setattr__(self, name, check_positive(getattr(self, name), name))
         object.__setattr__(self, "layout", layout)
         if self.kind == "exposure_model":
             if layout.shape[0] < 6:
                 raise ValidationError("the exposure_model scenario needs at least 6 units")
-            if not self.spillover_max > 0:
-                raise ValidationError("spillover_max must be positive")
             object.__setattr__(self, "nearest", build_knn_neighborhoods(layout, 6))
         if self.kind in ("no_effect_no_clustering", "exposure_model"):
             pool = _count_pool(self)
@@ -151,9 +150,13 @@ def _replicate_rng(scenario: Scenario, replicate_index: int) -> np.random.Genera
 def _count_pool(scenario: Scenario) -> np.ndarray:
     """Fixed synthetic count population, one seeded draw per scenario."""
     rng = _pool_rng(scenario)
-    k = scenario.count_dispersion
-    p = k / (k + scenario.count_mean)
-    return rng.negative_binomial(k, p, size=scenario.n).astype(float)
+    mean, k = scenario.count_mean, scenario.count_dispersion
+    try:
+        return rng.negative_binomial(k, k / (k + mean), size=scenario.n).astype(float)
+    except ValueError:  # numpy's sampler takes no success probability of 0 and no mean near 2**63
+        raise ValidationError(
+            f"count_mean {mean} and count_dispersion {k} give a negative binomial that numpy cannot sample"
+        ) from None
 
 
 def _adversarial_pool(n: int) -> np.ndarray:
@@ -215,7 +218,7 @@ def generate_scenario(scenario: Scenario, replicate_index: int):
     ``theta`` is the counterfactual outcome vector under full treatment,
     exposed for coverage accounting; real analyses never see it.
     """
-    x, y, theta = _draw(scenario, [replicate_index])
+    x, y, theta = _draw(scenario, [check_seed(replicate_index, "replicate_index")])
     pop = Population(
         ids=tuple(range(scenario.n)),
         coords=scenario.layout,
@@ -303,14 +306,12 @@ def run_coverage_experiment(
     array pass per design (see ``_replicate_outcomes``).
     """
     replicates = check_count(replicates, "replicates")
-    _check_alpha(alpha)
+    alpha = check_level(alpha, "alpha")
     prepared = _threshold_designs(scenario.layout, configs, scenario.rho)
     counters = [dict(skipped=0, degenerate=0, met=0, covered_met=0, covered_all=0) for _ in prepared]
     step = max(1, _BATCH // scenario.n)
     for lo in range(0, replicates, step):
         x, y, theta = _draw(scenario, range(lo, min(lo + step, replicates)))
-        if not (np.isfinite(y) & (y >= 0)).all():  # treatments are checked by evaluate_exposure_many
-            raise ValidationError("simulated outcomes must be finite and nonnegative")
         estimands = theta.mean(axis=1)
         for (nbhd, mapping, profile), tally in zip(prepared, counters):
             z = evaluate_exposure_many(x, nbhd, mapping)

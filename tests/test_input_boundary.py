@@ -24,6 +24,9 @@ from interfere.cli import main
 from interfere.errors import DegenerateVarianceError, ValidationError
 from interfere.io import RunConfig
 
+# An overflow or a division by zero at an entry point fails the test instead of warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 UNITS_CSV = """id,x,y,treatment,outcome,enrollment
 a,0.0,0.0,1,4,9
@@ -191,6 +194,63 @@ def test_repeated_neighborhood_index_names_the_row(tmp_path):
     assert err == "error: neighborhood 0 repeats index 1\n"
 
 
+# A 4 x 5 grid of binary outcomes whose exposure split has both groups nonempty at d = 3.
+GRID_CSV = "id,x,y,treatment,outcome\n" + "".join(
+    f"u{i},{i % 5},{i // 5},{int(i % 4 != 3)},{i * 7 % 3 % 2}\n" for i in range(20)
+)
+EXPOSURE_P_0 = "error: exposure probability must lie in (0, 1), got 0.0\n"
+OVERFLOW = "error: the variance estimate overflows: outcomes this large exceed double precision\n"
+
+
+def _grid_contrast(tmp_path, mapping, p_method="exact"):
+    """``contrast`` on the grid at rho 1e-300, where the exposure probability p underflows to 0."""
+    data = _file(tmp_path, GRID_CSV, "grid.csv")
+    config = {"rho": 1e-300, "mapping": mapping, "neighborhood": {"d": 3}, "p_method": p_method}
+    return ["contrast", "--config", write_json(tmp_path / "g.json", config), "--data", data]
+
+
+def _huge_outcomes(tmp_path):
+    rows = "".join(f"u{i},{i},0,{int(i != 2)},{i + 1}e154\n" for i in range(6))
+    data = _file(tmp_path, "id,x,y,treatment,outcome\n" + rows, "units.csv")
+    config = {"rho": 0.5, "mapping": {"kind": "threshold", "d_min": 2}, "neighborhood": {"d": 3}}
+    return ["estimate", "--config", write_json(tmp_path / "c.json", config), "--data", data]
+
+
+def _params(tmp_path, **params):
+    return simulate_config(tmp_path, params={**SIM_CONFIG["params"], **params})
+
+
+MONTE_CARLO = {"kind": "mc", "samples": 200, "seed": 1}
+# Inputs that once ended in a traceback or in NaN output, and the one error line each ends in now.
+NUMERIC_FAILURES = {
+    "contrast threshold with p 0": (lambda t: _grid_contrast(t, {"kind": "threshold", "d_min": 2}), EXPOSURE_P_0),
+    "contrast product with p 0": (lambda t: _grid_contrast(t, {"kind": "product"}), EXPOSURE_P_0),
+    "contrast Monte Carlo threshold with p 0": (
+        lambda t: _grid_contrast(t, {"kind": "threshold", "d_min": 2}, MONTE_CARLO), EXPOSURE_P_0
+    ),
+    "contrast Monte Carlo product with p 0": (
+        lambda t: _grid_contrast(t, {"kind": "product"}, MONTE_CARLO), EXPOSURE_P_0
+    ),
+    "estimate outcomes near 1e154": (_huge_outcomes, OVERFLOW),
+    "simulate spillover_max 1e308": (lambda t: _params(t, spillover_max=1e308), OVERFLOW),
+    "simulate count_mean 1e308": (
+        lambda t: _params(t, count_mean=1e308),
+        "error: count_mean 1e+308 and count_dispersion 2.0 give a negative binomial that numpy cannot sample\n",
+    ),
+    "simulate count_dispersion 1e-300": (
+        lambda t: _params(t, count_dispersion=1e-300),
+        "error: count_mean 8.0 and count_dispersion 1e-300 give a negative binomial that numpy cannot sample\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMERIC_FAILURES))
+def test_numeric_failure_is_one_error_line(tmp_path, case):
+    argv, message = NUMERIC_FAILURES[case]
+    code, out, err = run(argv(tmp_path))
+    assert (code, out, err) == (1, "", message)
+
+
 def _ring(n=8, d=3):
     return itf.NeighborhoodSet(members=(np.arange(n)[:, None] + np.arange(d)) % n)
 
@@ -325,6 +385,106 @@ def test_library_counts_are_at_least_1(case):
         assert str(info.value) == f"{LIBRARY_COUNTS[case]} must be at least 1"
 
 
+_SCENARIO = dict(kind="exposure_model", layout=np.arange(10.0))
+
+# Every scalar parameter of every public function, each called with the value
+# under test in its place: (call, the name its error gives the parameter, a
+# number outside the parameter's range or None when every finite number is in it).
+LIBRARY_SCALARS = {
+    "Population rho": (LIBRARY_PROBABILITIES["Population rho"][0], "treatment probability", 1.5),
+    "Scenario rho": (lambda v: itf.Scenario(**_SCENARIO, rho=v), "treatment probability", 1.0),
+    "Scenario count_mean": (lambda v: itf.Scenario(**_SCENARIO, count_mean=v), "count_mean", 0.0),
+    "Scenario count_dispersion": (lambda v: itf.Scenario(**_SCENARIO, count_dispersion=v), "count_dispersion", -1),
+    "Scenario spillover_max": (lambda v: itf.Scenario(**_SCENARIO, spillover_max=v), "spillover_max", -2.5),
+    "RunConfig rho": (lambda v: RunConfig(rho=v), "config: rho", 1.5),
+    "RunConfig alpha": (lambda v: RunConfig(rho=0.5, alpha=v), "config: alpha", 0.0),
+    "RunConfig variance_floor": (lambda v: RunConfig(rho=0.5, variance_floor=v), "config: diagnostics.c", 0.0),
+    "exact_marginal rho": (lambda v: itf.exact_marginal(RING, THRESHOLD, v), "treatment probability", -0.5),
+    "exact_profile rho": (lambda v: itf.exact_profile(RING, THRESHOLD, v), "treatment probability", 1.5),
+    "monte_carlo_profile rho": (
+        lambda v: itf.monte_carlo_profile(RING, THRESHOLD, v, 10), "treatment probability", 1.0
+    ),
+    "monte_carlo_profile num_samples": (
+        lambda v: itf.monte_carlo_profile(RING, THRESHOLD, 0.5, v), "num_samples", 0
+    ),
+    "enumerated_profile rho": (lambda v: itf.enumerated_profile(RING, THRESHOLD, v), "treatment probability", 0.0),
+    "center_excess p": (lambda v: itf.center_excess(np.eye(3), v), "p", None),
+    "validity_condition estimate": (lambda v: itf.validity_condition(v, 1.0, PROFILE, 0.05, 3), "estimate", None),
+    "validity_condition variance": (lambda v: itf.validity_condition(1.0, v, PROFILE, 0.05, 3), "variance", None),
+    "validity_condition alpha": (lambda v: itf.validity_condition(1.0, 1.0, PROFILE, v, 3), "alpha", 0.7),
+    "validity_condition count": (lambda v: itf.validity_condition(1.0, 1.0, PROFILE, 0.05, v), "count", 0),
+    "variance_fallback_ok variance": (lambda v: itf.variance_fallback_ok(v, 6, 0.05, 0.5), "variance", None),
+    "variance_fallback_ok n": (lambda v: itf.variance_fallback_ok(1.0, v, 0.05, 0.5), "n", 0),
+    "variance_fallback_ok alpha": (lambda v: itf.variance_fallback_ok(1.0, 6, v, 0.5), "alpha", 0.7),
+    "variance_fallback_ok variance_floor": (
+        lambda v: itf.variance_fallback_ok(1.0, 6, 0.05, v), "variance_floor", 0.0
+    ),
+    "upper_confidence_bound alpha": (
+        lambda v: itf.upper_confidence_bound(_population(), EXPOSED, PROFILE, v), "alpha", 0.7
+    ),
+    "upper_confidence_bound variance_floor": (
+        lambda v: itf.upper_confidence_bound(_population(), EXPOSED, PROFILE, 0.05, v), "variance_floor", -1.0
+    ),
+    "ideal_upper_bound alpha": (
+        lambda v: itf.ideal_upper_bound(np.arange(6.0), EXPOSED, PROFILE, v), "alpha", 0.7
+    ),
+    "full_control_lower_bound alpha": (
+        lambda v: itf.full_control_lower_bound(_population(enrollment=np.arange(6.0) + 1.0), EXPOSED, PROFILE, v),
+        "alpha", 0.7,
+    ),
+    "bonferroni_scan alpha": (lambda v: itf.bonferroni_scan(_population(), [(1, 2)], v), "alpha", 0.7),
+    "bonferroni_scan variance_floor": (
+        lambda v: itf.bonferroni_scan(_population(), [(1, 2)], 0.05, v), "variance_floor", 0.0
+    ),
+    "run_coverage_experiment alpha": (
+        lambda v: itf.run_coverage_experiment(itf.Scenario(**_SCENARIO), [(1, 2)], v, 1), "alpha", 0.7
+    ),
+    "run_coverage_experiment replicates": (
+        lambda v: itf.run_coverage_experiment(itf.Scenario(**_SCENARIO), [(1, 2)], 0.05, v), "replicates", 0
+    ),
+    "attributable_contrast alpha": (lambda v: itf.attributable_contrast(BINARY, BINARY[::-1], v), "alpha", 1.0),
+    "attributable_contrast_from_counts alpha": (
+        lambda v: itf.attributable_contrast_from_counts(4, 1, 4, 2, v), "alpha", 1.5
+    ),
+    "exposure_attributable_contrast alpha": (
+        lambda v: itf.exposure_attributable_contrast(BINARY, EXPOSED, PROFILE, v), "alpha", 0.0
+    ),
+    "concentration_check num_draws": (lambda v: itf.concentration_check(BINARY, v, 2), "num_draws", 0),
+    "concentration_check alpha": (lambda v: itf.concentration_check(BINARY, 5, 2, alpha=v), "alpha", 1.0),
+    "norm_ppf q": (lambda v: itf.norm_ppf(v), "quantile level", 1.0),
+    "norm_cdf x": (lambda v: itf.norm_cdf(v), "x", None),
+}
+# The parameters where None means "not given".
+OPTIONAL_SCALARS = {"RunConfig variance_floor", "upper_confidence_bound variance_floor", "bonferroni_scan variance_floor"}
+NOT_NUMBERS = {"text": "0.5", "none": None, "boolean": True, "nan": math.nan, "inf": math.inf, "huge int": 10**400}
+
+
+SCALAR_CASES = [
+    pytest.param(case, value, id=f"{case}-{label}")
+    for case, (_, _, out_of_range) in sorted(LIBRARY_SCALARS.items())
+    for label, value in [*NOT_NUMBERS.items(), ("out of range", out_of_range)]
+    if not (label == "out of range" and out_of_range is None)
+]
+
+
+@pytest.mark.parametrize("case, value", SCALAR_CASES)
+def test_library_scalars_are_read_once(case, value):
+    call, name, _ = LIBRARY_SCALARS[case]
+    if value is None and case in OPTIONAL_SCALARS:
+        call(None)
+        return
+    with pytest.raises(ValidationError) as info:
+        call(value)
+    assert str(info.value).startswith(f"{name} must ")
+
+
+@pytest.mark.parametrize("call", [itf.point_estimate, itf.variance_estimate, itf.conservative_variance])
+def test_overflowing_outcomes_are_errors(call):
+    profile = () if call is itf.point_estimate else (PROFILE,)
+    with pytest.raises(ValidationError, match=r"overflows: outcomes this large exceed double precision"):
+        call(np.full(6, 1e308), EXPOSED, *profile)
+
+
 # Typed constructors given raw values that a cast would truncate, wrap or parse.
 RAW_CONSTRUCTOR_VALUES = {
     "neighborhood index is not integral": lambda: itf.NeighborhoodSet(members=[[0, 1.5], [1, 0.2]]),
@@ -432,6 +592,47 @@ def test_design_lists_hold_pairs(configs):
     ):
         with pytest.raises(ValidationError, match=r"a \(d_min, d\) configuration must be a pair, got "):
             call()
+
+
+@pytest.mark.parametrize("configs", [None, 5, 2.5])
+def test_design_lists_are_lists(configs):
+    scenario = itf.Scenario(kind="no_effect_no_clustering", layout=np.arange(10.0))
+    for call in (
+        lambda: itf.bonferroni_scan(_population(), configs, 0.05),
+        lambda: itf.run_coverage_experiment(scenario, configs, 0.05, 1),
+    ):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"configs must be a list of (d_min, d) pairs, got {configs!r}"
+
+
+# Public functions that take neighborhoods and a mapping, each called with the value under test in one place.
+DESIGN_ARGUMENTS = {
+    "exact_profile neighborhoods": lambda v: itf.exact_profile(v, THRESHOLD, 0.5),
+    "exact_profile mapping": lambda v: itf.exact_profile(RING, v, 0.5),
+    "monte_carlo_profile mapping": lambda v: itf.monte_carlo_profile(RING, v, 0.5, 10),
+    "evaluate_exposure neighborhoods": lambda v: itf.evaluate_exposure(EXPOSED.indicator, v, THRESHOLD),
+    "evaluate_exposure mapping": lambda v: itf.evaluate_exposure(EXPOSED.indicator, RING, v),
+}
+
+
+@pytest.mark.parametrize("value", ["x", None, [[0, 1]]], ids=["text", "none", "list"])
+@pytest.mark.parametrize("case", sorted(DESIGN_ARGUMENTS))
+def test_design_arguments_are_typed(case, value):
+    name, kind = ("mapping", "ExposureMapping") if case.endswith("mapping") else ("neighborhoods", "NeighborhoodSet")
+    with pytest.raises(ValidationError) as info:
+        DESIGN_ARGUMENTS[case](value)
+    assert str(info.value) == f"{name} must be a {kind}, got {type(value).__name__}"
+
+
+@pytest.mark.parametrize("design", [(RING, THRESHOLD), (RING, THRESHOLD, 0.5, 1), "x", None, {}])
+def test_concentration_design_is_a_size_or_a_triple(design):
+    itf.concentration_check(BINARY, 5, (RING, THRESHOLD, 0.5))
+    with pytest.raises(ValidationError) as info:
+        itf.concentration_check(BINARY, 5, design)
+    assert str(info.value) == (
+        f"design must be a treated-group size or a (neighborhoods, mapping, rho) triple, got {type(design).__name__}"
+    )
 
 
 def _file(tmp_path, text, name="input.csv"):
@@ -557,7 +758,7 @@ REJECTIONS = {
     ),
     "exposure_model spillover_max is 0": (
         lambda t: itf.Scenario(kind="exposure_model", layout=np.arange(6.0), spillover_max=0.0),
-        ValidationError, "spillover_max must be positive",
+        ValidationError, "spillover_max must be positive, got 0.0",
     ),
 }
 

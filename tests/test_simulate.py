@@ -354,8 +354,11 @@ class TestBatchedReplicates:
         assert np.array_equal(scores(slice(None)), full)
 
     def test_non_finite_outcomes_are_rejected(self, square49):
-        scenario = itf.Scenario(kind="exposure_model", layout=square49, spillover_max=np.inf)
-        with pytest.raises(ValidationError, match="finite and nonnegative"):
+        # A finite spillover_max keeps every outcome finite; the variance of outcomes near 1e308 is not.
+        with pytest.raises(ValidationError, match="spillover_max must be a finite number"):
+            itf.Scenario(kind="exposure_model", layout=square49, spillover_max=np.inf)
+        scenario = itf.Scenario(kind="exposure_model", layout=square49, spillover_max=1e308)
+        with pytest.raises(ValidationError, match="variance estimate overflows"):
             itf.run_coverage_experiment(scenario, [(2, 3)], 0.05, 5)
 
 
