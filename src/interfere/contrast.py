@@ -32,8 +32,9 @@ from typing import Optional
 import numpy as np
 
 from .design import EffectiveTreatment, evaluate_exposure_many
-from .errors import ValidationError, check_count, check_integer, check_probability, check_seed, read_array
-from .exposure import ExposureProfile, _check_profile, exact_profile
+from .errors import ValidationError, check_count, check_instance, check_integer, check_probability
+from .errors import check_seed, read_array
+from .exposure import ExposureProfile, exact_profile
 from .normal import norm_ppf
 
 _TREATMENT_ASSUMPTIONS = (
@@ -297,7 +298,7 @@ def largest_centered_eigenvalue(profile: ExposureProfile) -> EigenvalueBound:
     with relative error below (degree + 3) eps, under 1e-12 for a unit with
     fewer than 4 000 pattern pairs.
     """
-    n = _check_profile(profile).n
+    n = check_instance(profile, ExposureProfile, "profile").n
     if n <= 1:
         return EigenvalueBound(value=0.0, ritz=0.0, steps=0, certificate="exact")
     if n <= _DENSE_MAX_N or not profile.off_pattern:
@@ -314,8 +315,8 @@ def exposure_attributable_contrast(
     """Attributable contrast for the effective-treatment split of the units."""
     alpha = check_probability(alpha, "alpha")
     y = _check_binary(y, "outcome")
-    n = _check_profile(profile).n
-    if y.size != n or exposure.indicator.size != n:
+    n = check_instance(profile, ExposureProfile, "profile").n
+    if y.size != n or check_instance(exposure, EffectiveTreatment, "exposure").indicator.size != n:
         raise ValidationError("outcome vector, exposure and profile differ in length")
     count = exposure.count
     if count < 1 or count > n - 1:

@@ -7,6 +7,12 @@ unit has the same probability of effective treatment. An exposure mapping
 collapses the treatment pattern on a neighborhood into a binary indicator of
 effective treatment.
 
+The :class:`NeighborhoodSet` constructor owns the rules of the index sets:
+the sets form a nonempty (n, k) array, each index is an integer and no set
+repeats one (both named by the set's row), every index lies in range, and
+each unit is in its own set. ``NeighborhoodSet.from_sets`` adds only the
+rule that an array cannot break, that all sets have one size.
+
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across threads.
 """
@@ -18,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, check_integer, check_probability, read_array
+from .errors import ValidationError, check_instance, check_integer, check_probability, read_array
 
 # Entries of the (rows, candidates, dim) difference block built per k-NN chunk.
 _KNN_CHUNK = 1 << 20
@@ -72,6 +78,8 @@ class Population:
         n = coords.shape[0]
         if n < 2:
             raise ValidationError(f"a population needs at least 2 units, got {n}")
+        if isinstance(self.ids, (str, bytes)) or not isinstance(self.ids, Iterable):
+            raise ValidationError(f"ids must be a non-string sequence, got {type(self.ids).__name__}")
         ids = tuple(self.ids)
         if len(ids) != n:
             raise ValidationError(f"{len(ids)} ids for {n} coordinate rows")
@@ -99,7 +107,11 @@ class Population:
             object.__setattr__(self, "enrollment", _frozen_array(enrollment, float))
         seen = set()
         for i, unit_id in enumerate(ids):
-            if unit_id in seen:
+            try:
+                repeated = unit_id in seen
+            except TypeError:
+                raise ValidationError(f"unit {i}: ids must be hashable, got {unit_id!r}", unit=i) from None
+            if repeated:
                 raise ValidationError(f"unit {unit_id!r}: unit ids must be unique", unit=i)
             seen.add(unit_id)
         object.__setattr__(self, "ids", ids)
@@ -110,6 +122,32 @@ class Population:
     @property
     def n(self) -> int:
         return self.coords.shape[0]
+
+
+def _sorted_rows(rows, first: int = 0) -> np.ndarray:
+    """``rows``, a 2-D array or nested sequence of neighborhood indices, as
+    an array with each row sorted, after the two rules of a row, whose
+    messages number the rows from ``first``: every index is an integer, and
+    no row repeats one.
+
+    Indices that are not an integer array are checked one by one as given,
+    before a cast could truncate a float, parse a string or read a boolean
+    among integers as 0 or 1.
+    """
+    members = read_array(rows, "neighborhood members")
+    if members.ndim != 2:
+        raise ValidationError("neighborhood members must form an (n, k) index array")
+    if not (isinstance(rows, np.ndarray) and members.dtype.kind in "iu"):
+        members = np.array(
+            [[check_integer(j, f"neighborhood {first + i} index") for j in row] for i, row in enumerate(rows)],
+            dtype=object,
+        ).reshape(members.shape)
+    members = np.sort(members, axis=1)
+    repeats = members[:, 1:] == members[:, :-1]
+    if repeats.any():
+        i, j = np.argwhere(repeats)[0]
+        raise ValidationError(f"neighborhood {first + i} repeats index {members[i, j]}")
+    return members
 
 
 @dataclass(frozen=True)
@@ -124,21 +162,13 @@ class NeighborhoodSet:
     members: np.ndarray  # (n, k) int64, each row sorted ascending
 
     def __post_init__(self):
-        members = read_array(self.members, "neighborhood members")
-        if members.dtype.kind not in "iu":  # checked before the cast, which would truncate or parse
-            members = np.array(
-                [check_integer(j, "neighborhood index") for j in members.ravel().tolist()], dtype=object
-            ).reshape(members.shape)
-        if members.ndim != 2:
-            raise ValidationError("neighborhood members must form an (n, k) index array")
+        members = _sorted_rows(self.members)
         n, k = members.shape
         if k < 1:
             raise ValidationError("neighborhoods must be nonempty")
         if members.min(initial=0) < 0 or members.max(initial=0) >= n:
             raise ValidationError("neighborhood indices out of range")
-        members = np.sort(members.astype(np.int64, copy=False), axis=1)
-        if (members[:, 1:] == members[:, :-1]).any():
-            raise ValidationError("neighborhood sets must not contain repeated indices")
+        members = members.astype(np.int64, copy=False)
         rows = np.arange(n)
         self_in = (members == rows[:, None]).any(axis=1)
         if not self_in.all():
@@ -156,18 +186,24 @@ class NeighborhoodSet:
 
     @classmethod
     def from_sets(cls, sets: Sequence[Iterable[int]]) -> "NeighborhoodSet":
-        rows = []
-        for i, s in enumerate(sets):
-            row = sorted(check_integer(j, f"neighborhood {i} index") for j in s)
-            for a, b in zip(row, row[1:]):
-                if a == b:
-                    raise ValidationError(f"neighborhood {i} repeats index {a}")
-            rows.append(row)
-        sizes = {len(r) for r in rows}
+        """The neighborhoods given as one index set per unit, all of one size.
+
+        Sets of unequal size cannot form the constructor's array, so their
+        rule is checked here. When the sizes differ, a set that breaks a
+        rule of its own row (a repeated index most often makes a set the odd
+        size) is named first.
+        """
+        try:
+            rows = [list(s) for s in sets]
+        except TypeError:
+            raise ValidationError(f"neighborhood sets must be a sequence of index sets, got {sets!r}") from None
+        sizes = sorted({len(row) for row in rows})
         if len(sizes) != 1:
+            for i, row in enumerate(rows):
+                _sorted_rows([row], first=i)
             raise ValidationError(
                 f"all neighborhoods must have the same size so that exposure "
-                f"probabilities are uniform; got sizes {sorted(sizes)}"
+                f"probabilities are uniform; got sizes {sizes}"
             )
         return cls(members=rows)
 
@@ -319,7 +355,10 @@ def build_knn_neighborhoods(pop_or_coords, d: int) -> NeighborhoodSet:
     """Each unit's set is itself plus its d-1 nearest units (Euclidean).
 
     Distance ties are broken by ascending unit index, so the result is
-    deterministic across platforms.
+    deterministic across platforms. A coordinate may be at most
+    ``L = sqrt(float max / (8 dim))`` in absolute value: a difference is then
+    at most 2L, a squared distance at most 4 dim L^2, half the float range,
+    and no distance overflows.
 
     The points are split at the median of the widest axis into leaf buckets
     of ``max(_KNN_LEAF, d)`` to twice that many points (Friedman, Bentley &
@@ -350,6 +389,12 @@ def build_knn_neighborhoods(pop_or_coords, d: int) -> NeighborhoodSet:
     if not np.isfinite(coords).all():
         raise ValidationError("coordinates must be finite")
     n, dim = coords.shape
+    limit = np.sqrt(np.finfo(float).max / (8 * max(dim, 1)))
+    largest = np.abs(coords).max(initial=0.0)
+    if largest > limit:
+        raise ValidationError(
+            f"coordinates of {dim} dimensions must be at most {limit:.6g} in absolute value, got {largest:.6g}"
+        )
     d = check_integer(d, "neighborhood size d")
     if not 1 <= d <= n:
         raise ValidationError(f"neighborhood size d must satisfy 1 <= d <= {n}, got {d}")
@@ -369,9 +414,8 @@ def build_knn_neighborhoods(pop_or_coords, d: int) -> NeighborhoodSet:
 def _check_mapping(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho=...) -> Optional[float]:
     """The one design check: ``nbhd`` and ``mapping`` are of their types, the
     mapping fits the sets, and ``rho`` (when passed) is a probability, returned as a float."""
-    for value, kind, name in ((nbhd, NeighborhoodSet, "neighborhoods"), (mapping, ExposureMapping, "mapping")):
-        if not isinstance(value, kind):
-            raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    check_instance(nbhd, NeighborhoodSet, "neighborhoods")
+    check_instance(mapping, ExposureMapping, "mapping")
     if mapping.kind == "threshold" and mapping.d_min > nbhd.k:
         raise ValidationError(
             f"threshold d_min={mapping.d_min} exceeds the neighborhood size {nbhd.k}"

@@ -1,13 +1,16 @@
 """Exception types shared across the package, and the one rule of each kind
 of input: numbers, integers, counts, seeds, probabilities, levels, positive
-parameters and arrays.
+parameters, arrays and instances of the package's types.
 
-Every public function reads each of its scalar arguments through one of the
-functions below, once. A number is an int, a float or a numpy scalar, and a
-finite one; a boolean, a string or None is not a number, and neither is NaN,
-an infinity or an int beyond the float range. The range rules
-(``check_probability``, ``check_level``) keep their own message for every
-number outside their range, NaN included.
+Every public function reads each of its scalar and object arguments through
+one of the functions below, once. A number is an int, a float or a numpy
+scalar, and a finite one; a boolean, a string or None is not a number, and
+neither is NaN, an infinity or an int beyond the float range. The range
+rules (``check_probability``, ``check_level``) keep their own message for
+every number outside their range, NaN included. An object argument (a
+population, neighborhoods, a mapping, an exposure, a profile, a scenario)
+is read by ``check_instance``, the package's only type check, so a value of
+another type is a ValidationError, not an AttributeError further in.
 """
 
 import sys
@@ -73,6 +76,14 @@ def read_array(values, name: str, dtype=None) -> np.ndarray:
     except (TypeError, ValueError):  # ragged nesting, or entries that do not cast
         pass
     raise ValidationError(f"{name} must be a rectangular array of numbers")
+
+
+def check_instance(value, kind: type, name: str):
+    """``value`` when it is an instance of ``kind``, or a ValidationError naming ``name``."""
+    if isinstance(value, kind):
+        return value
+    article = "an" if kind.__name__[0] in "AEIOU" else "a"
+    raise ValidationError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
 
 
 def _real(value) -> bool:

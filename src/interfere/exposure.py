@@ -46,7 +46,8 @@ from .design import (
     build_knn_neighborhoods,
     evaluate_exposure_many,
 )
-from .errors import ValidationError, check_count, check_integer, check_seed, read_array, read_number
+from .errors import ValidationError, check_count, check_instance, check_integer, check_seed, read_array
+from .errors import read_number
 
 _MC_SHARD = 1 << 16
 # Uniforms drawn and evaluated at once within a Monte Carlo shard (8 MiB of float64).
@@ -106,13 +107,6 @@ class ExposureProfile:
         return joint
 
 
-def _check_profile(profile) -> ExposureProfile:
-    """``profile``, after the one type check of the functions that take a profile."""
-    if not isinstance(profile, ExposureProfile):
-        raise ValidationError(f"profile must be an ExposureProfile, got {type(profile).__name__}")
-    return profile
-
-
 def _binom_pmf_table(k: int, rho: float) -> list:
     """pmf[n][m] = P(Binomial(n, rho) = m) for all n in 0..k."""
     tables = []
@@ -144,7 +138,8 @@ def _sf(sf_tables: list, n: int, t: int) -> float:
 
 def exact_marginal(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -> float:
     """Closed-form P(Z_i = 1), identical across units by size uniformity."""
-    return _marginal(nbhd.k, mapping, _check_mapping(nbhd, mapping, rho))
+    rho = _check_mapping(nbhd, mapping, rho)
+    return _marginal(nbhd.k, mapping, rho)
 
 
 def _marginal(k: int, mapping: ExposureMapping, rho: float) -> float:
@@ -184,7 +179,7 @@ def _degree(rows: np.ndarray, cols: np.ndarray, n: int) -> int:
 
 def overlap_degree(nbhd: NeighborhoodSet) -> int:
     """Maximum, over units, of the number of other neighborhoods meeting its set."""
-    pairs = _overlapping_pairs(nbhd)
+    pairs = _overlapping_pairs(check_instance(nbhd, NeighborhoodSet, "neighborhoods"))
     return _degree(pairs[:, 0], pairs[:, 1], nbhd.n)
 
 
@@ -196,9 +191,9 @@ def center_excess(joint: np.ndarray, p: float) -> tuple:
     """
     joint = read_array(joint, "joint probability matrix", float)
     p = read_number(p, "p")
-    n = joint.shape[0]
-    if joint.ndim != 2 or joint.shape[1] != n:
+    if joint.ndim != 2 or joint.shape[0] != joint.shape[1]:
         raise ValidationError("joint probability matrix must be square")
+    n = joint.shape[0]
     if not np.allclose(joint, joint.T, rtol=0.0, atol=1e-12):
         raise ValidationError("joint probability matrix must be symmetric")
     excess = joint - p * (1.0 - p) * np.eye(n) - p * p * np.ones((n, n))

@@ -39,12 +39,13 @@ from .errors import (
     ValidationError,
     ZeroJointProbabilityError,
     check_count,
+    check_instance,
     check_level,
     check_positive,
     read_array,
     read_number,
 )
-from .exposure import ExposureProfile, _check_profile, _threshold_designs
+from .exposure import ExposureProfile, _threshold_designs
 from .normal import norm_ppf
 
 # Entries of the (rows, n + pairs) arrays that ``_variances`` builds per step:
@@ -73,12 +74,16 @@ class MonotoneCiReport:
 
 def _one_row(values, exposure: EffectiveTreatment, profile=..., nonnegative=False) -> tuple:
     """``values`` and the exposure indicator as the one row of a call to
-    ``_variances`` or ``_score``, after the checks of a single analysis: the
-    sizes agree (the profile's too, when one is passed, and it is a profile;
-    only ``point_estimate`` passes none, so a ``None`` profile is an error),
-    some unit is exposed, and with ``nonnegative`` no value is negative."""
+    ``_variances`` or ``_score``, after the checks of a single analysis:
+    ``exposure`` is an exposure, ``profile`` is a profile when passed (only
+    ``point_estimate`` passes none, so a ``None`` profile is an error), the
+    values are finite, the sizes agree, some unit is exposed, and with
+    ``nonnegative`` no value is negative."""
     values = read_array(values, "values", float)
-    if profile is not ... and _check_profile(profile).n != exposure.indicator.shape[0]:
+    if not np.isfinite(values).all():
+        raise ValidationError("values must be finite")
+    check_instance(exposure, EffectiveTreatment, "exposure")
+    if profile is not ... and check_instance(profile, ExposureProfile, "profile").n != exposure.indicator.shape[0]:
         raise ValidationError("profile and exposure sizes differ")
     if values.shape != exposure.indicator.shape:
         raise ValidationError("values and exposure indicator differ in length")
@@ -90,11 +95,12 @@ def _one_row(values, exposure: EffectiveTreatment, profile=..., nonnegative=Fals
 
 
 def point_estimate(values, exposure: EffectiveTreatment) -> float:
-    """Average of ``values`` over effectively treated units; one that
-    overflows is a ValidationError, not an infinity."""
+    """Average of ``values`` over effectively treated units, by the formula
+    of every bound's estimate (``_variances``), so that it equals theirs bit
+    for bit; one that overflows is a ValidationError, not an infinity."""
     values, indicator = _one_row(values, exposure)
     with np.errstate(over="ignore"):
-        estimate = float(values[indicator > 0].mean())
+        estimate = float((values * indicator).sum(axis=1)[0] / exposure.count)
     if not math.isfinite(estimate):
         raise ValidationError("the point estimate overflows: outcomes this large exceed double precision")
     return estimate
@@ -257,7 +263,7 @@ def validity_condition(
     """
     estimate = read_number(estimate, "estimate")
     variance = read_number(variance, "variance")
-    _check_profile(profile)
+    check_instance(profile, ExposureProfile, "profile")
     alpha = check_level(alpha, "alpha")
     count = check_count(count, "count")
     if variance < 0:
@@ -327,7 +333,7 @@ def upper_confidence_bound(
     """
     alpha = check_level(alpha, "alpha")
     estimate, variance, condition_ok, upper = _bound_from_values(
-        pop.outcome, exposure, profile, alpha
+        check_instance(pop, Population, "population").outcome, exposure, profile, alpha
     )
     fallback = None
     if variance_floor is not None:
@@ -353,10 +359,10 @@ def ideal_upper_bound(theta, exposure: EffectiveTreatment, profile: ExposureProf
     it is the quantity the observable bound dominates.
     """
     alpha = check_level(alpha, "alpha")
-    variance = variance_estimate(theta, exposure, profile)
+    _, (estimate,), (variance,) = _variances(*_one_row(theta, exposure, profile), profile, clip=False)
     if variance <= 0.0:
         raise DegenerateVarianceError(f"variance estimate {variance} is not positive")
-    return point_estimate(theta, exposure) + norm_ppf(1.0 - alpha) * math.sqrt(variance) / exposure.count
+    return float(estimate) + norm_ppf(1.0 - alpha) * math.sqrt(variance) / exposure.count
 
 
 def full_control_lower_bound(
@@ -373,7 +379,7 @@ def full_control_lower_bound(
     mean(enrollment) minus the upper bound computed on them.
     """
     alpha = check_level(alpha, "alpha")
-    if pop.enrollment is None:
+    if check_instance(pop, Population, "population").enrollment is None:
         raise ValidationError("full-control bound needs enrollment for every unit")
     transformed = pop.enrollment - pop.outcome
     _, _, _, upper = _bound_from_values(transformed, exposure, profile, alpha)
@@ -392,6 +398,7 @@ def bonferroni_scan(
     configurations propagate unchanged.
     """
     alpha = check_level(alpha, "alpha")
+    check_instance(pop, Population, "population")
     designs = _threshold_designs(pop, configs, pop.rho)
     adjusted = alpha / len(designs)
     reports = []

@@ -53,7 +53,7 @@ from .design import (
     build_knn_neighborhoods,
     evaluate_exposure_many,
 )
-from .errors import ValidationError, check_count, check_integer, check_level, check_positive
+from .errors import ValidationError, check_count, check_instance, check_integer, check_level, check_positive
 from .errors import check_probability, check_seed
 from .exposure import _threshold_designs
 from .monotone import _score
@@ -80,16 +80,19 @@ def synthetic_layout(kind: str, n: int, seed: int = 0) -> np.ndarray:
     if n < 2:
         raise ValidationError(f"a layout needs at least 2 points, got {n}")
     seed = check_seed(seed, "layout seed")
-    if kind == "line":
-        return np.arange(n, dtype=float)[:, None]
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if kind == "uniform_square":
-        return rng.random((n, 2))
-    if kind == "two_cluster":
+    if kind not in LAYOUT_KINDS:
+        raise ValidationError(f"unknown layout kind {kind!r}; choose from {LAYOUT_KINDS}")
+    try:
+        if kind == "line":
+            return np.arange(n, dtype=float)[:, None]
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        if kind == "uniform_square":
+            return rng.random((n, 2))
         south = n // 2
         centers = np.repeat([[0.0, 0.0], [0.0, 10.0]], [south, n - south], axis=0)
         return centers + rng.normal(scale=1.0, size=(n, 2))
-    raise ValidationError(f"unknown layout kind {kind!r}; choose from {LAYOUT_KINDS}")
+    except (ValueError, OverflowError, MemoryError):  # numpy refuses the size, or memory cannot hold it
+        raise ValidationError(f"layout size n={n} is too large: its coordinates cannot be allocated") from None
 
 
 @dataclass(frozen=True)
@@ -218,6 +221,7 @@ def generate_scenario(scenario: Scenario, replicate_index: int):
     ``theta`` is the counterfactual outcome vector under full treatment,
     exposed for coverage accounting; real analyses never see it.
     """
+    check_instance(scenario, Scenario, "scenario")
     x, y, theta = _draw(scenario, [check_seed(replicate_index, "replicate_index")])
     pop = Population(
         ids=tuple(range(scenario.n)),
@@ -305,6 +309,7 @@ def run_coverage_experiment(
     Replicates are drawn in batches of ``_BATCH`` entries and scored in one
     array pass per design (see ``_replicate_outcomes``).
     """
+    check_instance(scenario, Scenario, "scenario")
     replicates = check_count(replicates, "replicates")
     alpha = check_level(alpha, "alpha")
     prepared = _threshold_designs(scenario.layout, configs, scenario.rho)

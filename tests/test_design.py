@@ -133,7 +133,7 @@ class TestNeighborhoodSet:
             itf.NeighborhoodSet.from_sets([{0, 1}, {1}, {2, 1}])
 
     def test_repeated_indices_rejected(self):
-        with pytest.raises(ValidationError, match="repeated indices"):
+        with pytest.raises(ValidationError, match="^neighborhood 1 repeats index 1$"):
             itf.NeighborhoodSet(members=np.array([[0, 1], [1, 1], [2, 0]]))
 
     def test_self_membership_enforced(self):

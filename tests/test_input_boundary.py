@@ -178,6 +178,11 @@ REGRESSIONS = {
     "simulate layout n is not integral": lambda t: simulate_config(
         t, layout={"kind": "uniform_square", "n": 49.5, "seed": 7}
     ),
+    "simulate layout n is 10^30": lambda t: simulate_config(t, layout={"kind": "uniform_square", "n": 10**30}),
+    "estimate coordinate squares overflow": lambda t: [
+        "estimate", "--config", write_json(t / "c.json", RUN_CONFIG),
+        "--data", _file(t, with_cell(UNITS_CSV, 1, 1, "1e308"), "units.csv"),
+    ],
 }
 
 
@@ -524,6 +529,9 @@ def _population(**arrays):
     return itf.Population(rho=0.5, **{**fields, **arrays})
 
 
+SCENARIO = itf.Scenario(kind="no_effect_no_clustering", layout=np.arange(10.0))
+ENROLLED = _population(enrollment=np.arange(6.0) + 1.0)
+
 # Library entry points that read an array, each called with the value under test in its place.
 LIBRARY_ARRAYS = {
     "NeighborhoodSet members": lambda v: itf.NeighborhoodSet(members=v),
@@ -553,13 +561,14 @@ PROFILE_ARGUMENTS = {
     "validity_condition": lambda v: itf.validity_condition(1.0, 1.0, v, 0.05, 5),
     "upper_confidence_bound": lambda v: itf.upper_confidence_bound(_population(), EXPOSED, v, 0.05),
     "ideal_upper_bound": lambda v: itf.ideal_upper_bound(np.arange(6.0), EXPOSED, v, 0.05),
-    "full_control_lower_bound": lambda v: itf.full_control_lower_bound(
-        _population(enrollment=np.arange(6.0) + 1.0), EXPOSED, v, 0.05
-    ),
+    "full_control_lower_bound": lambda v: itf.full_control_lower_bound(ENROLLED, EXPOSED, v, 0.05),
     "exposure_attributable_contrast": lambda v: itf.exposure_attributable_contrast(BINARY, EXPOSED, v, 0.05),
     "largest_centered_eigenvalue": lambda v: itf.largest_centered_eigenvalue(v),
 }
-NOT_PROFILES = {"list": [[1, 0], [0, 1]], "text": "x", "none": None, "identity": np.eye(6), "dense joint": PROFILE.joint}
+NOT_PROFILES = {
+    "list": [[1, 0], [0, 1]], "text": "x", "none": None, "identity": np.eye(6), "dense joint": PROFILE.joint,
+    "neighborhoods": RING,
+}
 RAGGED = {"ragged integers": [[0, 1], [1]], "ragged floats": [[0.0, 1.0], [1.0]], "ragged depth": [[0.0], 1.0]}
 TEXT = {"text": list("abcdef"), "numeric text": list("101111"), "text matrix": [["a", "b"], ["c", "d"]]}
 
@@ -606,23 +615,60 @@ def test_design_lists_are_lists(configs):
         assert str(info.value) == f"configs must be a list of (d_min, d) pairs, got {configs!r}"
 
 
-# Public functions that take neighborhoods and a mapping, each called with the value under test in one place.
+# Public functions that take a population, neighborhoods, a mapping, an exposure
+# or a scenario, each called with the value under test in one place, and the
+# name of that argument, whose type ARGUMENT_TYPES gives.
 DESIGN_ARGUMENTS = {
-    "exact_profile neighborhoods": lambda v: itf.exact_profile(v, THRESHOLD, 0.5),
-    "exact_profile mapping": lambda v: itf.exact_profile(RING, v, 0.5),
-    "monte_carlo_profile mapping": lambda v: itf.monte_carlo_profile(RING, v, 0.5, 10),
-    "evaluate_exposure neighborhoods": lambda v: itf.evaluate_exposure(EXPOSED.indicator, v, THRESHOLD),
-    "evaluate_exposure mapping": lambda v: itf.evaluate_exposure(EXPOSED.indicator, RING, v),
+    "exact_profile neighborhoods": (lambda v: itf.exact_profile(v, THRESHOLD, 0.5), "neighborhoods"),
+    "exact_profile mapping": (lambda v: itf.exact_profile(RING, v, 0.5), "mapping"),
+    "exact_marginal neighborhoods": (lambda v: itf.exact_marginal(v, THRESHOLD, 0.5), "neighborhoods"),
+    "monte_carlo_profile mapping": (lambda v: itf.monte_carlo_profile(RING, v, 0.5, 10), "mapping"),
+    "evaluate_exposure neighborhoods": (lambda v: itf.evaluate_exposure(EXPOSED.indicator, v, THRESHOLD), "neighborhoods"),
+    "evaluate_exposure mapping": (lambda v: itf.evaluate_exposure(EXPOSED.indicator, RING, v), "mapping"),
+    "overlap_degree neighborhoods": (itf.overlap_degree, "neighborhoods"),
+    "point_estimate exposure": (lambda v: itf.point_estimate(np.arange(6.0), v), "exposure"),
+    "variance_estimate exposure": (lambda v: itf.variance_estimate(np.arange(6.0), v, PROFILE), "exposure"),
+    "conservative_variance exposure": (lambda v: itf.conservative_variance(np.arange(6.0), v, PROFILE), "exposure"),
+    "ideal_upper_bound exposure": (lambda v: itf.ideal_upper_bound(np.arange(6.0), v, PROFILE, 0.05), "exposure"),
+    "upper_confidence_bound population": (
+        lambda v: itf.upper_confidence_bound(v, EXPOSED, PROFILE, 0.05), "population"
+    ),
+    "upper_confidence_bound exposure": (
+        lambda v: itf.upper_confidence_bound(_population(), v, PROFILE, 0.05), "exposure"
+    ),
+    "full_control_lower_bound population": (
+        lambda v: itf.full_control_lower_bound(v, EXPOSED, PROFILE, 0.05), "population"
+    ),
+    "full_control_lower_bound exposure": (
+        lambda v: itf.full_control_lower_bound(ENROLLED, v, PROFILE, 0.05), "exposure"
+    ),
+    "bonferroni_scan population": (lambda v: itf.bonferroni_scan(v, [(1, 1)], 0.05), "population"),
+    "exposure_attributable_contrast exposure": (
+        lambda v: itf.exposure_attributable_contrast(BINARY, v, PROFILE, 0.05), "exposure"
+    ),
+    "run_coverage_experiment scenario": (lambda v: itf.run_coverage_experiment(v, [(1, 1)], 0.05, 1), "scenario"),
+    "generate_scenario scenario": (lambda v: itf.generate_scenario(v, 0), "scenario"),
+}
+ARGUMENT_TYPES = {
+    "population": itf.Population,
+    "neighborhoods": itf.NeighborhoodSet,
+    "mapping": itf.ExposureMapping,
+    "exposure": itf.EffectiveTreatment,
+    "scenario": itf.Scenario,
 }
 
 
-@pytest.mark.parametrize("value", ["x", None, [[0, 1]]], ids=["text", "none", "list"])
+@pytest.mark.parametrize("value", ["text", "none", "list", "package object"])
 @pytest.mark.parametrize("case", sorted(DESIGN_ARGUMENTS))
 def test_design_arguments_are_typed(case, value):
-    name, kind = ("mapping", "ExposureMapping") if case.endswith("mapping") else ("neighborhoods", "NeighborhoodSet")
+    call, name = DESIGN_ARGUMENTS[case]
+    kind = ARGUMENT_TYPES[name]
+    other = THRESHOLD if kind is itf.NeighborhoodSet else RING  # a package object of another type
+    wrong = {"text": "x", "none": None, "list": [[0, 1]], "package object": other}[value]
     with pytest.raises(ValidationError) as info:
-        DESIGN_ARGUMENTS[case](value)
-    assert str(info.value) == f"{name} must be a {kind}, got {type(value).__name__}"
+        call(wrong)
+    article = "an" if kind.__name__[0] in "AEIOU" else "a"
+    assert str(info.value) == f"{name} must be {article} {kind.__name__}, got {type(wrong).__name__}"
 
 
 @pytest.mark.parametrize("design", [(RING, THRESHOLD), (RING, THRESHOLD, 0.5, 1), "x", None, {}])
@@ -700,6 +746,46 @@ REJECTIONS = {
         lambda t: itf.center_excess(np.zeros((2, 3)), 0.5),
         ValidationError, "joint probability matrix must be square",
     ),
+    "joint matrix is a number": (
+        lambda t: itf.center_excess(0.5, 0.5),
+        ValidationError, "joint probability matrix must be square",
+    ),
+    "neighborhood row repeats an index": (
+        lambda t: itf.NeighborhoodSet(members=[[0, 1], [1, 1], [2, 0]]),
+        ValidationError, "neighborhood 1 repeats index 1",
+    ),
+    "neighborhood index of a row is not integral": (
+        lambda t: itf.NeighborhoodSet(members=[[0, 1], [1, 1.5], [2, 0]]),
+        ValidationError, "neighborhood 1 index must be an integer, got 1.5",
+    ),
+    "neighborhood index of an odd-size set is a boolean": (
+        lambda t: itf.NeighborhoodSet.from_sets([[0, 1], [1, True, 2], [2, 0]]),
+        ValidationError, "neighborhood 1 index must be an integer, got True",
+    ),
+    "neighborhood sets are None": (
+        lambda t: itf.NeighborhoodSet.from_sets(None),
+        ValidationError, "neighborhood sets must be a sequence of index sets, got None",
+    ),
+    "neighborhood sets are integers": (
+        lambda t: itf.NeighborhoodSet.from_sets([1, 2]),
+        ValidationError, "neighborhood sets must be a sequence of index sets, got [1, 2]",
+    ),
+    "ids are a string": (
+        lambda t: _population(ids="abcdef"),
+        ValidationError, "ids must be a non-string sequence, got str",
+    ),
+    "ids are None": (
+        lambda t: _population(ids=None),
+        ValidationError, "ids must be a non-string sequence, got NoneType",
+    ),
+    "ids are lists": (
+        lambda t: _population(ids=[[i] for i in range(6)]),
+        ValidationError, "unit 0: ids must be hashable, got [0]",
+    ),
+    "coordinate squares overflow": (
+        lambda t: itf.build_knn_neighborhoods([[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0], [1.0, 1.0]], 2),
+        ValidationError, "coordinates of 2 dimensions must be at most 3.35195e+153 in absolute value, got 1e+308",
+    ),
     "eigenvalue of a list": (
         lambda t: itf.largest_centered_eigenvalue([[1, 0], [0, 1]]),
         ValidationError, "profile must be an ExposureProfile, got list",
@@ -770,6 +856,15 @@ def test_each_rule_raises_its_message(tmp_path, case):
         call(tmp_path)
     assert type(info.value) is error
     assert str(info.value) == message.format(t=tmp_path)
+
+
+# Sizes numpy refuses before it touches memory; a size that memory might hold is never tried.
+@pytest.mark.parametrize("n", [10**30, 2**53], ids=["10^30", "2^53"])
+@pytest.mark.parametrize("kind", ["uniform_square", "two_cluster", "line"])
+def test_layout_too_large_to_allocate_is_an_error(kind, n):
+    with pytest.raises(ValidationError) as info:
+        itf.synthetic_layout(kind, n)
+    assert str(info.value) == f"layout size n={n} is too large: its coordinates cannot be allocated"
 
 
 def test_malformed_json_config_is_an_error(tmp_path):

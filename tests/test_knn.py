@@ -15,6 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 import interfere as itf
 from interfere import design
 
+# An overflow in the distances fails the test instead of warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 CHUNK = 1 << 20
 
 
@@ -93,6 +96,17 @@ def test_members_match_the_all_pairs_search(kind, n, seed, size, leaf, chunk):
         patch.setattr(design, "_KNN_CHUNK", chunk)
         got = itf.build_knn_neighborhoods(coords, d).members
     assert np.array_equal(got, all_pairs_knn(coords, d))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scaling_by_a_power_of_two_keeps_the_members(kind):
+    # Scaling by 2**400 is exact, and the largest coordinates stay within the
+    # bound below which no squared distance overflows.
+    coords = layout(kind, 300, 1)
+    for d in (1, 6):
+        assert np.array_equal(
+            itf.build_knn_neighborhoods(coords * 2.0**400, d).members, itf.build_knn_neighborhoods(coords, d).members
+        )
 
 
 @pytest.mark.parametrize("n, d", [(2, 2), (40, 3)])

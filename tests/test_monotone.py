@@ -42,6 +42,22 @@ class TestPointEstimate:
         with pytest.raises(ValidationError, match="differ in length"):
             itf.point_estimate(np.ones(4), make_exposure([1, 0, 1]))
 
+    def test_equals_the_reported_estimate_exactly(self):
+        # A mean over the exposed units and the bound's sum of values times
+        # indicators divided by the count can differ in the last bit.
+        gen = np.random.default_rng(7)
+        mapping = itf.ExposureMapping.threshold(3)
+        for _ in range(40):
+            n = int(gen.integers(50, 400))
+            pop = itf.Population(
+                ids=tuple(range(n)), coords=gen.random((n, 2)), treatment=gen.random(n) < 0.5,
+                outcome=gen.random(n) * 10.0, rho=0.5,
+            )
+            nbhd = itf.build_knn_neighborhoods(pop, 6)
+            exposure = itf.evaluate_exposure(pop, nbhd, mapping)
+            report = itf.upper_confidence_bound(pop, exposure, itf.exact_profile(nbhd, mapping, 0.5), 0.05)
+            assert itf.point_estimate(pop.outcome, exposure) == report.estimate
+
 
 class TestVarianceEstimates:
     def test_singleton_design_reduces_to_leading_term(self, rng):
