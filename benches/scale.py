@@ -7,7 +7,7 @@ Run from anywhere; the package is imported from this checkout's ``src/``:
 
 For each layout (``uniform_square`` and ``two_cluster`` from
 ``synthetic_layout``) and each n, one threshold design (d_min=3, d=6,
-rho=0.5, alpha=0.05) is analysed in four timed stages, and a fifth up to
+rho=0.5, alpha=0.05) is analysed in four timed stages, and two more up to
 n = ``MC_MAX_N``:
 
 - ``knn``: ``build_knn_neighborhoods``;
@@ -16,7 +16,10 @@ n = ``MC_MAX_N``:
 - ``eigen``: ``largest_centered_eigenvalue`` of the exact profile, the
   lambda_1 bound of the exposure-split contrast;
 - ``mc_profile``: ``monte_carlo_profile`` with ``MC_SAMPLES`` draws and seed
-  ``MC_SEED``. It holds all n(n-1)/2 pairs, so its memory is O(n^2).
+  ``MC_SEED``. It holds all n(n-1)/2 pairs, so its memory is O(n^2);
+- ``mc_bound``: ``evaluate_exposure`` and ``upper_confidence_bound`` on that
+  Monte Carlo profile. Its peak excludes the profile, which exists before
+  the stage.
 
 Each stage's wall time (``perf_counter``, one untraced call) and its peak
 ``tracemalloc`` memory (a second, traced call) are recorded with the problem
@@ -99,7 +102,8 @@ def measure(itf, layout: str, n: int) -> dict:
     lam, eigen = _stage(itf.largest_centered_eigenvalue, profile)
     stages = {"knn": knn, "profile": exact, "bound": scored, "eigen": eigen}
     if n <= MC_MAX_N:
-        stages["mc_profile"] = _stage(itf.monte_carlo_profile, nbhd, mapping, RHO, MC_SAMPLES, MC_SEED)[1]
+        mc, stages["mc_profile"] = _stage(itf.monte_carlo_profile, nbhd, mapping, RHO, MC_SAMPLES, MC_SEED)
+        stages["mc_bound"] = _stage(bound, nbhd, mc)[1]
     return {
         "layout": layout,
         "n": n,

@@ -66,12 +66,13 @@ def check_integer(value, name: str) -> int:
 def read_array(values, name: str, dtype=None) -> np.ndarray:
     """``values`` as an array (of ``dtype`` when given), or a ValidationError
     naming ``name`` when it is not one: ragged nested lists, or, for a
-    numeric ``dtype``, text, which numpy would otherwise parse."""
+    numeric ``dtype``, text, which numpy would otherwise parse, and None,
+    which numpy would otherwise read as NaN."""
     try:
         arr = np.asarray(values)
         if dtype is None:
             return arr
-        if arr.dtype.kind not in "SUV":
+        if arr.dtype.kind not in "SUV" and not (arr.dtype.kind == "O" and any(v is None for v in arr.flat)):
             return arr.astype(dtype, copy=False)
     except (TypeError, ValueError):  # ragged nesting, or entries that do not cast
         pass

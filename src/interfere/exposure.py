@@ -23,7 +23,12 @@ stream; each chunk is evaluated unit by unit (unit-major, ``(n, chunk)``)
 and fills the next columns of an (n, batch) float32 buffer, whose product
 ``b @ b.T`` is added to the shard's counts. Every product and running sum is
 an integer count of at most 2^16, below 2^24, so the float32 sums are exact
-in any order and the counts do not depend on the chunk or batch sizes.
+in any order and the counts do not depend on the chunk or batch sizes. The
+profile gathers the diagonal and the pairs i < j of the first shard's (n, n)
+counts into two float64 vectors, adds each later shard's gathered counts to
+them (integer sums below 2^53, so exact), and divides the vectors by the
+number of draws. No dense joint matrix is formed: beside the profile, the
+build holds one shard's counts at a time.
 
 ``_threshold_designs`` checks the design list of the Bonferroni scan and
 the simulation harness (nonempty, integer (d_min, d) pairs) and returns
@@ -226,15 +231,6 @@ def _finalize(p, diag, rows, cols, values, degree, method, num_samples=None) -> 
     )
 
 
-def _dense_finalize(joint, p, nbhd, method, num_samples=None) -> ExposureProfile:
-    """Profile whose pattern is every pair, from a dense symmetric joint matrix."""
-    rows, cols = np.triu_indices(joint.shape[0], 1)
-    return _finalize(
-        p, np.diagonal(joint).copy(), rows, cols, joint[rows, cols],
-        overlap_degree(nbhd), method, num_samples,
-    )
-
-
 def _threshold_joint(k, key, d_min, rho, pmf, sf) -> float:
     # Condition on X_i = X_j = 1 and convolve the three disjoint regions: a
     # members only in S_i, b only in S_j, c shared (i and j excluded), with
@@ -351,13 +347,22 @@ def monte_carlo_profile(
     rho = _check_mapping(nbhd, mapping, rho)
     num_samples = check_count(num_samples, "num_samples")
     seed = check_seed(seed, philox=True)
-    # Shard counts are integers below 2^53, so summing them in place is exact.
-    joint = _mc_shard_counts(nbhd, mapping, rho, seed, 0, min(_MC_SHARD, num_samples))
+    # The counts of every pair i < j and of the diagonal, gathered from each
+    # shard's (n, n) counts; they are integers below 2^53, so their sums are exact.
+    counts = _mc_shard_counts(nbhd, mapping, rho, seed, 0, min(_MC_SHARD, num_samples))
+    rows, cols = np.triu_indices(nbhd.n, 1)
+    diag, values = np.diagonal(counts).copy(), counts[rows, cols]
+    del counts  # each shard's (n, n) counts go before the next shard is drawn
     for shard, start in enumerate(range(_MC_SHARD, num_samples, _MC_SHARD), 1):
-        joint += _mc_shard_counts(nbhd, mapping, rho, seed, shard, min(_MC_SHARD, num_samples - start))
-    joint /= num_samples
-    p = float(np.diagonal(joint).mean())
-    return _dense_finalize(joint, p, nbhd, "monte_carlo", num_samples=num_samples)
+        counts = _mc_shard_counts(nbhd, mapping, rho, seed, shard, min(_MC_SHARD, num_samples - start))
+        diag += np.diagonal(counts)
+        values += counts[rows, cols]
+        del counts
+    diag /= num_samples
+    values /= num_samples
+    return _finalize(
+        float(diag.mean()), diag, rows, cols, values, overlap_degree(nbhd), "monte_carlo", num_samples=num_samples
+    )
 
 
 def enumerated_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -> ExposureProfile:
@@ -380,4 +385,8 @@ def enumerated_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: flo
         )
     joint = z.T @ (weights[:, None] * z)
     joint = (joint + joint.T) / 2.0
-    return _dense_finalize(joint, float(marginals.mean()), nbhd, "enumeration")
+    rows, cols = np.triu_indices(n, 1)
+    return _finalize(
+        float(marginals.mean()), np.diagonal(joint).copy(), rows, cols, joint[rows, cols],
+        overlap_degree(nbhd), "enumeration",
+    )

@@ -18,7 +18,8 @@ values: ``Population``, ``RunConfig``, ``NeighborhoodSet``, and the
 simulation's ``synthetic_layout`` and ``Scenario``. A default belongs to the
 type that uses the value: ``SimConfig.params`` holds only the ``Scenario``
 arguments a file gives, and which keys a command reads is the command's
-rule (``cli``).
+rule (``cli``). The report helpers read their report through
+``errors.check_instance``, as the library reads its object arguments.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .contrast import ContrastReport
 from .design import ExposureMapping, NeighborhoodSet, Population
-from .errors import ValidationError, check_integer, check_positive, check_probability, read_number
+from .errors import ValidationError, check_instance, check_integer, check_positive, check_probability, read_number
 from .monotone import MonotoneCiReport
 from .simulate import LAYOUT_KINDS, SCENARIO_KINDS
 from .simulate import CoverageTable
@@ -335,13 +336,13 @@ def load_sim_config(path) -> SimConfig:
 
 
 def monotone_report_dict(report: MonotoneCiReport) -> dict:
-    data = dataclasses.asdict(report)
+    data = dataclasses.asdict(check_instance(report, MonotoneCiReport, "report"))
     data["interval"] = [0.0, report.upper_bound]
     return data
 
 
 def contrast_report_dict(report: ContrastReport) -> dict:
-    data = dataclasses.asdict(report)
+    data = dataclasses.asdict(check_instance(report, ContrastReport, "report"))
     if report.lambda_1 is None:  # the treatment split has no eigenvalue
         for key in ("lambda_1_certificate", "lambda_1_ritz", "lambda_1_steps"):
             del data[key]
@@ -349,7 +350,7 @@ def contrast_report_dict(report: ContrastReport) -> dict:
 
 
 def coverage_table_dict(table: CoverageTable) -> dict:
-    return dataclasses.asdict(table)
+    return dataclasses.asdict(check_instance(table, CoverageTable, "table"))
 
 
 def dump_json(payload) -> str:

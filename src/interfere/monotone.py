@@ -20,8 +20,11 @@ Every bound here and in the simulation harness comes from one routine,
 ``_score``, over rows of outcomes and exposure indicators; a single analysis
 is its one-row case, checked and shaped by ``_one_row``. Its variance
 (``_variances``) takes O(n log n + pairs) per row and builds no (n, n) or
-(|A|, |A|) array. The Bonferroni scan takes its designs from
-``exposure._threshold_designs``, as the simulation harness does.
+(|A|, |A|) array. Beyond the profile, its memory is the nonzero weights of
+the diagonal and pattern entries with their int64 indices, built one block
+of pairs at a time (``_weights``), plus one block of rows. The Bonferroni
+scan takes its designs from ``exposure._threshold_designs``, as the
+simulation harness does.
 """
 
 from __future__ import annotations
@@ -52,6 +55,14 @@ from .normal import norm_ppf
 # 512 KB, which stays in cache (steps of 2 MB took three times as long). A
 # step holds whole rows, and a row's floats do not depend on the step.
 _BLOCK = 1 << 16
+# Pattern pairs whose weights ``_weights`` builds at once: 512 KB per float
+# array, so a block adds little to the kept weights and their indices (blocks
+# of 2^14 to 2^18 pairs took the same time).
+_PAIR_BLOCK = 1 << 16
+_ZERO_JOINT = (
+    "a jointly exposed pair has zero joint probability; "
+    "the exposure profile is inconsistent with the realized assignment"
+)
 
 
 @dataclass(frozen=True)
@@ -106,6 +117,52 @@ def point_estimate(values, exposure: EffectiveTreatment) -> float:
     return estimate
 
 
+def _weights(profile: ExposureProfile, exposed, u, t, floor, off_pattern) -> tuple:
+    """The nonzero weights of ``_variances`` and their entries: (w, first,
+    second), w of shape (1, m), or (2, m) with the rank-one row when
+    ``off_pattern``, and int64 units first[e] <= second[e].
+
+    Entries come in blocks: the diagonal, then ``_PAIR_BLOCK`` pattern pairs
+    at a time, sliced from the profile. Each block computes its weights
+    elementwise, h(g + excess) / J, and keeps the nonzero ones, so the kept
+    entries and their order do not depend on the block size, and the extra
+    memory is the kept weights and indices plus one block. A pair exposed
+    together in a row of ``exposed`` with joint probability 0 raises.
+    """
+    p = profile.p
+    pp = p * p
+    diagonal = np.arange(profile.n)
+    blocks = [(diagonal, diagonal, profile.diag)]
+    for lo in range(0, profile.rows.size, _PAIR_BLOCK):
+        at = slice(lo, lo + _PAIR_BLOCK)
+        blocks.append((profile.rows[at], profile.cols[at], profile.values[at]))
+    weights, firsts, seconds = [], [], []
+    for block, (first, second, joint) in enumerate(blocks):
+        zero = joint <= 0.0
+        if (exposed[:, first[zero]] & exposed[:, second[zero]]).any():
+            raise ZeroJointProbabilityError(_ZERO_JOINT)
+        g = t - u[first]
+        g -= u[second]
+        w = joint - pp if block else (joint - p * (1.0 - p)) - pp  # the excess
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero joints, dropped below
+            w += g
+            np.maximum(w, floor, out=w)
+            w /= joint
+            w = np.stack((w, np.maximum(g, floor) / pp)) if off_pattern else w[None]
+        keep = np.flatnonzero(~zero & w.any(axis=0))
+        w = np.take(w, keep, axis=1)
+        if block:
+            w *= 2.0  # a pattern pair stands for its two entries
+        weights.append(w)
+        firsts.append(np.take(first, keep))
+        seconds.append(np.take(second, keep))
+    joined = []
+    for parts in (weights, firsts, seconds):
+        joined.append(np.concatenate(parts, axis=-1))
+        parts.clear()  # free the pieces before the next array is joined
+    return tuple(joined)
+
+
 def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -> tuple:
     """(count, estimate, variance) arrays, one entry per row of the (R, n)
     ``values`` and 0/1 ``indicator``; a row without exposed units gets 0s.
@@ -129,31 +186,26 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
     counted twice over. The clipped off-pattern sum has nonnegative terms,
     so it is clipped at 0 too. If no g_ij is positive, it is 0.
 
-    Every sum runs along a row, over index sets that depend on the profile
-    alone, so a row's results do not depend on the other rows of the call.
+    The weights of the diagonal and pattern entries are built in blocks of
+    ``_PAIR_BLOCK`` pairs (``_weights``), and only the nonzero ones are kept,
+    so the extra memory is those weights and their two int64 indices, plus
+    one block of pairs while they are built and one block of rows (their
+    products v_i v_j) while they are summed. Every sum runs along a row,
+    over index sets that depend on the profile alone, so a row's results do
+    not depend on the other rows of the call, nor on the block sizes.
     A variance that overflows (outcomes near the square root of the largest
     float) is a ValidationError, not a NaN or an infinity.
     """
     n, p = profile.n, profile.p
     pp = p * p
-    # The diagonal entries, then the pattern pairs, each standing for its two entries.
-    first = np.concatenate((np.arange(n), profile.rows))
-    second = np.concatenate((np.arange(n), profile.cols))
-    joint = np.concatenate((profile.diag, profile.values))
     exposed = indicator > 0
     off_pattern = profile.off_pattern
-    zero = joint <= 0.0
-    bad = (exposed[:, first[zero]] & exposed[:, second[zero]]).any(axis=1)
     if off_pattern and not pp > 0.0:
         count = exposed.sum(axis=1)
         on_pattern = (exposed[:, profile.rows] & exposed[:, profile.cols]).sum(axis=1)
-        bad |= count * (count - 1) // 2 > on_pattern
+        if (count * (count - 1) // 2 > on_pattern).any():
+            raise ZeroJointProbabilityError(_ZERO_JOINT)
         off_pattern = False  # no row has an exposed pair off the pattern
-    if bad.any():
-        raise ZeroJointProbabilityError(
-            "a jointly exposed pair has zero joint probability; "
-            "the exposure profile is inconsistent with the realized assignment"
-        )
 
     floor = 0.0 if clip else -np.inf  # h(c) = max(c, floor)
     u = profile.row_excess / n
@@ -169,20 +221,7 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
         head, last = head[lead], k[lead] - 1  # the prefix sums include their last entry
         far = np.maximum(np.abs(u_sorted[:1]), np.abs(u_sorted[last]))
         slack = (last + 3) * np.finfo(float).eps * (np.abs(head) + far)
-
-    g = t - u[first]
-    g -= u[second]
-    w = joint - pp  # the excess
-    w[:n] = (profile.diag - p * (1.0 - p)) - pp
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero joints, dropped below
-        w += g
-        np.maximum(w, floor, out=w)
-        w /= joint
-        w = np.stack((w, np.maximum(g, floor) / pp)) if off_pattern else w[None]
-    keep = np.flatnonzero(~zero & w.any(axis=0))
-    w = w[:, keep]
-    w[:, np.searchsorted(keep, n):] *= 2.0  # a pattern pair stands for its two entries
-    first, second = first[keep], second[keep]
+    w, first, second = _weights(profile, exposed, u, t, floor, off_pattern)
 
     count = indicator.sum(axis=1)
     per = np.maximum(count, 1)
@@ -198,9 +237,10 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
                 v = y * z
                 estimate[at] = v.sum(axis=1) / per[at]
                 leading = npq * ((((y - estimate[at, None]) * z) ** 2).sum(axis=1) / per[at])
-                both = np.take(v, first, axis=1) * np.take(v, second, axis=1)
-                pair = (both * w[0]).sum(axis=1)
+                both = np.take(v, first, axis=1)
+                both *= np.take(v, second, axis=1)
                 if off_pattern:
+                    pair = (both * w[0]).sum(axis=1)
                     if clip:
                         ahead = np.take(v, order, axis=1)
                         prefix = np.take(np.cumsum(ahead, axis=1), last, axis=1)
@@ -212,6 +252,9 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
                         rank = t * total * total - 2.0 * total * (v * u).sum(axis=1)
                     off = rank / pp - (both * w[1]).sum(axis=1)
                     pair += np.maximum(off, 0.0) if clip else off
+                else:
+                    both *= w[0]
+                    pair = both.sum(axis=1)
                 variance[at] = leading + pair
         finite = bool(np.isfinite(variance).all())
     except FloatingPointError:

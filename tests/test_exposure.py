@@ -10,6 +10,9 @@ from interfere.exposure import _MC_SHARD, _mc_shard_counts
 
 from conftest import random_design
 
+# An overflow or a division by zero in the library fails the test instead of warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 MAPPINGS = (itf.ExposureMapping.product(), itf.ExposureMapping.threshold(2))
 
 
@@ -221,6 +224,26 @@ class TestMonteCarloProfile:
         profile = itf.monte_carlo_profile(nbhd, mapping, 0.7, 170, seed=8)
         joint = counts / 170
         rows, cols = np.triu_indices(41, 1)
+        assert np.array_equal(profile.diag, np.diagonal(joint))
+        assert np.array_equal(profile.values, joint[rows, cols])
+        assert profile.p == float(np.diagonal(joint).mean())
+
+    @pytest.mark.parametrize("mapping", MAPPINGS, ids=["product", "threshold"])
+    def test_gathered_profile_equals_the_dense_sum_of_shard_counts(self, monkeypatch, mapping):
+        # 230 draws in shards of 64 (three full shards and one of 38): the
+        # profile gathers each shard's pairs and diagonal, and equals the sum
+        # of the dense shard counts, divided and gathered once, bit for bit.
+        nbhd = itf.build_knn_neighborhoods(itf.synthetic_layout("uniform_square", 37, seed=6), 4)
+        starts = range(0, 230, 64)
+        counts = np.zeros((37, 37))
+        for shard, start in enumerate(starts):
+            counts += _mc_shard_counts(nbhd, mapping, 0.6, 4, shard, min(64, 230 - start))
+        joint = counts / 230
+        monkeypatch.setattr(exposure, "_MC_SHARD", 64)
+        profile = itf.monte_carlo_profile(nbhd, mapping, 0.6, 230, seed=4)
+        rows, cols = np.triu_indices(37, 1)
+        assert len(starts) == 4
+        assert np.array_equal(profile.rows, rows) and np.array_equal(profile.cols, cols)
         assert np.array_equal(profile.diag, np.diagonal(joint))
         assert np.array_equal(profile.values, joint[rows, cols])
         assert profile.p == float(np.diagonal(joint).mean())

@@ -846,6 +846,26 @@ REJECTIONS = {
         lambda t: itf.Scenario(kind="exposure_model", layout=np.arange(6.0), spillover_max=0.0),
         ValidationError, "spillover_max must be positive, got 0.0",
     ),
+    "outcome holds None": (
+        lambda t: _population(outcome=[1.0, None, 2.0, 0.0, 3.0, 1.0]),
+        ValidationError, "outcome must be a rectangular array of numbers",
+    ),
+    "joint probability matrix holds None": (
+        lambda t: itf.center_excess([[None, 0.0], [0.0, None]], 0.5),
+        ValidationError, "joint probability matrix must be a rectangular array of numbers",
+    ),
+    "monotone report is text": (
+        lambda t: pkgio.monotone_report_dict("x"),
+        ValidationError, "report must be a MonotoneCiReport, got str",
+    ),
+    "contrast report is text": (
+        lambda t: pkgio.contrast_report_dict("x"),
+        ValidationError, "report must be a ContrastReport, got str",
+    ),
+    "coverage table is text": (
+        lambda t: pkgio.coverage_table_dict("x"),
+        ValidationError, "table must be a CoverageTable, got str",
+    ),
 }
 
 

@@ -13,14 +13,20 @@ allowance for cancellation; unclipped, it may differ by the rounding of
 t S^2 - 2 S (v.u). Nothing more.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import interfere as itf
+from interfere import monotone
 from interfere.errors import ZeroJointProbabilityError
 from interfere.exposure import ExposureProfile
 from interfere.monotone import _score, _variances
+
+# An overflow or a division by zero in the library fails the test instead of warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 EPS = np.finfo(float).eps
 BLOCK = 1 << 18
@@ -263,3 +269,85 @@ def test_zero_joint_pair_exposed_together_raises_even_with_a_zero_outcome():
     with pytest.raises(ZeroJointProbabilityError):
         _variances(np.tile(values, (3, 1)), batch, profile, clip=False)
     assert np.isfinite(_score(np.tile(values, (2, 1)), batch[[0, 2]], profile, 0.05)[2]).all()
+
+
+def _ring_exact_profile():
+    """Every pair of a ring of 7 units with sets of 4 overlaps: no pair lies off the pattern."""
+    nbhd = itf.NeighborhoodSet(members=(np.arange(7)[:, None] + np.arange(4)) % 7)
+    profile = itf.exact_profile(nbhd, itf.ExposureMapping.threshold(2), 0.5)
+    assert not profile.off_pattern
+    return profile
+
+
+def _knn_design(n, d, seed):
+    return itf.build_knn_neighborhoods(itf.synthetic_layout("uniform_square", n, seed=seed), d)
+
+
+BLOCK_PROFILES = {
+    "exact, pairs off the pattern": lambda: itf.exact_profile(_knn_design(40, 6, 1), itf.ExposureMapping.threshold(3), 0.5),
+    "exact, positive rank-one entries": lambda: cancelling_profile(np.random.default_rng(2), 30),
+    "exact, every pair on the pattern": _ring_exact_profile,
+    "monte carlo": lambda: itf.monte_carlo_profile(_knn_design(30, 3, 3), itf.ExposureMapping.threshold(2), 0.5, 4096, 4),
+    "enumeration": lambda: itf.enumerated_profile(_knn_design(10, 3, 5), itf.ExposureMapping.product(), 0.7),
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
+@pytest.mark.parametrize("kind", sorted(BLOCK_PROFILES))
+def test_pair_blocks_give_bit_identical_variances(monkeypatch, kind, block):
+    # The weights built in blocks of 1, 7 and the default number of pairs
+    # give every output of a four-row call bit for bit as one block of all
+    # pairs does, clipped and unclipped; and each row as a call of its own.
+    profile = BLOCK_PROFILES[kind]()
+    block = block or monotone._PAIR_BLOCK
+    gen = np.random.default_rng(6)
+    values = gen.gamma(2.0, 5.0, size=(4, profile.n))
+    indicator = (gen.random((4, profile.n)) < 0.6).astype(np.int8)
+    for clip in (True, False):
+        monkeypatch.setattr(monotone, "_PAIR_BLOCK", profile.rows.size + 1)
+        want = _variances(values, indicator, profile, clip)
+        monkeypatch.setattr(monotone, "_PAIR_BLOCK", block)
+        got = _variances(values, indicator, profile, clip)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        for row in range(4):
+            alone = _variances(values[row : row + 1], indicator[row : row + 1], profile, clip)
+            assert all(np.array_equal(a[row : row + 1], b) for a, b in zip(got, alone))
+
+
+def test_zero_joint_pair_in_the_last_block_raises(monkeypatch):
+    # Pair (5, 7), the 27th of 28, has joint probability 0; in blocks of 7
+    # pairs it sits in the last block, and only it is exposed together.
+    profile = ring_profile()
+    at = int(np.flatnonzero((profile.rows == 5) & (profile.cols == 7))[0])
+    assert profile.values[at] == 0.0
+    monkeypatch.setattr(monotone, "_PAIR_BLOCK", 7)
+    assert at // 7 == (profile.rows.size - 1) // 7 == 3
+    indicator = np.zeros((1, 8), dtype=np.int8)
+    indicator[0, [5, 7]] = 1
+    for clip in (True, False):
+        with pytest.raises(ZeroJointProbabilityError):
+            _variances(np.ones((1, 8)), indicator, profile, clip)
+    indicator[0, 7] = 0
+    assert np.isfinite(_variances(np.ones((1, 8)), indicator, profile)[2]).all()
+
+
+def test_bound_memory_above_the_profile_is_below_the_profile_size():
+    # An n = 1 000 Monte Carlo profile holds all 499 500 pairs (12 MB). The
+    # variance keeps its nonzero weights and their indices plus one block of
+    # pairs, which together take less than the profile itself.
+    nbhd = _knn_design(1000, 6, 7)
+    mapping = itf.ExposureMapping.threshold(3)
+    profile = itf.monte_carlo_profile(nbhd, mapping, 0.5, 2048, seed=8)
+    size = sum(a.nbytes for a in (profile.diag, profile.rows, profile.cols, profile.values, profile.row_excess))
+    gen = np.random.default_rng(9)
+    exposure = itf.evaluate_exposure((gen.random(1000) < 0.5).astype(np.int8), nbhd, mapping)
+    values = gen.gamma(2.0, 5.0, size=1000)
+    tracemalloc.start()
+    try:
+        variance = itf.conservative_variance(values, exposure, profile)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert variance > 0
+    assert peak < size

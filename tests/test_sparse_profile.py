@@ -19,6 +19,9 @@ from interfere.monotone import conservative_variance, variance_estimate
 
 from conftest import random_design
 
+# An overflow or a division by zero in the library fails the test instead of warning.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def reference_pairs(nbhd):
     owners = {}
