@@ -7,14 +7,18 @@ Run from anywhere; the package is imported from this checkout's ``src/``:
 
 For each layout (``uniform_square`` and ``two_cluster`` from
 ``synthetic_layout``) and each n, one threshold design (d_min=3, d=6,
-rho=0.5, alpha=0.05) is analysed in four timed stages, and two more up to
-n = ``MC_MAX_N``:
+rho=0.5, alpha=0.05) is analysed in four timed stages, its input files are
+read in two more, and two more run up to n = ``MC_MAX_N``:
 
 - ``knn``: ``build_knn_neighborhoods``;
 - ``profile``: ``exact_profile``;
 - ``bound``: ``evaluate_exposure`` and ``upper_confidence_bound``;
 - ``eigen``: ``largest_centered_eigenvalue`` of the exact profile, the
   lambda_1 bound of the exposure-split contrast;
+- ``load``: ``io.load_units`` of the population written once as a unit CSV
+  (``id``, ``x``, ``y``, ``treatment``, ``outcome``);
+- ``load_neighborhoods``: ``io.load_neighborhoods`` of the k-NN sets written
+  once as a JSON list of index lists;
 - ``mc_profile``: ``monte_carlo_profile`` with ``MC_SAMPLES`` draws and seed
   ``MC_SEED``. It holds all n(n-1)/2 pairs, so its memory is O(n^2);
 - ``mc_bound``: ``evaluate_exposure`` and ``upper_confidence_bound`` on that
@@ -41,6 +45,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -101,6 +106,14 @@ def measure(itf, layout: str, n: int) -> dict:
     (exposure, report), scored = _stage(bound, nbhd, profile)
     lam, eigen = _stage(itf.largest_centered_eigenvalue, profile)
     stages = {"knn": knn, "profile": exact, "bound": scored, "eigen": eigen}
+    with tempfile.TemporaryDirectory() as scratch:
+        units, sets = Path(scratch) / "units.csv", Path(scratch) / "neighborhoods.json"
+        with units.open("w", newline="") as handle:
+            rows = zip(pop.ids, *coords.T.tolist(), treatment.tolist(), outcome.tolist())
+            itf.io.write_csv(handle, ["id", "x", "y", "treatment", "outcome"], rows)
+        sets.write_text(json.dumps(nbhd.members.tolist()))
+        stages["load"] = _stage(itf.io.load_units, units, RHO)[1]
+        stages["load_neighborhoods"] = _stage(itf.io.load_neighborhoods, sets)[1]
     if n <= MC_MAX_N:
         mc, stages["mc_profile"] = _stage(itf.monte_carlo_profile, nbhd, mapping, RHO, MC_SAMPLES, MC_SEED)
         stages["mc_bound"] = _stage(bound, nbhd, mc)[1]
@@ -124,6 +137,7 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(ROOT / "src"))
     import interfere as itf
+    import interfere.io  # noqa: F401  (the readers of the load stages, as itf.io)
 
     history = json.loads(args.out.read_text()) if args.out.exists() else {"records": []}
     rows = []

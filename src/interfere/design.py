@@ -20,6 +20,7 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -130,14 +131,16 @@ def _sorted_rows(rows, first: int = 0) -> np.ndarray:
     messages number the rows from ``first``: every index is an integer, and
     no row repeats one.
 
-    Indices that are not an integer array are checked one by one as given,
-    before a cast could truncate a float, parse a string or read a boolean
-    among integers as 0 or 1.
+    Integer indices with no boolean among them (numpy types a boolean among
+    integers as an integer) are sorted as one array. Any others are checked
+    one by one as given, before a cast could truncate a float or parse a string.
     """
     members = read_array(rows, "neighborhood members")
     if members.ndim != 2:
         raise ValidationError("neighborhood members must form an (n, k) index array")
-    if not (isinstance(rows, np.ndarray) and members.dtype.kind in "iu"):
+    if members.dtype.kind not in "iu" or (
+        not isinstance(rows, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(rows)))
+    ):
         members = np.array(
             [[check_integer(j, f"neighborhood {first + i} index") for j in row] for i, row in enumerate(rows)],
             dtype=object,
@@ -186,7 +189,7 @@ class NeighborhoodSet:
 
     @classmethod
     def from_sets(cls, sets: Sequence[Iterable[int]]) -> "NeighborhoodSet":
-        """The neighborhoods given as one index set per unit, all of one size.
+        """The neighborhoods given as one index set per unit, all of one size; the constructor reads the indices.
 
         Sets of unequal size cannot form the constructor's array, so their
         rule is checked here. When the sizes differ, a set that breaks a

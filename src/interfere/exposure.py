@@ -303,8 +303,7 @@ def _threshold_designs(coords, configs, rho) -> list:
 
 
 def _mc_shard_counts(nbhd, mapping, rho, seed, shard, shard_n):
-    """Joint exposure counts of at most 2^16 draws, widened to float64 for
-    the sum over shards.
+    """Joint exposure counts of at most 2^16 draws, as (n, n) float32.
 
     The draws are made in row chunks of about ``_MC_DRAW`` uniforms; the
     chunks continue one Philox stream, so the counts equal those of the whole
@@ -329,7 +328,7 @@ def _mc_shard_counts(nbhd, mapping, rho, seed, shard, shard_n):
         batch[:, filled:filled + size] = _exposed_by_unit(xt, nbhd, mapping)
         filled += size
     counts += batch[:, :filled] @ batch[:, :filled].T
-    return counts.astype(np.float64)
+    return counts
 
 
 def monte_carlo_profile(
@@ -348,10 +347,11 @@ def monte_carlo_profile(
     num_samples = check_count(num_samples, "num_samples")
     seed = check_seed(seed, philox=True)
     # The counts of every pair i < j and of the diagonal, gathered from each
-    # shard's (n, n) counts; they are integers below 2^53, so their sums are exact.
+    # shard's float32 (n, n) counts into float64; they are integers below 2^53,
+    # so their sums are exact.
     counts = _mc_shard_counts(nbhd, mapping, rho, seed, 0, min(_MC_SHARD, num_samples))
     rows, cols = np.triu_indices(nbhd.n, 1)
-    diag, values = np.diagonal(counts).copy(), counts[rows, cols]
+    diag, values = np.diagonal(counts).astype(np.float64), counts[rows, cols].astype(np.float64)
     del counts  # each shard's (n, n) counts go before the next shard is drawn
     for shard, start in enumerate(range(_MC_SHARD, num_samples, _MC_SHARD), 1):
         counts = _mc_shard_counts(nbhd, mapping, rho, seed, shard, min(_MC_SHARD, num_samples - start))

@@ -6,16 +6,17 @@ and optionally ``enrollment``. Run configurations are JSON documents read
 strictly: unknown keys are rejected so typos fail loudly instead of being
 ignored.
 
-This module only turns text into typed values, through a few field readers
-that name the CSV row and column or the JSON key path of a bad field. A JSON
-integer is read by ``errors.check_integer`` (an integer or an integral
-float) and a JSON number by ``errors.read_number`` (a finite integer or
-float), the readers of the library's own arguments, so a config file and a
-library call accept the same values; strings, booleans and null are
-neither. Value rules
-(ranges, cross-field checks, uniqueness) belong to the types built from the
-values: ``Population``, ``RunConfig``, ``NeighborhoodSet``, and the
-simulation's ``synthetic_layout`` and ``Scenario``. A default belongs to the
+This module only turns text into typed values, each read once, and names
+the CSV row and column or the JSON key path of a bad field. A CSV file is
+read in one pass into columns, and a numeric column is parsed at once, as
+``float()`` parses a cell. A JSON integer is read by ``errors.check_integer``
+(an integer or an integral float) and a JSON number by ``errors.read_number``
+(a finite integer or float), the readers of the library's own arguments, so a
+config file and a library call accept the same values; strings, booleans and
+null are neither. Value rules (ranges, cross-field checks, uniqueness) belong
+to the types built from the values: ``Population``, ``RunConfig``,
+``NeighborhoodSet`` (the indices of a neighborhood file are its to read), and
+the simulation's ``synthetic_layout`` and ``Scenario``. A default belongs to the
 type that uses the value: ``SimConfig.params`` holds only the ``Scenario``
 arguments a file gives, and which keys a command reads is the command's
 rule (``cli``). The report helpers read their report through
@@ -30,6 +31,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from io import StringIO
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
@@ -105,26 +107,31 @@ def _load_json(path):
         raise ValidationError(f"{path}: not a valid JSON file: {exc}") from None
 
 
-def _read_csv(path: Path, required: tuple) -> tuple:
-    """Stripped header names and the records of a CSV file with the ``required`` columns."""
+def _read_csv(path: Path, required: tuple) -> dict:
+    """The columns of a CSV file with the ``required`` columns, by stripped header name, read in one pass
+    as ``csv.DictReader`` reads records: blank ones skipped, a short one's missing cells None, extra
+    cells ignored, and of a repeated name the last column kept."""
     try:
         with path.open(newline="") as handle:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
                 raise ValidationError(f"{path}: empty file")
-            reader.fieldnames = fields = [name.strip() for name in reader.fieldnames]
-            records = list(reader)
+            records = [record for record in reader if record]
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: not a readable CSV file: {exc}") from None
+    # The header pads every column to its width; its own cell is dropped.
+    columns = {name.strip(): column[1:] for name, column in zip(header, zip_longest(header, *records))}
     for name in required:
-        if name not in fields:
+        if name not in columns:
             raise ValidationError(f"{path}: missing required column {name!r}")
-    return fields, records
+    return columns
 
 
-def _cell(record: dict, column: str, row: int, integer: bool = False) -> float:
-    """A numeric CSV cell; with ``integer`` it must also be integral (so finite)."""
-    raw = record[column]
+def _cell(raw, column: str, row: int, integer: bool = False) -> float:
+    """A numeric CSV cell (a treatment is 0 or 1); with ``integer`` it must also be integral (so finite)."""
+    if column == "treatment" and (raw or "").strip() not in ("0", "1"):
+        raise ValidationError(f"row {row}: column 'treatment' must be 0 or 1, got {(raw or '').strip()!r}")
     try:
         value = float(raw)
     except (TypeError, ValueError):
@@ -158,31 +165,26 @@ def _coordinate_columns(fieldnames) -> list:
 def load_units(path, rho: float) -> Population:
     """Read a unit table; row order becomes unit index order.
 
-    A unit that breaks one of ``Population``'s rules is reported by its row.
+    A bad cell, or a unit that breaks one of ``Population``'s rules, is reported by its row.
     """
     path = Path(path)
-    fields, records = _read_csv(path, ("id", "treatment", "outcome"))
-    coord_cols = _coordinate_columns(fields)
-    has_enrollment = "enrollment" in fields
-    ids, coords, treatment, outcome, enrollment = [], [], [], [], []
-    for row, record in enumerate(records, start=2):
-        ids.append(record["id"])
-        coords.append([_cell(record, c, row) for c in coord_cols])
-        raw_treatment = (record["treatment"] or "").strip()
-        if raw_treatment not in ("0", "1"):
-            raise ValidationError(f"row {row}: column 'treatment' must be 0 or 1, got {raw_treatment!r}")
-        treatment.append(int(raw_treatment))
-        outcome.append(_cell(record, "outcome", row))
-        if has_enrollment:
-            enrollment.append(_cell(record, "enrollment", row))
+    columns = _read_csv(path, ("id", "treatment", "outcome"))
+    coord_cols = _coordinate_columns(columns)
+    has_enrollment = "enrollment" in columns
+    names = [*coord_cols, "treatment", "outcome"] + ["enrollment"] * has_enrollment
+    cells = [columns[name] for name in names]
+    try:  # numpy would read None (a short record's cell) as NaN, and a treatment such as "1.0" as a number
+        if any(None in column for column in cells) or not {"0", "1"}.issuperset(columns["treatment"]):
+            raise ValueError
+        values = np.array(cells, dtype=float)
+    except ValueError:  # read again cell by cell, row by row, to name the first bad cell
+        rows = enumerate(zip(*cells), start=2)
+        values = np.array([[_cell(raw, name, row) for name, raw in zip(names, record)] for row, record in rows]).T
+    dim = len(coord_cols)
     try:
         return Population(
-            ids=tuple(ids),
-            coords=np.array(coords, dtype=float),
-            treatment=np.array(treatment),
-            outcome=np.array(outcome, dtype=float),
-            rho=rho,
-            enrollment=np.array(enrollment, dtype=float) if has_enrollment else None,
+            ids=columns["id"], coords=np.ascontiguousarray(values[:dim].T), treatment=values[dim],
+            outcome=values[dim + 1], rho=rho, enrollment=values[dim + 2] if has_enrollment else None,
         )
     except ValidationError as exc:
         if exc.unit is None:
@@ -191,16 +193,14 @@ def load_units(path, rho: float) -> Population:
 
 
 def load_neighborhoods(path) -> NeighborhoodSet:
-    """Explicit adjacency-list loader: a JSON list of per-unit index lists."""
+    """Explicit adjacency-list loader: a JSON list of per-unit index lists, whose indices ``NeighborhoodSet`` reads."""
     data = _load_json(path)
     if not isinstance(data, list):
         raise _mismatch((path,), "a list of index lists", data)
-    sets = []
     for i, members in enumerate(data):
         if not isinstance(members, list):
             raise _mismatch((path, i), "a list of unit indices", members)
-        sets.append([_int(j, path, i, t) for t, j in enumerate(members)])
-    return NeighborhoodSet.from_sets(sets)
+    return NeighborhoodSet.from_sets(data)
 
 
 def load_count_table(path) -> dict:
@@ -209,15 +209,15 @@ def load_count_table(path) -> dict:
     ``arm`` must be exactly 'control' and 'treated', one row each.
     """
     path = Path(path)
-    _, records = _read_csv(path, ("arm", "total", "positive"))
+    columns = _read_csv(path, ("arm", "total", "positive"))
     rows = {}
-    for row, record in enumerate(records, start=2):
-        arm = (record["arm"] or "").strip()
+    for row, (arm, *counts) in enumerate(zip(columns["arm"], columns["total"], columns["positive"]), start=2):
+        arm = (arm or "").strip()
         if arm not in ("control", "treated"):
             raise ValidationError(f"row {row}: arm must be 'control' or 'treated', got {arm!r}")
         if arm in rows:
             raise ValidationError(f"row {row}: duplicate arm {arm!r}")
-        rows[arm] = tuple(int(_cell(record, c, row, integer=True)) for c in ("total", "positive"))
+        rows[arm] = tuple(int(_cell(raw, c, row, integer=True)) for c, raw in zip(("total", "positive"), counts))
     if set(rows) != {"control", "treated"}:
         raise ValidationError(f"{path}: count table needs exactly one control and one treated row")
     return {

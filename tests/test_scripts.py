@@ -28,15 +28,18 @@ def test_script_runs(script, flags, first_line):
 def test_scale_bench_records_every_stage(tmp_path):
     # The bench appends one record; at n=300 it times the Monte Carlo profile and
     # the bound on it too, and the eigenvalue takes the Collatz-Wielandt branch.
+    # Every row also times the readers of a unit table and a neighborhood file.
     out = tmp_path / "scale.json"
     _run(ROOT / "benches" / "scale.py", "--sizes", "300", "--out", str(out))
     (record,) = json.loads(out.read_text())["records"]
     assert record["monte_carlo"] == {"samples": 8192, "seed": 11, "max_n": 3000}
     assert [(row["layout"], row["n"]) for row in record["rows"]] == [("uniform_square", 300), ("two_cluster", 300)]
     for row in record["rows"]:
-        assert sorted(row["stages"]) == ["bound", "eigen", "knn", "mc_bound", "mc_profile", "profile"]
+        assert sorted(row["stages"]) == [
+            "bound", "eigen", "knn", "load", "load_neighborhoods", "mc_bound", "mc_profile", "profile"
+        ]
         assert row["lambda_1"]["certificate"] == "collatz_wielandt" and row["lambda_1"]["value"] > 0
-        for stage in ("mc_profile", "mc_bound"):
+        for stage in ("mc_profile", "mc_bound", "load", "load_neighborhoods"):
             assert row["stages"][stage]["seconds"] > 0 and row["stages"][stage]["peak_mb"] > 0
 
 
