@@ -106,15 +106,20 @@ class Population:
                 enrollment,
             )
             object.__setattr__(self, "enrollment", _frozen_array(enrollment, float))
-        seen = set()
-        for i, unit_id in enumerate(ids):
-            try:
-                repeated = unit_id in seen
-            except TypeError:
-                raise ValidationError(f"unit {i}: ids must be hashable, got {unit_id!r}", unit=i) from None
-            if repeated:
-                raise ValidationError(f"unit {unit_id!r}: unit ids must be unique", unit=i)
-            seen.add(unit_id)
+        try:  # one set pass; the loop names the first unhashable or repeated id
+            unique = len(set(ids)) == n
+        except TypeError:
+            unique = False
+        if not unique:
+            seen = set()
+            for i, unit_id in enumerate(ids):
+                try:
+                    repeated = unit_id in seen
+                except TypeError:
+                    raise ValidationError(f"unit {i}: ids must be hashable, got {unit_id!r}", unit=i) from None
+                if repeated:
+                    raise ValidationError(f"unit {unit_id!r}: unit ids must be unique", unit=i)
+                seen.add(unit_id)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "coords", _frozen_array(coords, float))
         object.__setattr__(self, "treatment", _frozen_array(treatment, np.int8))

@@ -14,14 +14,17 @@ the eigenvalue of an all-pairs (Monte Carlo) profile.
 
 The exact pairwise computation partitions the union of two neighborhoods into
 the two private parts and the shared part and convolves binomial counts over
-the three regions, so cost per pair is O(k^2) rather than O(2^|union|). A
+the three regions, so cost per pair is O(k^2) rather than O(2^|union|).
+The binomial coefficients must fit a float, so exact threshold
+probabilities take sets of at most 1 029 units (``_binom_tables``). A
 full-enumeration oracle (n <= 20) is provided for testing and diagnostics.
 
 A Monte Carlo profile counts co-exposure over all pairs, one shard of at
 most 2^16 draws at a time. A shard's draws come in row chunks of one Philox
 stream; each chunk is evaluated unit by unit (unit-major, ``(n, chunk)``)
 and fills the next columns of an (n, batch) float32 buffer, whose product
-``b @ b.T`` is added to the shard's counts. Every product and running sum is
+``b @ b.T`` is added to the shard's counts when the next chunk would not
+fit or the shard is done. Every product and running sum is
 an integer count of at most 2^16, below 2^24, so the float32 sums are exact
 in any order and the counts do not depend on the chunk or batch sizes. The
 profile gathers the diagonal and the pairs i < j of the first shard's (n, n)
@@ -54,6 +57,7 @@ from .design import (
 from .errors import ValidationError, check_count, check_instance, check_integer, check_seed, read_array
 from .errors import read_number
 
+_MAX_EXACT_SIZE = 1029  # of exact threshold probabilities: math.comb(1030, 515) exceeds a float
 _MC_SHARD = 1 << 16
 # Uniforms drawn and evaluated at once within a Monte Carlo shard (8 MiB of float64).
 _MC_DRAW = 1 << 20
@@ -112,25 +116,20 @@ class ExposureProfile:
         return joint
 
 
-def _binom_pmf_table(k: int, rho: float) -> list:
-    """pmf[n][m] = P(Binomial(n, rho) = m) for all n in 0..k."""
-    tables = []
+def _binom_tables(k: int, rho: float) -> tuple:
+    """(pmf, sf) for all n in 0..k: pmf[n][m] = P(Binomial(n, rho) = m) and
+    sf[n][t] = P(Binomial(n, rho) >= t) for t in 0..n+1. Each term takes
+    math.comb(n, m) as a float, so a k above ``_MAX_EXACT_SIZE`` is an error."""
+    if k > _MAX_EXACT_SIZE:
+        raise ValidationError(f"exact threshold probabilities need sets of at most {_MAX_EXACT_SIZE} units, got {k}")
+    pmf, sf = [], []
     for n in range(k + 1):
-        row = np.array(
-            [math.comb(n, m) * rho**m * (1.0 - rho) ** (n - m) for m in range(n + 1)]
-        )
-        tables.append(row)
-    return tables
-
-
-def _binom_sf_table(pmf: list) -> list:
-    """sf[n][t] = P(Binomial(n, rho) >= t) for t in 0..n+1."""
-    tables = []
-    for row in pmf:
-        sf = np.zeros(len(row) + 1)
-        sf[:-1] = row[::-1].cumsum()[::-1]
-        tables.append(sf)
-    return tables
+        row = np.array([math.comb(n, m) * rho**m * (1.0 - rho) ** (n - m) for m in range(n + 1)])
+        tail = np.zeros(n + 2)
+        tail[:-1] = row[::-1].cumsum()[::-1]
+        pmf.append(row)
+        sf.append(tail)
+    return pmf, sf
 
 
 def _sf(sf_tables: list, n: int, t: int) -> float:
@@ -151,8 +150,7 @@ def _marginal(k: int, mapping: ExposureMapping, rho: float) -> float:
     """P(Z_i = 1) under ``mapping`` on sets of size k, for a checked ``rho``."""
     if mapping.kind == "product":
         return rho**k
-    pmf = _binom_pmf_table(k, rho)
-    sf = _binom_sf_table(pmf)
+    _, sf = _binom_tables(k, rho)
     return rho * _sf(sf, k - 1, mapping.d_min - 1)
 
 
@@ -269,8 +267,7 @@ def exact_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -
         j_in_i = (nbhd.members[rows] == cols[:, None]).any(axis=1)
         i_in_j = (nbhd.members[cols] == rows[:, None]).any(axis=1)
         keys, where = np.unique(4 * shared + 2 * j_in_i + i_in_j, return_inverse=True)
-        pmf = _binom_pmf_table(k, rho)
-        sf = _binom_sf_table(pmf)
+        pmf, sf = _binom_tables(k, rho)
         table = np.array([_threshold_joint(k, int(key), mapping.d_min, rho, pmf, sf) for key in keys])
     values = table[where.ravel()]
     return _finalize(p, np.full(n, p), rows, cols, values, _degree(rows, cols, n), "exact")
@@ -309,8 +306,9 @@ def _mc_shard_counts(nbhd, mapping, rho, seed, shard, shard_n):
     chunks continue one Philox stream, so the counts equal those of the whole
     shard at once. Each chunk is evaluated unit by unit and its (n, chunk)
     exposures go into the columns of an (n, batch) float32 buffer of about
-    ``_MC_BATCH`` entries; ``b @ b.T`` of the filled columns is added to the
-    counts when the next chunk would not fit, and once at the end. Every
+    ``_MC_BATCH`` entries. After each chunk, ``b @ b.T`` of the filled
+    columns is added to the counts, at one site, when the next chunk (of
+    ``min(step, rows left)`` rows) would not fit or the shard is done. Every
     product and running sum is a count of at most 2^16 draws, an integer
     below 2^24, so the float32 sums are exact in any order."""
     rng = np.random.Generator(np.random.Philox(key=[seed, shard]))
@@ -321,13 +319,13 @@ def _mc_shard_counts(nbhd, mapping, rho, seed, shard, shard_n):
     filled = 0
     for lo in range(0, shard_n, step):  # Philox fills rows in stream order
         size = min(step, shard_n - lo)
-        if filled + size > batch.shape[1]:
-            counts += batch[:, :filled] @ batch[:, :filled].T
-            filled = 0
         xt = np.ascontiguousarray((rng.random((size, n)) < rho).T)
         batch[:, filled:filled + size] = _exposed_by_unit(xt, nbhd, mapping)
         filled += size
-    counts += batch[:, :filled] @ batch[:, :filled].T
+        ahead = min(step, shard_n - lo - size)  # the next chunk's size, 0 at the end
+        if not ahead or filled + ahead > batch.shape[1]:
+            counts += batch[:, :filled] @ batch[:, :filled].T
+            filled = 0
     return counts
 
 

@@ -4,7 +4,8 @@ A unit table is a CSV file with header columns ``id``, coordinates
 (``x``/``y``, or ``x1..xk``, or a single ``x``), ``treatment``, ``outcome``,
 and optionally ``enrollment``. Run configurations are JSON documents read
 strictly: unknown keys are rejected so typos fail loudly instead of being
-ignored.
+ignored, and a JSON key or a CSV column name given twice is an error, not
+the last value kept.
 
 This module only turns text into typed values, each read once, and names
 the CSV row and column or the JSON key path of a bad field. A CSV file is
@@ -100,17 +101,29 @@ def _pairs(value, *where) -> tuple:
 
 
 def _load_json(path):
+    """The JSON document in ``path``; a key given twice in one object is an error, not the last value kept."""
+
+    def unique(pairs):
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ValidationError(f"{path}: key {key!r} is given twice in one object")
+            data[key] = value
+        return data
+
     try:
         with Path(path).open() as handle:
-            return json.load(handle)
+            return json.load(handle, object_pairs_hook=unique)
+    except ValidationError:
+        raise
     except ValueError as exc:  # malformed JSON or undecodable bytes
         raise ValidationError(f"{path}: not a valid JSON file: {exc}") from None
 
 
 def _read_csv(path: Path, required: tuple) -> dict:
     """The columns of a CSV file with the ``required`` columns, by stripped header name, read in one pass
-    as ``csv.DictReader`` reads records: blank ones skipped, a short one's missing cells None, extra
-    cells ignored, and of a repeated name the last column kept."""
+    as ``csv.DictReader`` reads records: blank ones skipped, a short one's missing cells None, and extra
+    cells ignored. A name given twice is an error."""
     try:
         with path.open(newline="") as handle:
             reader = csv.reader(handle)
@@ -120,8 +133,11 @@ def _read_csv(path: Path, required: tuple) -> dict:
             records = [record for record in reader if record]
     except (csv.Error, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: not a readable CSV file: {exc}") from None
-    # The header pads every column to its width; its own cell is dropped.
-    columns = {name.strip(): column[1:] for name, column in zip(header, zip_longest(header, *records))}
+    columns = {}
+    for name, column in zip(header, zip_longest(header, *records)):  # the header pads every column to its width
+        if name.strip() in columns:
+            raise ValidationError(f"{path}: column {name.strip()!r} is given twice in the header")
+        columns[name.strip()] = column[1:]  # the header's own cell dropped
     for name in required:
         if name not in columns:
             raise ValidationError(f"{path}: missing required column {name!r}")

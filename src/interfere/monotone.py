@@ -123,27 +123,30 @@ def _weights(profile: ExposureProfile, exposed, u, t, floor, off_pattern) -> tup
     ``off_pattern``, and int64 units first[e] <= second[e].
 
     Entries come in blocks: the diagonal, then ``_PAIR_BLOCK`` pattern pairs
-    at a time, sliced from the profile. Each block computes its weights
-    elementwise, h(g + excess) / J, and keeps the nonzero ones, so the kept
-    entries and their order do not depend on the block size, and the extra
-    memory is the kept weights and indices plus one block. A pair exposed
-    together in a row of ``exposed`` with joint probability 0 raises.
+    at a time, sliced from the profile, each with its excess shift and entry
+    count (p (1-p) and 1 on the diagonal, 0 and 2 for a pair and its mirror).
+    Every block computes its weights by one formula, count h(g + J - shift -
+    p^2) / J, and keeps the nonzero ones, so the kept entries and their order
+    do not depend on the block size, and the extra memory is the kept weights
+    and indices plus one block. A pair exposed together in a row of
+    ``exposed`` with joint probability 0 raises.
     """
     p = profile.p
     pp = p * p
     diagonal = np.arange(profile.n)
-    blocks = [(diagonal, diagonal, profile.diag)]
+    blocks = [(diagonal, diagonal, profile.diag, p * (1.0 - p), 1.0)]
     for lo in range(0, profile.rows.size, _PAIR_BLOCK):
         at = slice(lo, lo + _PAIR_BLOCK)
-        blocks.append((profile.rows[at], profile.cols[at], profile.values[at]))
+        blocks.append((profile.rows[at], profile.cols[at], profile.values[at], 0.0, 2.0))
     weights, firsts, seconds = [], [], []
-    for block, (first, second, joint) in enumerate(blocks):
+    for first, second, joint, shift, entries in blocks:
         zero = joint <= 0.0
         if (exposed[:, first[zero]] & exposed[:, second[zero]]).any():
             raise ZeroJointProbabilityError(_ZERO_JOINT)
         g = t - u[first]
         g -= u[second]
-        w = joint - pp if block else (joint - p * (1.0 - p)) - pp  # the excess
+        w = joint - shift
+        w -= pp  # the excess, in place: no second block-sized temporary
         with np.errstate(divide="ignore", invalid="ignore"):  # zero joints, dropped below
             w += g
             np.maximum(w, floor, out=w)
@@ -151,8 +154,7 @@ def _weights(profile: ExposureProfile, exposed, u, t, floor, off_pattern) -> tup
             w = np.stack((w, np.maximum(g, floor) / pp)) if off_pattern else w[None]
         keep = np.flatnonzero(~zero & w.any(axis=0))
         w = np.take(w, keep, axis=1)
-        if block:
-            w *= 2.0  # a pattern pair stands for its two entries
+        w *= entries
         weights.append(w)
         firsts.append(np.take(first, keep))
         seconds.append(np.take(second, keep))
@@ -190,9 +192,13 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
     ``_PAIR_BLOCK`` pairs (``_weights``), and only the nonzero ones are kept,
     so the extra memory is those weights and their two int64 indices, plus
     one block of pairs while they are built and one block of rows (their
-    products v_i v_j) while they are summed. Every sum runs along a row,
-    over index sets that depend on the profile alone, so a row's results do
-    not depend on the other rows of the call, nor on the block sizes.
+    products v_i v_j) while they are summed. Every profile sums its pair
+    term one way: with off-pattern pairs, the products' sum against w[1]
+    (the diagonal and pattern entries of the rank-one sum) is taken first;
+    then the products are weighted in place by w[0] and summed. Every sum
+    runs along a row, over index sets that depend on the profile alone, so
+    a row's results do not depend on the other rows of the call, nor on the
+    block sizes.
     A variance that overflows (outcomes near the square root of the largest
     float) is a ValidationError, not a NaN or an infinity.
     """
@@ -239,8 +245,11 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
                 leading = npq * ((((y - estimate[at, None]) * z) ** 2).sum(axis=1) / per[at])
                 both = np.take(v, first, axis=1)
                 both *= np.take(v, second, axis=1)
+                if off_pattern:  # the rank-one sum's own diagonal and pattern entries
+                    correction = (both * w[1]).sum(axis=1)
+                both *= w[0]
+                pair = both.sum(axis=1)
                 if off_pattern:
-                    pair = (both * w[0]).sum(axis=1)
                     if clip:
                         ahead = np.take(v, order, axis=1)
                         prefix = np.take(np.cumsum(ahead, axis=1), last, axis=1)
@@ -250,11 +259,8 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
                     else:
                         total = v.sum(axis=1)
                         rank = t * total * total - 2.0 * total * (v * u).sum(axis=1)
-                    off = rank / pp - (both * w[1]).sum(axis=1)
+                    off = rank / pp - correction
                     pair += np.maximum(off, 0.0) if clip else off
-                else:
-                    both *= w[0]
-                    pair = both.sum(axis=1)
                 variance[at] = leading + pair
         finite = bool(np.isfinite(variance).all())
     except FloatingPointError:

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,24 @@ class TestExactMarginal:
     def test_threshold_1_1_is_rho(self):
         nbhd = itf.build_knn_neighborhoods(np.arange(4.0)[:, None], 1)
         assert itf.exact_marginal(nbhd, itf.ExposureMapping.threshold(1), 0.5) == pytest.approx(0.5)
+
+    def test_sets_above_1029_units_are_an_error(self):
+        # math.comb(1030, 515) exceeds the float range; the threshold tables
+        # reject such sets before any pair is listed.
+        nbhd = itf.build_knn_neighborhoods(np.arange(1031.0)[:, None], 1030)
+        mapping = itf.ExposureMapping.threshold(2)
+        message = "exact threshold probabilities need sets of at most 1029 units, got 1030"
+        for call in (itf.exact_marginal, itf.exact_profile):
+            with pytest.raises(ValidationError) as caught:
+                call(nbhd, mapping, 0.5)
+            assert str(caught.value) == message
+
+    def test_size_limit_is_where_the_coefficients_overflow(self):
+        # The central coefficient is the largest of its row, and the rows grow with n.
+        assert exposure._MAX_EXACT_SIZE == 1029
+        assert math.isfinite(float(math.comb(1029, 514)))
+        with pytest.raises(OverflowError):
+            float(math.comb(1030, 515))
 
 
 class TestEnumeratedOracle:
@@ -194,8 +214,8 @@ class TestMonteCarloProfile:
     @pytest.mark.parametrize("mapping", MAPPINGS, ids=["product", "threshold"])
     def test_batched_counts_equal_one_product(self, monkeypatch, mapping):
         # 250 draws of 53 units in chunks of 40 rows; a batch holds three
-        # chunks (130 columns), so the counts flush after draws 120 and 240
-        # and once more for the ragged last chunk of 10.
+        # chunks (130 columns), so the counts flush after draws 120 and, with
+        # the ragged last chunk of 10 beside the next 120, after draw 250.
         nbhd = itf.build_knn_neighborhoods(itf.synthetic_layout("uniform_square", 53, seed=4), 3)
         rng = np.random.Generator(np.random.Philox(key=[6, 3]))
         z = itf.evaluate_exposure_many(rng.random((250, 53)) < 0.7, nbhd, mapping).astype(np.int64)
@@ -204,6 +224,20 @@ class TestMonteCarloProfile:
         counts = _mc_shard_counts(nbhd, mapping, 0.7, 6, 3, 250)
         assert counts.dtype == np.float32
         assert np.array_equal(counts, z.T @ z)
+
+    @pytest.mark.parametrize("shard_n", [121, 125, 130, 131, 170])
+    def test_ragged_last_chunk_beside_a_nearly_full_batch(self, monkeypatch, shard_n):
+        # Chunks of 40 rows into a batch of 130 columns: after three chunks
+        # (120 columns) a full chunk would not fit, but a last chunk of at
+        # most 10 rows does (121, 125, 130); one of 11 does not (131), and at
+        # 170 the last 10 rows follow a flushed batch.
+        mapping = itf.ExposureMapping.threshold(2)
+        nbhd = itf.build_knn_neighborhoods(itf.synthetic_layout("uniform_square", 53, seed=4), 3)
+        rng = np.random.Generator(np.random.Philox(key=[6, 3]))
+        z = itf.evaluate_exposure_many(rng.random((shard_n, 53)) < 0.7, nbhd, mapping).astype(np.int64)
+        monkeypatch.setattr(exposure, "_MC_DRAW", 40 * 53)
+        monkeypatch.setattr(exposure, "_MC_BATCH", 130 * 53)
+        assert np.array_equal(_mc_shard_counts(nbhd, mapping, 0.7, 6, 3, shard_n), z.T @ z)
 
     @pytest.mark.parametrize("mapping", MAPPINGS, ids=["product", "threshold"])
     def test_two_shard_profile_equals_the_sum_of_shard_products(self, monkeypatch, mapping):

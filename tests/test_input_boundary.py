@@ -796,6 +796,18 @@ REJECTIONS = {
         lambda t: pkgio.load_units(_file(t, UNITS_HEADER + "x" * 200_000), 0.5),
         ValidationError, "{t}/input.csv: not a readable CSV file: field larger than field limit (131072)",
     ),
+    "ids repeated": (
+        lambda t: _population(ids=("a", "b", "c", "b", "e", "f")),
+        ValidationError, "unit 'b': unit ids must be unique",
+    ),
+    "ids repeated before an unhashable one": (
+        lambda t: _population(ids=("a", "b", "a", [0], "e", "f")),
+        ValidationError, "unit 'a': unit ids must be unique",
+    ),
+    "unhashable id before a repeated one": (
+        lambda t: _population(ids=("a", {}, "a", "d", "e", "f")),
+        ValidationError, "unit 1: ids must be hashable, got {{}}",
+    ),
     "unit table of one row": (
         lambda t: pkgio.load_units(_file(t, UNITS_HEADER + "a,0,1,1\n"), 0.5),
         ValidationError, "a population needs at least 2 units, got 1",
@@ -1034,9 +1046,13 @@ FILE_FAULTS = {
         lambda t: _units_file(t, 3, "\n\nc,2.0,0.0,0,-3,3"),
         "row 4: unit 'c': outcome must be finite and nonnegative, got -3.0",
     ),
-    "units repeated header": (  # the last column of a name is read, and it is empty
+    "units repeated header": (
         lambda t: _units_file(t, 0, "id,x,y,treatment,outcome,enrollment,x"),
-        "row 2: column 'x' is not a number: None",
+        "{t}/units.csv: column 'x' is given twice in the header",
+    ),
+    "units repeated header after stripping": (
+        lambda t: _units_file(t, 0, "id,x,y,treatment,outcome, y ,enrollment"),
+        "{t}/units.csv: column 'y' is given twice in the header",
     ),
     "units padded number": (lambda t: _units_file(t, 2, "b, 1.0 ,0.1,1,\t7 ,8"), None),
     "units underscored number": (
@@ -1074,7 +1090,7 @@ FILE_FAULTS = {
     "counts extra cells": (lambda t: _counts_file(t, 1, "control,500,30,x"), None),
     "counts blank line": (lambda t: _counts_file(t, 1, "\ncontrol,500,30"), None),
     "counts repeated header": (
-        lambda t: _counts_file(t, 0, "arm,total,positive,total"), "row 2: column 'total' is not a number: None",
+        lambda t: _counts_file(t, 0, "arm,total,positive,total"), "{t}/counts.csv: column 'total' is given twice in the header",
     ),
     "counts padded arm": (lambda t: _counts_file(t, 1, " control ,500, 30"), None),
     "counts total not integral": (
@@ -1130,6 +1146,48 @@ FILE_FAULTS = {
         lambda t: _neighborhood_file(t, 1, "[1, 2, 2]"), "neighborhood 1 repeats index 2",
     ),
 }
+
+
+NAMES_GIVEN_TWICE = {  # (command, config file text, the key named)
+    "top level": (
+        "estimate",
+        '{"rho": 0.5, "mapping": {"kind": "threshold", "d_min": 2}, "neighborhood": {"d": 4}, "rho": 0.9}',
+        "rho",
+    ),
+    "nested": (
+        "estimate",
+        '{"rho": 0.5, "mapping": {"kind": "threshold", "d_min": 2, "d_min": 3}, "neighborhood": {"d": 4}}',
+        "d_min",
+    ),
+    "nested and top level": (  # an inner object is read first
+        "estimate",
+        '{"rho": 0.5, "mapping": {"kind": "threshold", "d_min": 2, "d_min": 3}, "neighborhood": {"d": 4}, "rho": 0.9}',
+        "d_min",
+    ),
+    "sim config": (
+        "simulate",
+        json.dumps(SIM_CONFIG)[:-1] + ', "scenario": "adversarial", "replicates": 5}',
+        "scenario",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAMES_GIVEN_TWICE))
+def test_a_config_key_given_twice_is_an_error(tmp_path, case):
+    command, text, key = NAMES_GIVEN_TWICE[case]
+    config = _file(tmp_path, text, "c.json")
+    data = ["--data", _file(tmp_path, UNITS_CSV)] if command == "estimate" else []
+    assert run([command, "--config", config, *data]) == (1, "", f"error: {config}: key {key!r} is given twice in one object\n")
+
+
+def test_sets_above_1029_units_end_in_one_error_line(tmp_path):
+    # 1 100 units on a line, exact threshold probabilities on k-NN sets of 1 050.
+    rows = "".join(f"u{i},{i}.0,{i % 2},{i % 7}\n" for i in range(1100))
+    data = _file(tmp_path, UNITS_HEADER + rows)
+    design = {"mapping": {"kind": "threshold", "d_min": 3}, "neighborhood": {"d": 1050}}
+    config = write_json(tmp_path / "c.json", {"rho": 0.5, **design})
+    message = "error: exact threshold probabilities need sets of at most 1029 units, got 1050\n"
+    assert run(["estimate", "--config", config, "--data", data]) == (1, "", message)
 
 
 @pytest.mark.parametrize("case", sorted(FILE_FAULTS))

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import interfere as itf
 from interfere.cli import main
-from interfere.exposure import _binom_pmf_table, _binom_sf_table, _mc_shard_counts, _overlapping_pairs, _sf
+from interfere.exposure import _binom_tables, _mc_shard_counts, _overlapping_pairs, _sf
 from interfere.monotone import conservative_variance, variance_estimate
 
 from conftest import random_design
@@ -54,8 +54,7 @@ def reference_joint(nbhd, mapping, rho):
     joint = np.full((n, n), p * p)
     np.fill_diagonal(joint, p)
     sets = nbhd.as_sets()
-    pmf = _binom_pmf_table(nbhd.k, rho)
-    sf = _binom_sf_table(pmf)
+    pmf, sf = _binom_tables(nbhd.k, rho)
     for i, j in reference_pairs(nbhd):
         if mapping.kind == "product":
             value = rho ** len(sets[i] | sets[j])
