@@ -40,7 +40,6 @@ their threshold designs, on one k-NN per distinct d.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -118,13 +117,18 @@ class ExposureProfile:
 
 def _binom_tables(k: int, rho: float) -> tuple:
     """(pmf, sf) for all n in 0..k: pmf[n][m] = P(Binomial(n, rho) = m) and
-    sf[n][t] = P(Binomial(n, rho) >= t) for t in 0..n+1. Each term takes
-    math.comb(n, m) as a float, so a k above ``_MAX_EXACT_SIZE`` is an error."""
+    sf[n][t] = P(Binomial(n, rho) >= t) for t in 0..n+1. Each term takes the
+    binomial coefficient as a float, so a k above ``_MAX_EXACT_SIZE`` is an
+    error. The coefficients of row n are exact integers, built from row n - 1
+    by Pascal's rule, so each is math.comb(n, m) for O(k^2) additions in all."""
     if k > _MAX_EXACT_SIZE:
         raise ValidationError(f"exact threshold probabilities need sets of at most {_MAX_EXACT_SIZE} units, got {k}")
     pmf, sf = [], []
+    coefficients = [1]
     for n in range(k + 1):
-        row = np.array([math.comb(n, m) * rho**m * (1.0 - rho) ** (n - m) for m in range(n + 1)])
+        if n:
+            coefficients = [1, *(a + b for a, b in zip(coefficients, coefficients[1:])), 1]
+        row = np.array([c * rho**m * (1.0 - rho) ** (n - m) for m, c in enumerate(coefficients)])
         tail = np.zeros(n + 2)
         tail[:-1] = row[::-1].cumsum()[::-1]
         pmf.append(row)
@@ -146,11 +150,14 @@ def exact_marginal(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) 
     return _marginal(nbhd.k, mapping, rho)
 
 
-def _marginal(k: int, mapping: ExposureMapping, rho: float) -> float:
-    """P(Z_i = 1) under ``mapping`` on sets of size k, for a checked ``rho``."""
+def _marginal(k: int, mapping: ExposureMapping, rho: float, sf: Optional[list] = None) -> float:
+    """P(Z_i = 1) under ``mapping`` on sets of size k, for a checked ``rho``;
+    a threshold mapping reads ``sf`` of ``_binom_tables(k, rho)``, built
+    here when not passed."""
     if mapping.kind == "product":
         return rho**k
-    _, sf = _binom_tables(k, rho)
+    if sf is None:
+        _, sf = _binom_tables(k, rho)
     return rho * _sf(sf, k - 1, mapping.d_min - 1)
 
 
@@ -257,7 +264,8 @@ def exact_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -
     """
     rho = _check_mapping(nbhd, mapping, rho)
     n, k = nbhd.members.shape
-    p = _marginal(k, mapping, rho)
+    pmf, sf = (None, None) if mapping.kind == "product" else _binom_tables(k, rho)
+    p = _marginal(k, mapping, rho, sf)
     pairs = _overlapping_pairs(nbhd)
     rows, cols, shared = pairs[:, 0].copy(), pairs[:, 1].copy(), pairs[:, 2]
     if mapping.kind == "product":
@@ -267,7 +275,6 @@ def exact_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -
         j_in_i = (nbhd.members[rows] == cols[:, None]).any(axis=1)
         i_in_j = (nbhd.members[cols] == rows[:, None]).any(axis=1)
         keys, where = np.unique(4 * shared + 2 * j_in_i + i_in_j, return_inverse=True)
-        pmf, sf = _binom_tables(k, rho)
         table = np.array([_threshold_joint(k, int(key), mapping.d_min, rho, pmf, sf) for key in keys])
     values = table[where.ravel()]
     return _finalize(p, np.full(n, p), rows, cols, values, _degree(rows, cols, n), "exact")

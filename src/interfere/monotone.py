@@ -22,7 +22,8 @@ is its one-row case, checked and shaped by ``_one_row``. Its variance
 (``_variances``) takes O(n log n + pairs) per row and builds no (n, n) or
 (|A|, |A|) array. Beyond the profile, its memory is the nonzero weights of
 the diagonal and pattern entries with their int64 indices, built one block
-of pairs at a time (``_weights``), plus one block of rows. The Bonferroni
+of pairs at a time and kept per block, never joined (``_weights``), plus
+one buffer of their products for a block of rows. The Bonferroni
 scan takes its designs from ``exposure._threshold_designs``, as the
 simulation harness does.
 """
@@ -117,28 +118,34 @@ def point_estimate(values, exposure: EffectiveTreatment) -> float:
     return estimate
 
 
-def _weights(profile: ExposureProfile, exposed, u, t, floor, off_pattern) -> tuple:
-    """The nonzero weights of ``_variances`` and their entries: (w, first,
-    second), w of shape (1, m), or (2, m) with the rank-one row when
-    ``off_pattern``, and int64 units first[e] <= second[e].
+def _weights(profile: ExposureProfile, exposed, u, t, floor, off_pattern) -> list:
+    """The nonzero weights of ``_variances`` and their entries, as a list of
+    blocks (first, second, w): int64 units first[e] <= second[e], and w of
+    shape (1, m), or (2, m) with the rank-one row when ``off_pattern``.
 
-    Entries come in blocks: the diagonal, then ``_PAIR_BLOCK`` pattern pairs
-    at a time, sliced from the profile, each with its excess shift and entry
-    count (p (1-p) and 1 on the diagonal, 0 and 2 for a pair and its mirror).
+    Entries come in blocks of at most ``_PAIR_BLOCK``, sliced from the
+    diagonal and then from the pattern pairs of the profile, each with its
+    excess shift and entry count (p (1-p) and 1 on the diagonal, 0 and 2 for
+    a pair and its mirror).
     Every block computes its weights by one formula, count h(g + J - shift -
     p^2) / J, and keeps the nonzero ones, so the kept entries and their order
-    do not depend on the block size, and the extra memory is the kept weights
-    and indices plus one block. A pair exposed together in a row of
-    ``exposed`` with joint probability 0 raises.
+    do not depend on the block size. The blocks are never joined: the extra
+    memory is the kept weights and indices plus one block. A pair exposed
+    together in a row of ``exposed`` with joint probability 0 raises.
     """
     p = profile.p
     pp = p * p
     diagonal = np.arange(profile.n)
-    blocks = [(diagonal, diagonal, profile.diag, p * (1.0 - p), 1.0)]
-    for lo in range(0, profile.rows.size, _PAIR_BLOCK):
-        at = slice(lo, lo + _PAIR_BLOCK)
-        blocks.append((profile.rows[at], profile.cols[at], profile.values[at], 0.0, 2.0))
-    weights, firsts, seconds = [], [], []
+    parts = [
+        (diagonal, diagonal, profile.diag, p * (1.0 - p), 1.0),
+        (profile.rows, profile.cols, profile.values, 0.0, 2.0),
+    ]
+    blocks = []
+    for first, second, joint, shift, entries in parts:
+        for lo in range(0, joint.size, _PAIR_BLOCK):
+            at = slice(lo, lo + _PAIR_BLOCK)
+            blocks.append((first[at], second[at], joint[at], shift, entries))
+    kept = []
     for first, second, joint, shift, entries in blocks:
         zero = joint <= 0.0
         if (exposed[:, first[zero]] & exposed[:, second[zero]]).any():
@@ -155,14 +162,8 @@ def _weights(profile: ExposureProfile, exposed, u, t, floor, off_pattern) -> tup
         keep = np.flatnonzero(~zero & w.any(axis=0))
         w = np.take(w, keep, axis=1)
         w *= entries
-        weights.append(w)
-        firsts.append(np.take(first, keep))
-        seconds.append(np.take(second, keep))
-    joined = []
-    for parts in (weights, firsts, seconds):
-        joined.append(np.concatenate(parts, axis=-1))
-        parts.clear()  # free the pieces before the next array is joined
-    return tuple(joined)
+        kept.append((np.take(first, keep), np.take(second, keep), w))
+    return kept
 
 
 def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -> tuple:
@@ -190,15 +191,16 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
 
     The weights of the diagonal and pattern entries are built in blocks of
     ``_PAIR_BLOCK`` pairs (``_weights``), and only the nonzero ones are kept,
-    so the extra memory is those weights and their two int64 indices, plus
-    one block of pairs while they are built and one block of rows (their
-    products v_i v_j) while they are summed. Every profile sums its pair
-    term one way: with off-pattern pairs, the products' sum against w[1]
-    (the diagonal and pattern entries of the rank-one sum) is taken first;
-    then the products are weighted in place by w[0] and summed. Every sum
-    runs along a row, over index sets that depend on the profile alone, so
-    a row's results do not depend on the other rows of the call, nor on the
-    block sizes.
+    per block and never joined, so the extra memory is those weights and
+    their two int64 indices, plus one block of pairs while they are built,
+    and one row buffer (a second one with off-pattern pairs) while they are
+    summed. For each block of rows, every block of kept entries writes its
+    products v_i v_j times w[0] into its columns of the buffer, and with
+    off-pattern pairs times w[1] (the diagonal and pattern entries of the
+    rank-one sum) into the second; each buffer is then summed along its
+    rows. Every sum runs along a row, over the kept entries in one order
+    that depends on the profile alone, so a row's results do not depend on
+    the other rows of the call, nor on the block sizes.
     A variance that overflows (outcomes near the square root of the largest
     float) is a ValidationError, not a NaN or an infinity.
     """
@@ -227,14 +229,15 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
         head, last = head[lead], k[lead] - 1  # the prefix sums include their last entry
         far = np.maximum(np.abs(u_sorted[:1]), np.abs(u_sorted[last]))
         slack = (last + 3) * np.finfo(float).eps * (np.abs(head) + far)
-    w, first, second = _weights(profile, exposed, u, t, floor, off_pattern)
+    blocks = _weights(profile, exposed, u, t, floor, off_pattern)
+    kept = sum(first.size for first, _, _ in blocks)
 
     count = indicator.sum(axis=1)
     per = np.maximum(count, 1)
     estimate = np.empty(count.shape)
     variance = np.empty(count.shape)
     npq = n * p * (1.0 - p)
-    step = max(1, _BLOCK // (n + first.size))
+    step = max(1, _BLOCK // (n + kept))
     try:  # an overflow, and any variance that is not finite, is an error
         with np.errstate(over="raise", invalid="raise"):
             for lo in range(0, count.size, step):
@@ -243,11 +246,18 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
                 v = y * z
                 estimate[at] = v.sum(axis=1) / per[at]
                 leading = npq * ((((y - estimate[at, None]) * z) ** 2).sum(axis=1) / per[at])
-                both = np.take(v, first, axis=1)
-                both *= np.take(v, second, axis=1)
+                both = np.empty((v.shape[0], kept))
                 if off_pattern:  # the rank-one sum's own diagonal and pattern entries
-                    correction = (both * w[1]).sum(axis=1)
-                both *= w[0]
+                    mirror = np.empty_like(both)
+                end = 0
+                for first, second, w in blocks:
+                    prod = np.take(v, first, axis=1)
+                    prod *= np.take(v, second, axis=1)
+                    at_block = slice(end, end + first.size)
+                    if off_pattern:
+                        np.multiply(prod, w[1], out=mirror[:, at_block])
+                    np.multiply(prod, w[0], out=both[:, at_block])
+                    end += first.size
                 pair = both.sum(axis=1)
                 if off_pattern:
                     if clip:
@@ -259,7 +269,7 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
                     else:
                         total = v.sum(axis=1)
                         rank = t * total * total - 2.0 * total * (v * u).sum(axis=1)
-                    off = rank / pp - correction
+                    off = rank / pp - mirror.sum(axis=1)
                     pair += np.maximum(off, 0.0) if clip else off
                 variance[at] = leading + pair
         finite = bool(np.isfinite(variance).all())

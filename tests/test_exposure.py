@@ -50,6 +50,35 @@ class TestExactMarginal:
         with pytest.raises(OverflowError):
             float(math.comb(1030, 515))
 
+    @pytest.mark.parametrize("rho", [0.1, 0.3, 0.5, 0.7, 1 / 3])
+    def test_tables_equal_the_math_comb_terms(self, rho):
+        # Pascal's rule gives the same integers as math.comb, so every term
+        # and every tail sum is the same float.
+        pmf, sf = exposure._binom_tables(200, rho)
+        assert len(pmf) == len(sf) == 201
+        for n in range(201):
+            row = np.array([math.comb(n, m) * rho**m * (1.0 - rho) ** (n - m) for m in range(n + 1)])
+            tail = np.zeros(n + 2)
+            tail[:-1] = row[::-1].cumsum()[::-1]
+            assert pmf[n].tobytes() == row.tobytes()
+            assert sf[n].tobytes() == tail.tobytes()
+
+    def test_threshold_profile_builds_the_tables_once(self, monkeypatch):
+        calls = []
+        build = exposure._binom_tables
+
+        def counted(k, rho):
+            calls.append(k)
+            return build(k, rho)
+
+        monkeypatch.setattr(exposure, "_binom_tables", counted)
+        nbhd = itf.build_knn_neighborhoods(np.arange(20.0)[:, None], 5)
+        profile = itf.exact_profile(nbhd, itf.ExposureMapping.threshold(3), 0.5)
+        assert calls == [5]
+        itf.exact_profile(nbhd, itf.ExposureMapping.product(), 0.5)
+        assert calls == [5]  # a product mapping needs no table
+        assert profile.p == itf.exact_marginal(nbhd, itf.ExposureMapping.threshold(3), 0.5)
+
 
 class TestEnumeratedOracle:
     def test_single_unit_1_1(self):

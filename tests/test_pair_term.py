@@ -27,6 +27,7 @@ from interfere.monotone import _score, _variances
 
 EPS = np.finfo(float).eps
 BLOCK = 1 << 18
+BLOCK_ROWS = monotone._BLOCK
 
 
 def _entry_weights(t, u_i, u_j, h, excess=None, joint=None):
@@ -292,9 +293,12 @@ BLOCK_PROFILES = {
 @pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
 @pytest.mark.parametrize("kind", sorted(BLOCK_PROFILES))
 def test_pair_blocks_give_bit_identical_variances(monkeypatch, kind, block):
-    # The weights built in blocks of 1, 7 and the default number of pairs
-    # give every output of a four-row call bit for bit as one block of all
-    # pairs does, clipped and unclipped; and each row as a call of its own.
+    # The weights built in blocks of 1, 7 and the default number of pairs,
+    # summed in row chunks of the default size and of one row each, give
+    # every output of a four-row call bit for bit as one block of all pairs
+    # in one chunk of all rows does, clipped and unclipped; and each row as a
+    # call of its own. Profiles with pairs off the pattern also fill the
+    # buffer of the rank-one correction block by block.
     profile = BLOCK_PROFILES[kind]()
     block = block or monotone._PAIR_BLOCK
     gen = np.random.default_rng(6)
@@ -302,11 +306,14 @@ def test_pair_blocks_give_bit_identical_variances(monkeypatch, kind, block):
     indicator = (gen.random((4, profile.n)) < 0.6).astype(np.int8)
     for clip in (True, False):
         monkeypatch.setattr(monotone, "_PAIR_BLOCK", profile.rows.size + 1)
+        monkeypatch.setattr(monotone, "_BLOCK", 4 * (2 * profile.n + profile.rows.size))
         want = _variances(values, indicator, profile, clip)
         monkeypatch.setattr(monotone, "_PAIR_BLOCK", block)
-        got = _variances(values, indicator, profile, clip)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        for rows in (1, BLOCK_ROWS):
+            monkeypatch.setattr(monotone, "_BLOCK", rows)
+            got = _variances(values, indicator, profile, clip)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
         for row in range(4):
             alone = _variances(values[row : row + 1], indicator[row : row + 1], profile, clip)
             assert all(np.array_equal(a[row : row + 1], b) for a, b in zip(got, alone))
@@ -330,16 +337,23 @@ def test_zero_joint_pair_in_the_last_block_raises(monkeypatch):
 
 
 def test_bound_memory_above_the_profile_is_below_the_profile_size():
-    # An n = 1 000 Monte Carlo profile holds all 499 500 pairs (12 MB). The
-    # variance keeps its nonzero weights and their indices plus one block of
-    # pairs, which together take less than the profile itself.
+    # An n = 1 000 Monte Carlo profile holds all 499 500 pairs (12 MB), and
+    # the bound keeps the K entries with nonzero weight. Beyond the profile,
+    # the variance holds their weights and two int64 indices, in blocks that
+    # are never joined, and one row of their K products (8 + 16 + 8 bytes
+    # per kept entry), plus the two product rows of one block of pairs.
     nbhd = _knn_design(1000, 6, 7)
     mapping = itf.ExposureMapping.threshold(3)
     profile = itf.monte_carlo_profile(nbhd, mapping, 0.5, 2048, seed=8)
+    assert not profile.off_pattern  # no buffer for the rank-one correction
     size = sum(a.nbytes for a in (profile.diag, profile.rows, profile.cols, profile.values, profile.row_excess))
     gen = np.random.default_rng(9)
     exposure = itf.evaluate_exposure((gen.random(1000) < 0.5).astype(np.int8), nbhd, mapping)
     values = gen.gamma(2.0, 5.0, size=1000)
+    u, t = profile.row_excess / 1000, profile.excess_total / 1000**2
+    blocks = monotone._weights(profile, exposure.indicator[None, :] > 0, u, t, 0.0, False)
+    kept = sum(first.size for first, _, _ in blocks)
+    del blocks
     tracemalloc.start()
     try:
         variance = itf.conservative_variance(values, exposure, profile)
@@ -348,3 +362,4 @@ def test_bound_memory_above_the_profile_is_below_the_profile_size():
         tracemalloc.stop()
     assert variance > 0
     assert peak < size
+    assert peak < 32 * kept + 16 * monotone._PAIR_BLOCK
