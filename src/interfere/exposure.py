@@ -27,11 +27,12 @@ and fills the next columns of an (n, batch) float32 buffer, whose product
 fit or the shard is done. Every product and running sum is
 an integer count of at most 2^16, below 2^24, so the float32 sums are exact
 in any order and the counts do not depend on the chunk or batch sizes. The
-profile gathers the diagonal and the pairs i < j of the first shard's (n, n)
-counts into two float64 vectors, adds each later shard's gathered counts to
-them (integer sums below 2^53, so exact), and divides the vectors by the
-number of draws. No dense joint matrix is formed: beside the profile, the
-build holds one shard's counts at a time.
+profile adds each shard's diagonal, and its pairs i < j one row segment at
+a time, into two float64 vectors (integer sums below 2^53, so exact), and
+divides the vectors by the number of draws. No dense joint matrix is
+formed, and the pattern's index arrays are built once the last shard's
+counts are gone: beside the profile's values, the build holds one shard's
+counts at a time, and ``_finalize`` one block of pairs.
 
 ``_threshold_designs`` checks the design list of the Bonferroni scan and
 the simulation harness (nonempty, integer (d_min, d) pairs) and returns
@@ -62,6 +63,10 @@ _MC_SHARD = 1 << 16
 _MC_DRAW = 1 << 20
 # Exposures counted with one product within a Monte Carlo shard (16 MiB of float32).
 _MC_BATCH = 1 << 22
+# Pattern pairs handled at once by ``_finalize`` and by the bound's weights
+# (``monotone._weights``): 512 KB per float array, so a block adds little to
+# the profile (blocks of 2^14 to 2^18 pairs took the same time).
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -213,13 +218,22 @@ def center_excess(joint: np.ndarray, p: float) -> tuple:
 
 
 def _finalize(p, diag, rows, cols, values, degree, method, num_samples=None) -> ExposureProfile:
+    """The profile of these arrays, with the row sums of the excess.
+
+    A pair's excess ``values - p^2`` is formed ``_PAIR_BLOCK`` pairs at a
+    time and added to the sums of its two units by ``np.add.at``, which adds
+    each unit's pairs in pattern order starting from 0.0, as
+    ``np.bincount`` with weights does; so the sums do not depend on the
+    block size, and beyond the profile the build holds one block."""
     n = diag.shape[0]
-    pair_excess = values - p * p
-    row_excess = (
-        (diag - p * (1.0 - p)) - p * p
-        + np.bincount(rows, weights=pair_excess, minlength=n)
-        + np.bincount(cols, weights=pair_excess, minlength=n)
-    )
+    pp = p * p
+    by_row, by_col = np.zeros(n), np.zeros(n)
+    for lo in range(0, values.size, _PAIR_BLOCK):
+        at = slice(lo, lo + _PAIR_BLOCK)
+        pair_excess = values[at] - pp
+        np.add.at(by_row, rows[at], pair_excess)
+        np.add.at(by_col, cols[at], pair_excess)
+    row_excess = (diag - p * (1.0 - p)) - pp + by_row + by_col
     for arr in (diag, rows, cols, values, row_excess):
         arr.setflags(write=False)
     return ExposureProfile(
@@ -346,23 +360,29 @@ def monte_carlo_profile(
     """Empirical joint exposure frequencies over independent assignment draws.
 
     Sampling uses a counter-based generator keyed by (seed, shard index), so
-    results are bit-identical for a given seed.
+    results are bit-identical for a given seed. Each shard's counts are
+    added into the float64 diagonal and pair values, row segment by row
+    segment, without an (n, n) mask or index copy; ``np.triu_indices``
+    builds the pattern after the last shard.
     """
     rho = _check_mapping(nbhd, mapping, rho)
     num_samples = check_count(num_samples, "num_samples")
     seed = check_seed(seed, philox=True)
-    # The counts of every pair i < j and of the diagonal, gathered from each
-    # shard's float32 (n, n) counts into float64; they are integers below 2^53,
-    # so their sums are exact.
-    counts = _mc_shard_counts(nbhd, mapping, rho, seed, 0, min(_MC_SHARD, num_samples))
-    rows, cols = np.triu_indices(nbhd.n, 1)
-    diag, values = np.diagonal(counts).astype(np.float64), counts[rows, cols].astype(np.float64)
-    del counts  # each shard's (n, n) counts go before the next shard is drawn
-    for shard, start in enumerate(range(_MC_SHARD, num_samples, _MC_SHARD), 1):
+    # The counts of every pair i < j and of the diagonal, added from each
+    # shard's float32 (n, n) counts, row by row, into float64; they are
+    # integers below 2^53, so their sums are exact.
+    n = nbhd.n
+    for shard, start in enumerate(range(0, num_samples, _MC_SHARD)):
         counts = _mc_shard_counts(nbhd, mapping, rho, seed, shard, min(_MC_SHARD, num_samples - start))
+        if not shard:  # made after the first shard's draws, whose buffers are the larger peak
+            diag, values = np.zeros(n), np.zeros(n * (n - 1) // 2)
         diag += np.diagonal(counts)
-        values += counts[rows, cols]
-        del counts
+        end = 0
+        for i in range(n - 1):  # row i's pairs (i, j > i), in the order of np.triu_indices
+            values[end : end + n - 1 - i] += counts[i, i + 1 :]
+            end += n - 1 - i
+        del counts  # each shard's (n, n) counts go before the next shard is drawn
+    rows, cols = np.triu_indices(n, 1)
     diag /= num_samples
     values /= num_samples
     return _finalize(

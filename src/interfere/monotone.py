@@ -20,12 +20,12 @@ Every bound here and in the simulation harness comes from one routine,
 ``_score``, over rows of outcomes and exposure indicators; a single analysis
 is its one-row case, checked and shaped by ``_one_row``. Its variance
 (``_variances``) takes O(n log n + pairs) per row and builds no (n, n) or
-(|A|, |A|) array. Beyond the profile, its memory is the nonzero weights of
-the diagonal and pattern entries with their int64 indices, built one block
-of pairs at a time and kept per block, never joined (``_weights``), plus
-one buffer of their products for a block of rows. The Bonferroni
-scan takes its designs from ``exposure._threshold_designs``, as the
-simulation harness does.
+(|A|, |A|) array. Beyond the profile, its memory is one buffer of products
+for a chunk of rows, n + pairs wide, plus one block of pairs whose nonzero
+weights ``_weights`` builds as they are read; a call of several row chunks
+keeps those weights, with their int64 indices, for every chunk.
+The Bonferroni scan takes its designs from ``exposure._threshold_designs``,
+as the simulation harness does.
 """
 
 from __future__ import annotations
@@ -49,17 +49,14 @@ from .errors import (
     read_array,
     read_number,
 )
-from .exposure import ExposureProfile, _threshold_designs
+from .exposure import _PAIR_BLOCK, ExposureProfile, _threshold_designs
 from .normal import norm_ppf
 
-# Entries of the (rows, n + pairs) arrays that ``_variances`` builds per step:
-# 512 KB, which stays in cache (steps of 2 MB took three times as long). A
-# step holds whole rows, and a row's floats do not depend on the step.
+# Entries that ``_variances`` holds per step of rows, n outcomes and a buffer
+# of n + pairs products per row: 512 KB, which stays in cache (steps of 2 MB
+# took three times as long). A step holds whole rows, and a row's floats do
+# not depend on the step.
 _BLOCK = 1 << 16
-# Pattern pairs whose weights ``_weights`` builds at once: 512 KB per float
-# array, so a block adds little to the kept weights and their indices (blocks
-# of 2^14 to 2^18 pairs took the same time).
-_PAIR_BLOCK = 1 << 16
 _ZERO_JOINT = (
     "a jointly exposed pair has zero joint probability; "
     "the exposure profile is inconsistent with the realized assignment"
@@ -118,8 +115,8 @@ def point_estimate(values, exposure: EffectiveTreatment) -> float:
     return estimate
 
 
-def _weights(profile: ExposureProfile, exposed, u, t, floor, off_pattern) -> list:
-    """The nonzero weights of ``_variances`` and their entries, as a list of
+def _weights(profile: ExposureProfile, exposed, u, t, floor, off_pattern):
+    """The nonzero weights of ``_variances`` and their entries, yielded in
     blocks (first, second, w): int64 units first[e] <= second[e], and w of
     shape (1, m), or (2, m) with the rank-one row when ``off_pattern``.
 
@@ -129,9 +126,11 @@ def _weights(profile: ExposureProfile, exposed, u, t, floor, off_pattern) -> lis
     a pair and its mirror).
     Every block computes its weights by one formula, count h(g + J - shift -
     p^2) / J, and keeps the nonzero ones, so the kept entries and their order
-    do not depend on the block size. The blocks are never joined: the extra
-    memory is the kept weights and indices plus one block. A pair exposed
-    together in a row of ``exposed`` with joint probability 0 raises.
+    do not depend on the block size. Each block is built when it is asked
+    for, and its temporaries are dropped before it is yielded: a consumer
+    that reads each block once holds one block at a time. A pair exposed
+    together in a row of ``exposed`` with joint probability 0 raises when
+    its block is built.
     """
     p = profile.p
     pp = p * p
@@ -140,30 +139,30 @@ def _weights(profile: ExposureProfile, exposed, u, t, floor, off_pattern) -> lis
         (diagonal, diagonal, profile.diag, p * (1.0 - p), 1.0),
         (profile.rows, profile.cols, profile.values, 0.0, 2.0),
     ]
-    blocks = []
-    for first, second, joint, shift, entries in parts:
-        for lo in range(0, joint.size, _PAIR_BLOCK):
+    for units, others, joints, shift, entries in parts:
+        for lo in range(0, joints.size, _PAIR_BLOCK):
             at = slice(lo, lo + _PAIR_BLOCK)
-            blocks.append((first[at], second[at], joint[at], shift, entries))
-    kept = []
-    for first, second, joint, shift, entries in blocks:
-        zero = joint <= 0.0
-        if (exposed[:, first[zero]] & exposed[:, second[zero]]).any():
-            raise ZeroJointProbabilityError(_ZERO_JOINT)
-        g = t - u[first]
-        g -= u[second]
-        w = joint - shift
-        w -= pp  # the excess, in place: no second block-sized temporary
-        with np.errstate(divide="ignore", invalid="ignore"):  # zero joints, dropped below
-            w += g
-            np.maximum(w, floor, out=w)
-            w /= joint
-            w = np.stack((w, np.maximum(g, floor) / pp)) if off_pattern else w[None]
-        keep = np.flatnonzero(~zero & w.any(axis=0))
-        w = np.take(w, keep, axis=1)
-        w *= entries
-        kept.append((np.take(first, keep), np.take(second, keep), w))
-    return kept
+            first, second, joint = units[at], others[at], joints[at]
+            zero = joint <= 0.0
+            if (exposed[:, first[zero]] & exposed[:, second[zero]]).any():
+                raise ZeroJointProbabilityError(_ZERO_JOINT)
+            g = t - u[first]
+            g -= u[second]
+            w = joint - shift
+            w -= pp  # the excess, in place: no second block-sized temporary
+            with np.errstate(divide="ignore", invalid="ignore"):  # zero joints, dropped below
+                w += g
+                np.maximum(w, floor, out=w)
+                w /= joint
+                w = np.stack((w, np.maximum(g, floor) / pp)) if off_pattern else w[None]
+            del g
+            keep = np.flatnonzero(~zero & w.any(axis=0))
+            del zero
+            w = np.take(w, keep, axis=1)
+            w *= entries
+            first, second = np.take(first, keep), np.take(second, keep)
+            del keep
+            yield first, second, w
 
 
 def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -> tuple:
@@ -190,17 +189,21 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
     so it is clipped at 0 too. If no g_ij is positive, it is 0.
 
     The weights of the diagonal and pattern entries are built in blocks of
-    ``_PAIR_BLOCK`` pairs (``_weights``), and only the nonzero ones are kept,
-    per block and never joined, so the extra memory is those weights and
-    their two int64 indices, plus one block of pairs while they are built,
-    and one row buffer (a second one with off-pattern pairs) while they are
-    summed. For each block of rows, every block of kept entries writes its
-    products v_i v_j times w[0] into its columns of the buffer, and with
-    off-pattern pairs times w[1] (the diagonal and pattern entries of the
-    rank-one sum) into the second; each buffer is then summed along its
-    rows. Every sum runs along a row, over the kept entries in one order
-    that depends on the profile alone, so a row's results do not depend on
-    the other rows of the call, nor on the block sizes.
+    ``_PAIR_BLOCK`` pairs (``_weights``), with only the nonzero ones kept.
+    The rows come in chunks of ``step`` rows, whose products go into a
+    buffer of n + pairs columns per row, the most entries that can keep a
+    weight (and a second buffer with off-pattern pairs). A call of one
+    chunk reads each block as it is built; a call of several builds the
+    blocks first and keeps them, never joined, for every chunk. So a
+    one-row call holds, beyond the profile, its buffer row and one block of
+    pairs. For each chunk, every block takes v_i into its columns of the
+    buffer, multiplies them by v_j, writes their products with w[1] (the
+    diagonal and pattern entries of the rank-one sum) into the second
+    buffer with off-pattern pairs, and multiplies them by w[0] last; the
+    filled columns of each buffer are then summed along its rows. Every sum
+    runs along a row, over the kept entries in one order that depends on
+    the profile alone, so a row's results do not depend on the other rows
+    of the call, nor on the block sizes.
     A variance that overflows (outcomes near the square root of the largest
     float) is a ValidationError, not a NaN or an infinity.
     """
@@ -229,36 +232,40 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
         head, last = head[lead], k[lead] - 1  # the prefix sums include their last entry
         far = np.maximum(np.abs(u_sorted[:1]), np.abs(u_sorted[last]))
         slack = (last + 3) * np.finfo(float).eps * (np.abs(head) + far)
-    blocks = _weights(profile, exposed, u, t, floor, off_pattern)
-    kept = sum(first.size for first, _, _ in blocks)
-
     count = indicator.sum(axis=1)
     per = np.maximum(count, 1)
     estimate = np.empty(count.shape)
     variance = np.empty(count.shape)
     npq = n * p * (1.0 - p)
-    step = max(1, _BLOCK // (n + kept))
+    width = n + profile.rows.size  # the most entries that can keep a weight
+    step = max(1, _BLOCK // (n + width))
+    both = np.empty((min(step, count.size), width))
+    if off_pattern:  # the rank-one sum's own diagonal and pattern entries
+        mirror = np.empty_like(both)
     try:  # an overflow, and any variance that is not finite, is an error
         with np.errstate(over="raise", invalid="raise"):
+            blocks = _weights(profile, exposed, u, t, floor, off_pattern)
+            if step < count.size:  # every row chunk reads the blocks
+                blocks = list(blocks)
             for lo in range(0, count.size, step):
                 at = slice(lo, lo + step)
                 y, z = values[at], indicator[at]
                 v = y * z
+                chunk = v.shape[0]
                 estimate[at] = v.sum(axis=1) / per[at]
                 leading = npq * ((((y - estimate[at, None]) * z) ** 2).sum(axis=1) / per[at])
-                both = np.empty((v.shape[0], kept))
-                if off_pattern:  # the rank-one sum's own diagonal and pattern entries
-                    mirror = np.empty_like(both)
                 end = 0
                 for first, second, w in blocks:
-                    prod = np.take(v, first, axis=1)
-                    prod *= np.take(v, second, axis=1)
                     at_block = slice(end, end + first.size)
+                    prod = both[:chunk, at_block]
+                    np.take(v, first, axis=1, out=prod, mode="wrap")  # in range; "raise" would buffer out
+                    prod *= np.take(v, second, axis=1)
                     if off_pattern:
-                        np.multiply(prod, w[1], out=mirror[:, at_block])
-                    np.multiply(prod, w[0], out=both[:, at_block])
+                        np.multiply(prod, w[1], out=mirror[:chunk, at_block])
+                    prod *= w[0]
                     end += first.size
-                pair = both.sum(axis=1)
+                    del first, second, w  # so a block read once goes before the next is built
+                pair = both[:chunk, :end].sum(axis=1)
                 if off_pattern:
                     if clip:
                         ahead = np.take(v, order, axis=1)
@@ -269,13 +276,16 @@ def _variances(values, indicator, profile: ExposureProfile, clip: bool = True) -
                     else:
                         total = v.sum(axis=1)
                         rank = t * total * total - 2.0 * total * (v * u).sum(axis=1)
-                    off = rank / pp - mirror.sum(axis=1)
+                    off = rank / pp - mirror[:chunk, :end].sum(axis=1)
                     pair += np.maximum(off, 0.0) if clip else off
                 variance[at] = leading + pair
         finite = bool(np.isfinite(variance).all())
     except FloatingPointError:
         finite = False
     if not finite:
+        with np.errstate(over="ignore"):
+            for _ in blocks:  # a zero joint probability of a block not yet built is the error to report
+                pass
         raise ValidationError("the variance estimate overflows: outcomes this large exceed double precision")
     return count, estimate, variance
 

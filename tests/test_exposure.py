@@ -291,8 +291,9 @@ class TestMonteCarloProfile:
     @pytest.mark.parametrize("mapping", MAPPINGS, ids=["product", "threshold"])
     def test_gathered_profile_equals_the_dense_sum_of_shard_counts(self, monkeypatch, mapping):
         # 230 draws in shards of 64 (three full shards and one of 38): the
-        # profile gathers each shard's pairs and diagonal, and equals the sum
-        # of the dense shard counts, divided and gathered once, bit for bit.
+        # profile adds each shard's pairs, row segment by row segment, and
+        # its diagonal, and equals the sum of the dense shard counts,
+        # divided and gathered once by np.triu_indices, bit for bit.
         nbhd = itf.build_knn_neighborhoods(itf.synthetic_layout("uniform_square", 37, seed=6), 4)
         starts = range(0, 230, 64)
         counts = np.zeros((37, 37))
@@ -303,9 +304,9 @@ class TestMonteCarloProfile:
         profile = itf.monte_carlo_profile(nbhd, mapping, 0.6, 230, seed=4)
         rows, cols = np.triu_indices(37, 1)
         assert len(starts) == 4
-        assert np.array_equal(profile.rows, rows) and np.array_equal(profile.cols, cols)
-        assert np.array_equal(profile.diag, np.diagonal(joint))
-        assert np.array_equal(profile.values, joint[rows, cols])
+        assert profile.rows.tobytes() == rows.tobytes() and profile.cols.tobytes() == cols.tobytes()
+        assert profile.diag.tobytes() == np.diagonal(joint).tobytes()
+        assert profile.values.tobytes() == joint[rows, cols].tobytes()
         assert profile.p == float(np.diagonal(joint).mean())
 
     def test_records_method_and_samples(self):

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 import interfere as itf
 from interfere import monotone
 from interfere.errors import ZeroJointProbabilityError
-from interfere.exposure import ExposureProfile
+from interfere.exposure import _PAIR_BLOCK, ExposureProfile, _finalize
 from interfere.monotone import _score, _variances
 
 EPS = np.finfo(float).eps
@@ -269,6 +269,18 @@ def test_zero_joint_pair_exposed_together_raises_even_with_a_zero_outcome():
     assert np.isfinite(_score(np.tile(values, (2, 1)), batch[[0, 2]], profile, 0.05)[2]).all()
 
 
+def test_zero_joint_pair_exposed_together_raises_before_an_overflow():
+    # Outcomes of 1e200 overflow the leading term's squares before the pair
+    # blocks of a one-row call are built; the zero joint probability is
+    # still the error reported, in one row or in several.
+    profile = ring_profile()
+    bad = np.array([[1, 0, 0, 0, 0, 1, 0, 0]], dtype=np.int8)
+    for rows in (1, 3):
+        for clip in (True, False):
+            with pytest.raises(ZeroJointProbabilityError):
+                _variances(np.full((rows, 8), 1e200), np.repeat(bad, rows, axis=0), profile, clip)
+
+
 def _ring_exact_profile():
     """Every pair of a ring of 7 units with sets of 4 overlaps: no pair lies off the pattern."""
     nbhd = itf.NeighborhoodSet(members=(np.arange(7)[:, None] + np.arange(4)) % 7)
@@ -319,6 +331,48 @@ def test_pair_blocks_give_bit_identical_variances(monkeypatch, kind, block):
             assert all(np.array_equal(a[row : row + 1], b) for a, b in zip(got, alone))
 
 
+@pytest.mark.parametrize("block", [1, 7, None], ids=["1", "7", "default"])
+@pytest.mark.parametrize("kind", sorted(BLOCK_PROFILES))
+def test_row_sums_in_pair_blocks_equal_the_bincount_sums(monkeypatch, kind, block):
+    # The excess row sums added block by block with np.add.at equal, bit
+    # for bit, the two weighted bincounts of the whole pattern.
+    profile = BLOCK_PROFILES[kind]()
+    p, pp = profile.p, profile.p * profile.p
+    pair_excess = profile.values - pp
+    want = (
+        (profile.diag - p * (1.0 - p)) - pp
+        + np.bincount(profile.rows, weights=pair_excess, minlength=profile.n)
+        + np.bincount(profile.cols, weights=pair_excess, minlength=profile.n)
+    )
+    monkeypatch.setattr("interfere.exposure._PAIR_BLOCK", block or _PAIR_BLOCK)
+    got = _finalize(p, profile.diag, profile.rows, profile.cols, profile.values, 0, profile.method)
+    assert got.row_excess.tobytes() == want.tobytes()
+    assert got.excess_total == float(want.sum())
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_weights_are_built_once_per_call(monkeypatch, rows):
+    # Four rows in chunks of one row each read every block four times, and
+    # one row reads them once; either way each block is built once.
+    profile = BLOCK_PROFILES["exact, pairs off the pattern"]()
+    monkeypatch.setattr(monotone, "_PAIR_BLOCK", 7)
+    monkeypatch.setattr(monotone, "_BLOCK", 1)
+    built, weights = [], monotone._weights
+
+    def counted(*args):
+        built.append(0)
+        for block in weights(*args):
+            built[-1] += 1
+            yield block
+
+    monkeypatch.setattr(monotone, "_weights", counted)
+    gen = np.random.default_rng(10)
+    values = gen.gamma(2.0, 5.0, size=(rows, profile.n))
+    indicator = (gen.random((rows, profile.n)) < 0.6).astype(np.int8)
+    _variances(values, indicator, profile)
+    assert built == [-(-profile.n // 7) - (-profile.rows.size // 7)]
+
+
 def test_zero_joint_pair_in_the_last_block_raises(monkeypatch):
     # Pair (5, 7), the 27th of 28, has joint probability 0; in blocks of 7
     # pairs it sits in the last block, and only it is exposed together.
@@ -339,9 +393,10 @@ def test_zero_joint_pair_in_the_last_block_raises(monkeypatch):
 def test_bound_memory_above_the_profile_is_below_the_profile_size():
     # An n = 1 000 Monte Carlo profile holds all 499 500 pairs (12 MB), and
     # the bound keeps the K entries with nonzero weight. Beyond the profile,
-    # the variance holds their weights and two int64 indices, in blocks that
-    # are never joined, and one row of their K products (8 + 16 + 8 bytes
-    # per kept entry), plus the two product rows of one block of pairs.
+    # a one-row variance holds one buffer row of n + pairs floats and one
+    # block of pairs: while a block is built or read, at most five of its
+    # 8-byte arrays (the excess, the kept positions, the kept weights, their
+    # two indices, the second factor of the products) are alive.
     nbhd = _knn_design(1000, 6, 7)
     mapping = itf.ExposureMapping.threshold(3)
     profile = itf.monte_carlo_profile(nbhd, mapping, 0.5, 2048, seed=8)
@@ -350,10 +405,6 @@ def test_bound_memory_above_the_profile_is_below_the_profile_size():
     gen = np.random.default_rng(9)
     exposure = itf.evaluate_exposure((gen.random(1000) < 0.5).astype(np.int8), nbhd, mapping)
     values = gen.gamma(2.0, 5.0, size=1000)
-    u, t = profile.row_excess / 1000, profile.excess_total / 1000**2
-    blocks = monotone._weights(profile, exposure.indicator[None, :] > 0, u, t, 0.0, False)
-    kept = sum(first.size for first, _, _ in blocks)
-    del blocks
     tracemalloc.start()
     try:
         variance = itf.conservative_variance(values, exposure, profile)
@@ -362,4 +413,4 @@ def test_bound_memory_above_the_profile_is_below_the_profile_size():
         tracemalloc.stop()
     assert variance > 0
     assert peak < size
-    assert peak < 32 * kept + 16 * monotone._PAIR_BLOCK
+    assert peak < 8 * (1000 + profile.rows.size) + 40 * monotone._PAIR_BLOCK
