@@ -272,8 +272,9 @@ def cmd_simulate(args) -> int:
 
 def _compare(exact, other) -> tuple:
     """|``other`` - ``exact``| joint probabilities, and ``exact``'s, on the diagonal and then on each pair
-    of the all-pairs profile ``other`` (``np.triu_indices`` order; off its pattern ``exact`` has p^2)."""
-    n, i, j = exact.n, exact.rows, exact.cols
+    of the all-pairs profile ``other`` (row-major order; off its pattern ``exact`` has p^2). Pair
+    positions are int64: from n = 46 341 they pass 2^31."""
+    n, i, j = exact.n, exact.rows.astype(np.int64), exact.cols.astype(np.int64)
     truth = np.full(n + other.rows.size, exact.p * exact.p)
     truth[:n] = exact.diag
     truth[n + i * (2 * n - i - 1) // 2 + j - i - 1] = exact.values

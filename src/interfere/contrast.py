@@ -231,7 +231,7 @@ def _pattern_bound(profile: ExposureProfile) -> EigenvalueBound:
     """Collatz-Wielandt bound on rho(|M|), M = J - p^2 11' on the profile's
     pattern; certificate ``collatz_wielandt``."""
     n, shift = profile.n, profile.p * profile.p
-    rows, cols = profile.rows, profile.cols
+    rows, cols = profile.rows.astype(np.intp), profile.cols.astype(np.intp)  # int32 would convert per gather
     diag, pair = profile.diag - shift, profile.values - shift
 
     def product(d, e, u):

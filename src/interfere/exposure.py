@@ -22,17 +22,19 @@ full-enumeration oracle (n <= 20) is provided for testing and diagnostics.
 A Monte Carlo profile counts co-exposure over all pairs, one shard of at
 most 2^16 draws at a time. A shard's draws come in row chunks of one Philox
 stream; each chunk is evaluated unit by unit (unit-major, ``(n, chunk)``)
-and fills the next columns of an (n, batch) float32 buffer, whose product
-``b @ b.T`` is added to the shard's counts when the next chunk would not
-fit or the shard is done. Every product and running sum is
-an integer count of at most 2^16, below 2^24, so the float32 sums are exact
-in any order and the counts do not depend on the chunk or batch sizes. The
-profile adds each shard's diagonal, and its pairs i < j one row segment at
-a time, into two float64 vectors (integer sums below 2^53, so exact), and
-divides the vectors by the number of draws. No dense joint matrix is
-formed, and the pattern's index arrays are built once the last shard's
-counts are gone: beside the profile's values, the build holds one shard's
-counts at a time, and ``_finalize`` one block of pairs.
+and fills the next columns of an (n, batch) float32 buffer. When the next
+chunk would not fit or the shard is done, the buffer's product ``b @ b.T``
+is added to the upper triangle of the shard's counts one row block at a
+time, ``b[r0:r1] @ b[r0:].T``, so no (n, n) product is formed beside the
+counts. Every product and running sum is an integer count of at most 2^16,
+below 2^24, so the float32 sums are exact in any order and the counts do
+not depend on the chunk, batch or block sizes. The profile adds each
+shard's diagonal, and its pairs i < j one row segment at a time, into two
+float64 vectors (integer sums below 2^53, so exact), and divides the
+vectors by the number of draws. No dense joint matrix is formed, and the
+pattern's int32 index arrays are built once the last shard's counts are
+gone: beside the profile's values, the build holds one shard's counts at a
+time, and ``_finalize`` one block of pairs.
 
 ``_threshold_designs`` checks the design list of the Bonferroni scan and
 the simulation harness (nonempty, integer (d_min, d) pairs) and returns
@@ -74,7 +76,8 @@ class ExposureProfile:
     """Second-order randomization quantities of the exposure vector.
 
     Joint probabilities are stored sparsely: the diagonal, plus one entry per
-    pair ``rows[t] < cols[t]`` of the pattern. Off the pattern the joint
+    pair ``rows[t] < cols[t]`` of the pattern, 16 bytes per pair: int32 unit
+    indices, so n < 2^31, and a float64 value. Off the pattern the joint
     probability is ``p * p`` and the excess is exactly 0. Exact profiles use
     the pairs whose neighborhoods overlap as the pattern; Monte Carlo and
     enumeration profiles estimate every pair separately and use all pairs.
@@ -85,8 +88,8 @@ class ExposureProfile:
 
     p: float                    # shared marginal P(Z_i = 1)
     diag: np.ndarray            # (n,) J[i, i] = P(Z_i = 1)
-    rows: np.ndarray            # (m,) int64, first unit of each pattern pair
-    cols: np.ndarray            # (m,) int64, second unit, rows < cols
+    rows: np.ndarray            # (m,) int32, first unit of each pattern pair
+    cols: np.ndarray            # (m,) int32, second unit, rows < cols
     values: np.ndarray          # (m,) J[rows, cols]
     row_excess: np.ndarray      # (n,) row sums of the excess matrix
     excess_total: float         # sum of all excess entries
@@ -217,8 +220,22 @@ def center_excess(joint: np.ndarray, p: float) -> tuple:
     return excess, centered
 
 
+def _all_pairs(n: int) -> tuple:
+    """Every pair i < j of n units as int32 (rows, cols), row by row and
+    within a row by j: the rows by ``np.repeat``, the columns by one in-place
+    ``cumsum`` of steps of 1 that jump back at each row's start, so no int64
+    copy of the pattern is made."""
+    lengths = np.arange(n - 1, 0, -1)
+    rows = np.repeat(np.arange(n - 1, dtype=np.int32), lengths)
+    cols = np.ones(rows.size, dtype=np.int32)
+    cols[np.cumsum(lengths[:-1])] = 2 - lengths[:-1]  # row i starts at column i + 1, after column n - 1
+    np.cumsum(cols, out=cols)
+    return rows, cols
+
+
 def _finalize(p, diag, rows, cols, values, degree, method, num_samples=None) -> ExposureProfile:
-    """The profile of these arrays, with the row sums of the excess.
+    """The profile of these arrays, with the row sums of the excess; the
+    pattern's indices are stored as int32, so n must be below 2^31.
 
     A pair's excess ``values - p^2`` is formed ``_PAIR_BLOCK`` pairs at a
     time and added to the sums of its two units by ``np.add.at``, which adds
@@ -226,13 +243,16 @@ def _finalize(p, diag, rows, cols, values, degree, method, num_samples=None) -> 
     ``np.bincount`` with weights does; so the sums do not depend on the
     block size, and beyond the profile the build holds one block."""
     n = diag.shape[0]
+    if n >= 1 << 31:
+        raise ValidationError(f"exposure profiles hold at most 2^31 - 1 units, got {n}")
+    rows, cols = rows.astype(np.int32, copy=False), cols.astype(np.int32, copy=False)
     pp = p * p
     by_row, by_col = np.zeros(n), np.zeros(n)
     for lo in range(0, values.size, _PAIR_BLOCK):
         at = slice(lo, lo + _PAIR_BLOCK)
         pair_excess = values[at] - pp
-        np.add.at(by_row, rows[at], pair_excess)
-        np.add.at(by_col, cols[at], pair_excess)
+        np.add.at(by_row, rows[at].astype(np.intp), pair_excess)  # intp: np.add.at would convert int32 per call
+        np.add.at(by_col, cols[at].astype(np.intp), pair_excess)
     row_excess = (diag - p * (1.0 - p)) - pp + by_row + by_col
     for arr in (diag, rows, cols, values, row_excess):
         arr.setflags(write=False)
@@ -281,7 +301,7 @@ def exact_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -
     pmf, sf = (None, None) if mapping.kind == "product" else _binom_tables(k, rho)
     p = _marginal(k, mapping, rho, sf)
     pairs = _overlapping_pairs(nbhd)
-    rows, cols, shared = pairs[:, 0].copy(), pairs[:, 1].copy(), pairs[:, 2]
+    rows, cols, shared = pairs[:, 0].astype(np.int32), pairs[:, 1].astype(np.int32), pairs[:, 2]
     if mapping.kind == "product":
         sizes, where = np.unique(2 * k - shared, return_inverse=True)
         table = np.array([rho ** int(size) for size in sizes])
@@ -321,7 +341,9 @@ def _threshold_designs(coords, configs, rho) -> list:
 
 
 def _mc_shard_counts(nbhd, mapping, rho, seed, shard, shard_n):
-    """Joint exposure counts of at most 2^16 draws, as (n, n) float32.
+    """Joint exposure counts of at most 2^16 draws, as (n, n) float32 whose
+    diagonal and upper triangle hold the counts; the entries below the
+    diagonal are unspecified.
 
     The draws are made in row chunks of about ``_MC_DRAW`` uniforms; the
     chunks continue one Philox stream, so the counts equal those of the whole
@@ -329,9 +351,12 @@ def _mc_shard_counts(nbhd, mapping, rho, seed, shard, shard_n):
     exposures go into the columns of an (n, batch) float32 buffer of about
     ``_MC_BATCH`` entries. After each chunk, ``b @ b.T`` of the filled
     columns is added to the counts, at one site, when the next chunk (of
-    ``min(step, rows left)`` rows) would not fit or the shard is done. Every
-    product and running sum is a count of at most 2^16 draws, an integer
-    below 2^24, so the float32 sums are exact in any order."""
+    ``min(step, rows left)`` rows) would not fit or the shard is done: one
+    block of ``step`` rows at a time, ``b[r0:r1] @ b[r0:].T`` into
+    ``counts[r0:r1, r0:]``, so each product is at most ``_MC_DRAW`` floats
+    and none is (n, n). Every product and running sum is a count of at most
+    2^16 draws, an integer below 2^24, so the float32 sums are exact in any
+    order."""
     rng = np.random.Generator(np.random.Philox(key=[seed, shard]))
     n = nbhd.n
     counts = np.zeros((n, n), dtype=np.float32)
@@ -345,7 +370,9 @@ def _mc_shard_counts(nbhd, mapping, rho, seed, shard, shard_n):
         filled += size
         ahead = min(step, shard_n - lo - size)  # the next chunk's size, 0 at the end
         if not ahead or filled + ahead > batch.shape[1]:
-            counts += batch[:, :filled] @ batch[:, :filled].T
+            b = batch[:, :filled]
+            for r0 in range(0, n, step):  # the upper triangle, a block of rows at a time
+                counts[r0 : r0 + step, r0:] += b[r0 : r0 + step] @ b[r0:].T
             filled = 0
     return counts
 
@@ -362,8 +389,8 @@ def monte_carlo_profile(
     Sampling uses a counter-based generator keyed by (seed, shard index), so
     results are bit-identical for a given seed. Each shard's counts are
     added into the float64 diagonal and pair values, row segment by row
-    segment, without an (n, n) mask or index copy; ``np.triu_indices``
-    builds the pattern after the last shard.
+    segment of the upper triangle, without an (n, n) mask or index copy;
+    ``_all_pairs`` builds the pattern after the last shard.
     """
     rho = _check_mapping(nbhd, mapping, rho)
     num_samples = check_count(num_samples, "num_samples")
@@ -378,11 +405,11 @@ def monte_carlo_profile(
             diag, values = np.zeros(n), np.zeros(n * (n - 1) // 2)
         diag += np.diagonal(counts)
         end = 0
-        for i in range(n - 1):  # row i's pairs (i, j > i), in the order of np.triu_indices
+        for i in range(n - 1):  # row i's pairs (i, j > i), in the order of _all_pairs
             values[end : end + n - 1 - i] += counts[i, i + 1 :]
             end += n - 1 - i
         del counts  # each shard's (n, n) counts go before the next shard is drawn
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = _all_pairs(n)
     diag /= num_samples
     values /= num_samples
     return _finalize(
@@ -410,7 +437,7 @@ def enumerated_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: flo
         )
     joint = z.T @ (weights[:, None] * z)
     joint = (joint + joint.T) / 2.0
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = _all_pairs(n)
     return _finalize(
         float(marginals.mean()), np.diagonal(joint).copy(), rows, cols, joint[rows, cols],
         overlap_degree(nbhd), "enumeration",

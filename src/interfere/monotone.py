@@ -23,7 +23,7 @@ is its one-row case, checked and shaped by ``_one_row``. Its variance
 (|A|, |A|) array. Beyond the profile, its memory is one buffer of products
 for a chunk of rows, n + pairs wide, plus one block of pairs whose nonzero
 weights ``_weights`` builds as they are read; a call of several row chunks
-keeps those weights, with their int64 indices, for every chunk.
+keeps those weights, with their intp indices, for every chunk.
 The Bonferroni scan takes its designs from ``exposure._threshold_designs``,
 as the simulation harness does.
 """
@@ -117,7 +117,7 @@ def point_estimate(values, exposure: EffectiveTreatment) -> float:
 
 def _weights(profile: ExposureProfile, exposed, u, t, floor, off_pattern):
     """The nonzero weights of ``_variances`` and their entries, yielded in
-    blocks (first, second, w): int64 units first[e] <= second[e], and w of
+    blocks (first, second, w): intp units first[e] <= second[e], and w of
     shape (1, m), or (2, m) with the rank-one row when ``off_pattern``.
 
     Entries come in blocks of at most ``_PAIR_BLOCK``, sliced from the
@@ -142,7 +142,9 @@ def _weights(profile: ExposureProfile, exposed, u, t, floor, off_pattern):
     for units, others, joints, shift, entries in parts:
         for lo in range(0, joints.size, _PAIR_BLOCK):
             at = slice(lo, lo + _PAIR_BLOCK)
-            first, second, joint = units[at], others[at], joints[at]
+            # intp once per block: numpy would convert int32 indices at every gather
+            first, second = units[at].astype(np.intp, copy=False), others[at].astype(np.intp, copy=False)
+            joint = joints[at]
             zero = joint <= 0.0
             if (exposed[:, first[zero]] & exposed[:, second[zero]]).any():
                 raise ZeroJointProbabilityError(_ZERO_JOINT)

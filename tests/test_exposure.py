@@ -1,5 +1,6 @@
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,7 +239,8 @@ class TestMonteCarloProfile:
         x = (rng.random((1000, 777)) < 0.4).astype(np.int8)
         z = itf.evaluate_exposure_many(x, nbhd, mapping).astype(np.float32)
         monkeypatch.setattr(exposure, "_MC_DRAW", 300 * 777 + 5)
-        assert np.array_equal(_mc_shard_counts(nbhd, mapping, 0.4, 9, 2, 1000), (z.T @ z).astype(np.float64))
+        counts = _mc_shard_counts(nbhd, mapping, 0.4, 9, 2, 1000)
+        assert np.array_equal(np.triu(counts), np.triu((z.T @ z).astype(np.float64)))
 
     @pytest.mark.parametrize("mapping", MAPPINGS, ids=["product", "threshold"])
     def test_batched_counts_equal_one_product(self, monkeypatch, mapping):
@@ -252,7 +254,7 @@ class TestMonteCarloProfile:
         monkeypatch.setattr(exposure, "_MC_BATCH", 130 * 53)
         counts = _mc_shard_counts(nbhd, mapping, 0.7, 6, 3, 250)
         assert counts.dtype == np.float32
-        assert np.array_equal(counts, z.T @ z)
+        assert np.array_equal(np.triu(counts), np.triu(z.T @ z))
 
     @pytest.mark.parametrize("shard_n", [121, 125, 130, 131, 170])
     def test_ragged_last_chunk_beside_a_nearly_full_batch(self, monkeypatch, shard_n):
@@ -266,7 +268,42 @@ class TestMonteCarloProfile:
         z = itf.evaluate_exposure_many(rng.random((shard_n, 53)) < 0.7, nbhd, mapping).astype(np.int64)
         monkeypatch.setattr(exposure, "_MC_DRAW", 40 * 53)
         monkeypatch.setattr(exposure, "_MC_BATCH", 130 * 53)
-        assert np.array_equal(_mc_shard_counts(nbhd, mapping, 0.7, 6, 3, shard_n), z.T @ z)
+        assert np.array_equal(np.triu(_mc_shard_counts(nbhd, mapping, 0.7, 6, 3, shard_n)), np.triu(z.T @ z))
+
+    @pytest.mark.parametrize("step", [1, 10, 100], ids=["one_row", "ragged_last", "wider_than_n"])
+    def test_row_blocks_give_the_upper_triangle_of_one_product(self, monkeypatch, step):
+        # Each batch's product goes into the counts in blocks of ``step``
+        # rows of 53 units: blocks of one row, five of 10 and a last of 3,
+        # or one block of 100 rows, more than n. The draws come in chunks
+        # of ``step`` rows too, and a batch of max(70, step) columns flushes
+        # several times over 250 draws.
+        nbhd = itf.build_knn_neighborhoods(itf.synthetic_layout("uniform_square", 53, seed=4), 3)
+        mapping = itf.ExposureMapping.threshold(2)
+        rng = np.random.Generator(np.random.Philox(key=[6, 3]))
+        z = itf.evaluate_exposure_many(rng.random((250, 53)) < 0.7, nbhd, mapping).astype(np.int64)
+        monkeypatch.setattr(exposure, "_MC_DRAW", step * 53)
+        monkeypatch.setattr(exposure, "_MC_BATCH", 70 * 53)
+        counts = _mc_shard_counts(nbhd, mapping, 0.7, 6, 3, 250)
+        assert counts.dtype == np.float32
+        assert np.array_equal(np.triu(counts), np.triu(z.T @ z))
+
+    def test_shard_forms_no_second_square_beside_its_counts(self, monkeypatch):
+        # 1 000 draws of 1 000 units in chunks of 50 rows: the counts and the
+        # (n, 1000) batch are 3.8 MiB each, and a batch's product, added a
+        # block of 50 rows at a time, must not add anything near another
+        # (n, n) float32 array.
+        n = 1000
+        nbhd = itf.build_knn_neighborhoods(itf.synthetic_layout("uniform_square", n, seed=3), 4)
+        monkeypatch.setattr(exposure, "_MC_DRAW", 50 * n)
+        tracemalloc.start()
+        try:
+            counts = _mc_shard_counts(nbhd, itf.ExposureMapping.threshold(2), 0.5, 1, 0, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        square = counts.nbytes
+        assert square == 4 * n * n
+        assert peak < square + 4 * n * 1000 + square // 2
 
     @pytest.mark.parametrize("mapping", MAPPINGS, ids=["product", "threshold"])
     def test_two_shard_profile_equals_the_sum_of_shard_products(self, monkeypatch, mapping):
@@ -292,8 +329,9 @@ class TestMonteCarloProfile:
     def test_gathered_profile_equals_the_dense_sum_of_shard_counts(self, monkeypatch, mapping):
         # 230 draws in shards of 64 (three full shards and one of 38): the
         # profile adds each shard's pairs, row segment by row segment, and
-        # its diagonal, and equals the sum of the dense shard counts,
-        # divided and gathered once by np.triu_indices, bit for bit.
+        # its diagonal, and equals the sum of the shard counts' upper
+        # triangles, divided and gathered once by np.triu_indices, bit for
+        # bit; the pattern's indices are those of np.triu_indices, as int32.
         nbhd = itf.build_knn_neighborhoods(itf.synthetic_layout("uniform_square", 37, seed=6), 4)
         starts = range(0, 230, 64)
         counts = np.zeros((37, 37))
@@ -304,7 +342,8 @@ class TestMonteCarloProfile:
         profile = itf.monte_carlo_profile(nbhd, mapping, 0.6, 230, seed=4)
         rows, cols = np.triu_indices(37, 1)
         assert len(starts) == 4
-        assert profile.rows.tobytes() == rows.tobytes() and profile.cols.tobytes() == cols.tobytes()
+        assert profile.rows.tobytes() == rows.astype(np.int32).tobytes()
+        assert profile.cols.tobytes() == cols.astype(np.int32).tobytes()
         assert profile.diag.tobytes() == np.diagonal(joint).tobytes()
         assert profile.values.tobytes() == joint[rows, cols].tobytes()
         assert profile.p == float(np.diagonal(joint).mean())
@@ -314,6 +353,50 @@ class TestMonteCarloProfile:
         profile = itf.monte_carlo_profile(nbhd, itf.ExposureMapping.product(), 0.5, 10, seed=0)
         assert profile.method == "monte_carlo"
         assert profile.num_samples == 10
+
+
+class TestPatternIndices:
+    """Every profile stores its pattern as int32 unit indices: 16 bytes per
+    pair with the float64 value, and fewer than 2^31 units."""
+
+    @staticmethod
+    def check_pattern(profile, rows, cols):
+        assert profile.rows.dtype == profile.cols.dtype == np.int32
+        assert np.array_equal(profile.rows, rows) and np.array_equal(profile.cols, cols)
+        pattern = profile.rows.nbytes + profile.cols.nbytes + profile.values.nbytes
+        assert pattern == 16 * profile.rows.size
+
+    def test_every_builder_stores_int32_indices(self):
+        coords = itf.synthetic_layout("uniform_square", 18, seed=2)
+        nbhd = itf.build_knn_neighborhoods(coords, 3)
+        mapping = itf.ExposureMapping.threshold(2)
+        pairs = exposure._overlapping_pairs(nbhd)
+        assert pairs.size > 0
+        self.check_pattern(itf.exact_profile(nbhd, mapping, 0.5), pairs[:, 0], pairs[:, 1])
+        everyone = np.triu_indices(18, 1)
+        self.check_pattern(itf.monte_carlo_profile(nbhd, mapping, 0.5, 100, seed=1), *everyone)
+        self.check_pattern(itf.enumerated_profile(nbhd, mapping, 0.5), *everyone)
+        for nbhd, _, profile in exposure._threshold_designs(coords, [(2, 3), (1, 4)], 0.5):
+            pairs = exposure._overlapping_pairs(nbhd)
+            self.check_pattern(profile, pairs[:, 0], pairs[:, 1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 300])
+    def test_all_pairs_are_the_upper_triangle(self, n):
+        rows, cols = exposure._all_pairs(n)
+        assert rows.dtype == cols.dtype == np.int32
+        expected = np.triu_indices(n, 1)
+        assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+
+    def test_too_many_units_raise_before_any_allocation(self):
+        empty = np.empty(0, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="2\\^31"):
+                exposure._finalize(0.5, np.broadcast_to(0.5, (2**31,)), empty, empty, np.empty(0), 0, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestVarianceIdentity:
