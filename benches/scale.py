@@ -27,8 +27,11 @@ read in two more, and two more run up to n = ``MC_MAX_N``:
 
 Each stage's wall time (``perf_counter``, one untraced call) and its peak
 ``tracemalloc`` memory (a second, traced call) are recorded with the problem
-sizes. Layouts, treatments and outcomes come from fixed seeds, so every record
-analyses the same inputs.
+sizes: among them ``pairs``, the overlapping pairs of the exact profile, and
+``pair_records``, the sum over units u of C(c_u, 2) for the c_u sets holding
+u, which is the number of pair records the overlap builder sorts. Layouts,
+treatments and outcomes come from fixed seeds, so every record analyses the
+same inputs.
 
 One record (git HEAD, whether the package sources differ from it, their
 hash, cores, Python and numpy versions) is appended to the
@@ -117,11 +120,13 @@ def measure(itf, layout: str, n: int) -> dict:
     if n <= MC_MAX_N:
         mc, stages["mc_profile"] = _stage(itf.monte_carlo_profile, nbhd, mapping, RHO, MC_SAMPLES, MC_SEED)
         stages["mc_bound"] = _stage(bound, nbhd, mc)[1]
+    holders = np.bincount(nbhd.members.ravel(), minlength=n)
     return {
         "layout": layout,
         "n": n,
         "k": nbhd.k,
         "pairs": int(profile.rows.size),
+        "pair_records": int((holders * (holders - 1) // 2).sum()),
         "exposed": exposure.count,
         "upper_bound": report.upper_bound,
         "lambda_1": {"value": lam.value, "certificate": lam.certificate, "steps": lam.steps},

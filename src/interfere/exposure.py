@@ -14,7 +14,10 @@ the eigenvalue of an all-pairs (Monte Carlo) profile.
 
 The exact pairwise computation partitions the union of two neighborhoods into
 the two private parts and the shared part and convolves binomial counts over
-the three regions, so cost per pair is O(k^2) rather than O(2^|union|).
+the three regions, so cost per pair is O(k^2) rather than O(2^|union|). The
+three sizes follow from |S_i & S_j|, [j in S_i] and [i in S_j], which
+``_overlapping_pairs`` returns with each pair as one region code, so the
+convolution runs once per distinct code.
 The binomial coefficients must fit a float, so exact threshold
 probabilities take sets of at most 1 029 units (``_binom_tables``). A
 full-enumeration oracle (n <= 20) is provided for testing and diagnostics.
@@ -170,24 +173,37 @@ def _marginal(k: int, mapping: ExposureMapping, rho: float, sf: Optional[list] =
 
 
 def _overlapping_pairs(nbhd: NeighborhoodSet) -> np.ndarray:
-    """Rows (i, j, |S_i & S_j|) for every pair i < j whose sets meet, sorted.
+    """Rows (i, j, code) for every pair i < j whose sets meet, sorted, with
+    the region code ``4 |S_i & S_j| + 2 [j in S_i] + [i in S_j]`` that
+    ``_threshold_joint`` reads.
 
     Each member u contributes one pair record for every two sets holding it,
-    so a pair appears once per shared member.
+    so a pair appears once per shared member and ``np.unique`` counts them.
+    Every unit belongs to its own set, so j in S_i makes (i, j) such a pair:
+    the two flags are added at the keys of each set's own (unit, member)
+    pairs, found among the sorted pair keys by ``np.searchsorted``.
     """
     n, k = nbhd.members.shape
-    unit = nbhd.members.ravel()
+    member = nbhd.members.ravel()
     owner = np.repeat(np.arange(n, dtype=np.int64), k)
-    by_unit = np.lexsort((owner, unit))
-    unit, owner = unit[by_unit], owner[by_unit]
+    by_unit = np.lexsort((owner, member))
+    unit, holder = member[by_unit], owner[by_unit]
+    # The keys of the pairs (i, j) with j in S_i, in owner order, and with
+    # i in S_j, in member order: both sorted, as searchsorted runs fastest.
+    mine, theirs = owner < member, unit < holder
+    j_in_i, i_in_j = owner[mine] * n + member[mine], unit[theirs] * n + holder[theirs]
     keys = []
     for shift in range(1, unit.size):
         same = unit[shift:] == unit[:-shift]
         if not same.any():
             break
-        keys.append(owner[:-shift][same] * n + owner[shift:][same])
+        keys.append(holder[:-shift][same] * n + holder[shift:][same])
+    del owner, by_unit, unit, holder, mine, theirs
     keys, shared = np.unique(np.concatenate(keys or [np.empty(0, np.int64)]), return_counts=True)
-    return np.column_stack((keys // n, keys % n, shared))
+    code = 4 * shared
+    code[np.searchsorted(keys, j_in_i)] += 2
+    code[np.searchsorted(keys, i_in_j)] += 1
+    return np.column_stack((keys // n, keys % n, code))
 
 
 def _degree(rows: np.ndarray, cols: np.ndarray, n: int) -> int:
@@ -293,24 +309,24 @@ def exact_profile(nbhd: NeighborhoodSet, mapping: ExposureMapping, rho: float) -
     """Exact joint exposure probabilities for every pair of units.
 
     Pairs with disjoint neighborhoods are independent, so their joint
-    probability is p^2; only overlapping pairs are stored, and the region
-    convolution runs once per distinct tuple of region sizes.
+    probability is p^2; only overlapping pairs are stored. Their region
+    sizes come from the region code of ``_overlapping_pairs``, and the joint
+    probability is computed once per distinct code into a table that the
+    pairs gather from.
     """
     rho = _check_mapping(nbhd, mapping, rho)
     n, k = nbhd.members.shape
     pmf, sf = (None, None) if mapping.kind == "product" else _binom_tables(k, rho)
     p = _marginal(k, mapping, rho, sf)
     pairs = _overlapping_pairs(nbhd)
-    rows, cols, shared = pairs[:, 0].astype(np.int32), pairs[:, 1].astype(np.int32), pairs[:, 2]
-    if mapping.kind == "product":
-        sizes, where = np.unique(2 * k - shared, return_inverse=True)
-        table = np.array([rho ** int(size) for size in sizes])
-    else:
-        j_in_i = (nbhd.members[rows] == cols[:, None]).any(axis=1)
-        i_in_j = (nbhd.members[cols] == rows[:, None]).any(axis=1)
-        keys, where = np.unique(4 * shared + 2 * j_in_i + i_in_j, return_inverse=True)
-        table = np.array([_threshold_joint(k, int(key), mapping.d_min, rho, pmf, sf) for key in keys])
-    values = table[where.ravel()]
+    rows, cols, codes = pairs[:, 0].astype(np.int32), pairs[:, 1].astype(np.int32), pairs[:, 2]
+    table = np.empty(4 * k + 4)  # one value per region code present; every code is below 4 (k + 1)
+    for code in np.flatnonzero(np.bincount(codes)):
+        if mapping.kind == "product":
+            table[code] = rho ** int(2 * k - (code >> 2))
+        else:
+            table[code] = _threshold_joint(k, int(code), mapping.d_min, rho, pmf, sf)
+    values = table[codes]
     return _finalize(p, np.full(n, p), rows, cols, values, _degree(rows, cols, n), "exact")
 
 

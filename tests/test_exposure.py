@@ -228,7 +228,7 @@ class TestMonteCarloProfile:
         assert _MC_SHARD == 2**16
         assert counts.dtype == np.float32
         assert np.diagonal(counts).min() > 0.99 * _MC_SHARD
-        assert np.array_equal(counts, z.T @ z)
+        assert np.array_equal(np.triu(counts), np.triu(z.T @ z))
 
     def test_chunked_draws_equal_one_draw(self, monkeypatch):
         # 1000 draws of 777 units, drawn and counted in chunks of 300 rows

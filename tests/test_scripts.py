@@ -39,6 +39,8 @@ def test_scale_bench_records_every_stage(tmp_path):
             "bound", "eigen", "knn", "load", "load_neighborhoods", "mc_bound", "mc_profile", "profile"
         ]
         assert row["lambda_1"]["certificate"] == "collatz_wielandt" and row["lambda_1"]["value"] > 0
+        # One record per shared member of each overlapping pair, at most k.
+        assert 0 < row["pairs"] <= row["pair_records"] <= row["k"] * row["pairs"]
         for stage in ("mc_profile", "mc_bound", "load", "load_neighborhoods"):
             assert row["stages"][stage]["seconds"] > 0 and row["stages"][stage]["peak_mb"] > 0
 

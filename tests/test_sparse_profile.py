@@ -13,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import interfere as itf
+from interfere import exposure
 from interfere.cli import main
-from interfere.exposure import _binom_tables, _mc_shard_counts, _overlapping_pairs, _sf
+from interfere.exposure import _binom_tables, _degree, _finalize, _mc_shard_counts, _overlapping_pairs, _sf
+from interfere.exposure import _threshold_joint
 from interfere.monotone import conservative_variance, variance_estimate
 
 from conftest import random_design
@@ -62,6 +64,29 @@ def reference_joint(nbhd, mapping, rho):
             value = reference_threshold_joint(sets[i], sets[j], i, j, mapping.d_min, rho, pmf, sf)
         joint[i, j] = joint[j, i] = value
     return joint, p
+
+
+def gathered_profile(nbhd, mapping, rho):
+    """``exact_profile`` as computed before the region code: the pair flags
+    by gathering both sets' members, and product values keyed by the union
+    size ``2k - shared``. The pairs and shared counts come from
+    ``_overlapping_pairs``, which ``test_pattern_is_the_overlapping_pairs``
+    checks against the sets."""
+    n, k = nbhd.members.shape
+    pmf, sf = (None, None) if mapping.kind == "product" else _binom_tables(k, rho)
+    p = itf.exact_marginal(nbhd, mapping, rho)
+    pairs = _overlapping_pairs(nbhd)
+    rows, cols, shared = pairs[:, 0].astype(np.int32), pairs[:, 1].astype(np.int32), pairs[:, 2] >> 2
+    if mapping.kind == "product":
+        sizes, where = np.unique(2 * k - shared, return_inverse=True)
+        table = np.array([rho ** int(size) for size in sizes])
+    else:
+        j_in_i = (nbhd.members[rows] == cols[:, None]).any(axis=1)
+        i_in_j = (nbhd.members[cols] == rows[:, None]).any(axis=1)
+        keys, where = np.unique(4 * shared + 2 * j_in_i + i_in_j, return_inverse=True)
+        table = np.array([_threshold_joint(k, int(key), mapping.d_min, rho, pmf, sf) for key in keys])
+    values = table[where.ravel()]
+    return _finalize(p, np.full(n, p), rows, cols, values, _degree(rows, cols, n), "exact")
 
 
 def reference_center(joint, p):
@@ -164,13 +189,42 @@ class TestExactProfileMatchesDense:
         assert values @ tail @ values > 1e-9 * got
 
     def test_pattern_is_the_overlapping_pairs(self, rng):
-        for _ in range(10):
-            nbhd, mapping, rho = random_design(rng)
+        # Random designs, sets of one unit (no pairs), and k-NN sets on a
+        # line, where distance ties make j in S_i without i in S_j.
+        designs = [random_design(rng) for _ in range(10)]
+        designs.append((itf.build_knn_neighborhoods(rng.random((9, 2)), 1), itf.ExposureMapping.product(), 0.5))
+        line = itf.synthetic_layout("line", 30)
+        designs += [(itf.build_knn_neighborhoods(line, d), itf.ExposureMapping.threshold(2), 0.5) for d in (2, 4, 5)]
+        flags = set()
+        for nbhd, mapping, rho in designs:
             profile = itf.exact_profile(nbhd, mapping, rho)
             assert set(zip(profile.rows.tolist(), profile.cols.tolist())) == reference_pairs(nbhd)
             sets = nbhd.as_sets()
-            for i, j, shared in _overlapping_pairs(nbhd).tolist():
-                assert shared == len(sets[i] & sets[j])
+            pairs = _overlapping_pairs(nbhd)
+            assert pairs.dtype == np.int64 and pairs.shape[1] == 3
+            assert list(map(tuple, pairs[:, :2].tolist())) == sorted(reference_pairs(nbhd))
+            for i, j, code in pairs.tolist():
+                assert code >> 2 == len(sets[i] & sets[j])
+                assert code >> 1 & 1 == (j in sets[i])
+                assert code & 1 == (i in sets[j])
+                flags.add(code & 3)
+        assert flags == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("layout", ["uniform_square", "two_cluster", "line"])
+    def test_region_code_moves_no_output_bit(self, rng, layout):
+        # Against the gathered flags and the product's union-size table, on
+        # random designs and on a k-NN design of the layout, for the product
+        # mapping and the thresholds 1, 3 and d.
+        designs = [random_design(rng)[0] for _ in range(20)]
+        designs.append(itf.build_knn_neighborhoods(itf.synthetic_layout(layout, 300, seed=8), 6))
+        for nbhd in designs:
+            k = nbhd.k
+            thresholds = [itf.ExposureMapping.threshold(m) for m in sorted({1, min(3, k), k})]
+            for mapping in [itf.ExposureMapping.product(), *thresholds]:
+                got, want = itf.exact_profile(nbhd, mapping, 0.3), gathered_profile(nbhd, mapping, 0.3)
+                for name in ("diag", "rows", "cols", "values", "row_excess"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+                assert (got.p, got.excess_total, got.overlap_degree) == (want.p, want.excess_total, want.overlap_degree)
 
 
 class TestEstimatedProfilesMatchDense:
@@ -179,9 +233,24 @@ class TestEstimatedProfilesMatchDense:
         mapping = itf.ExposureMapping.threshold(2)
         profile = itf.monte_carlo_profile(nbhd, mapping, 0.5, 3000, seed=11)
         joint = _mc_shard_counts(nbhd, mapping, 0.5, 11, 0, 3000).astype(np.float64) / 3000
-        assert np.array_equal(profile.joint, joint)
+        assert np.array_equal(np.triu(profile.joint), np.triu(joint))
         assert profile.rows.size == 40 * 39 // 2
         check_against_reference(nbhd, mapping, 0.5, rng, profile=profile)
+
+    def test_monte_carlo_over_several_row_blocks(self, rng, monkeypatch):
+        # Draws and products in blocks of 7 rows of 40 units: the counts
+        # below the diagonal are left partly unwritten, and the profile,
+        # which reads only the rest, is the one of a single block.
+        nbhd = itf.build_knn_neighborhoods(rng.random((40, 2)), 4)
+        mapping = itf.ExposureMapping.threshold(2)
+        whole = itf.monte_carlo_profile(nbhd, mapping, 0.5, 3000, seed=11)
+        monkeypatch.setattr(exposure, "_MC_DRAW", 7 * 40)
+        profile = itf.monte_carlo_profile(nbhd, mapping, 0.5, 3000, seed=11)
+        counts = _mc_shard_counts(nbhd, mapping, 0.5, 11, 0, 3000)
+        assert not np.array_equal(counts, counts.T)
+        assert np.array_equal(np.triu(profile.joint), np.triu(counts.astype(np.float64) / 3000))
+        for name in ("diag", "values", "row_excess"):
+            assert getattr(profile, name).tobytes() == getattr(whole, name).tobytes()
 
     def test_enumeration(self, rng):
         nbhd = itf.build_knn_neighborhoods(rng.random((10, 2)), 3)
